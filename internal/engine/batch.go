@@ -69,20 +69,20 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 	return e.project()
 }
 
-// scanPositions scans a table chunk by chunk, applying constant filters
-// through gathered vectors, and returns the passing live row positions.
-// Counter accrual matches scanFiltered: one scan, every heap row
-// (tombstoned included) read.
-func (e *batchExec) scanPositions(t *Table, filters []sqlast.Filter) ([]int32, error) {
+// scanChunks scans a table chunk by chunk, applying constant filters
+// through gathered vectors, and hands each chunk's passing live row
+// positions to emit (the slice is reused by the next chunk). Counter
+// accrual matches scanFiltered: one scan, every heap row (tombstoned
+// included) read.
+func (e *batchExec) scanChunks(t *Table, filters []sqlast.Filter, emit func(sel []int32)) error {
 	n := t.NumRows()
 	e.stats.Scans++
 	e.stats.TuplesRead += int64(n)
 	e.stats.BytesRead += t.scanBytes()
 	cf := compileFilters(t, filters, e.params)
-	out := make([]int32, 0, n)
 	for base := 0; base < n; base += BatchSize {
 		if err := e.ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		end := min(base+BatchSize, n)
 		sel := e.selBuf[:0]
@@ -99,11 +99,18 @@ func (e *batchExec) scanPositions(t *Table, filters []sqlast.Filter) ([]int32, e
 		}
 		sel, err := e.filterChunk(t, cf, sel)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, sel...)
+		emit(sel)
 	}
-	return out, nil
+	return nil
+}
+
+// scanPositions materializes a scanChunks scan as one position list.
+func (e *batchExec) scanPositions(t *Table, filters []sqlast.Filter) ([]int32, error) {
+	out := make([]int32, 0, t.NumRows())
+	err := e.scanChunks(t, filters, func(sel []int32) { out = append(out, sel...) })
+	return out, err
 }
 
 // filterChunk narrows one chunk's selection through the compiled
@@ -143,16 +150,20 @@ func (e *batchExec) stepINL(st *planStep) error {
 	oldTable := e.p.tables[st.oldAlias]
 	cf := compileFilters(newTable, st.filters, e.params)
 	oldPos := e.cols[e.p.slot[st.oldAlias]]
-	var src, newPos []int32
+	src := make([]int32, 0, e.n)
+	newPos := make([]int32, 0, e.n)
 	for i := 0; i < e.n; i++ {
 		if i&ctxCheckMask == 0 {
 			if err := e.ctx.Err(); err != nil {
 				return err
 			}
 		}
-		v := oldTable.Cell(int(oldPos[i]), oldCi)
-		positions, _ := newTable.Lookup(st.newCol, v)
 		e.stats.Probes++
+		v := oldTable.Cell(int(oldPos[i]), oldCi)
+		if v.IsNull() {
+			continue // NULL equals nothing, a NULL key included
+		}
+		positions, _ := newTable.Lookup(st.newCol, v)
 		for _, pos := range positions {
 			e.stats.TuplesRead++
 			e.stats.BytesRead += newTable.probeRowBytes(pos)
@@ -171,8 +182,15 @@ func (e *batchExec) stepINL(st *planStep) error {
 	return nil
 }
 
-// stepHash scans + builds the new relation into a typed hash table, then
-// probes it with each intermediate tuple's join value.
+// stepHash scans the new relation once and joins it to the intermediate
+// tuples through a hash table built on whichever side has fewer tuples.
+// The scan's passing positions are held back while they number no more
+// than the intermediate; if the scan ends that way they are the build
+// side and the intermediate probes. Once they outnumber it, the
+// intermediate's join values are hashed instead and the held-back
+// positions and the rest of the scan stream through, so a one-tuple
+// intermediate never hashes a whole relation and an empty one hashes
+// nothing. Either way pairs leave in (source tuple, scan position) order.
 func (e *batchExec) stepHash(st *planStep) error {
 	newCi, oldCi, err := e.p.resolveJoinCols(st)
 	if err != nil {
@@ -180,26 +198,77 @@ func (e *batchExec) stepHash(st *planStep) error {
 	}
 	newTable := e.p.tables[st.alias]
 	oldTable := e.p.tables[st.oldAlias]
-	build, err := e.scanPositions(newTable, st.filters)
+	oldPos := e.cols[e.p.slot[st.oldAlias]]
+	src := make([]int32, 0, e.n)
+	newPos := make([]int32, 0, e.n)
+	held := make([]int32, 0, min(e.n, newTable.NumRows()))
+	var ht *hashTable // over the intermediate, once the scan outnumbers it
+	ordered := true   // src is still non-decreasing
+	probe := func(sel []int32) {
+		for _, pos := range sel {
+			for i := ht.first(newTable.Cell(int(pos), newCi)); i != 0; i = ht.next[i-1] {
+				ordered = ordered && (len(src) == 0 || src[len(src)-1] < i)
+				src = append(src, i-1)
+				newPos = append(newPos, pos)
+			}
+		}
+	}
+	err = e.scanChunks(newTable, st.filters, func(sel []int32) {
+		if e.n == 0 {
+			return
+		}
+		if ht == nil {
+			if len(held)+len(sel) <= e.n {
+				held = append(held, sel...)
+				return
+			}
+			ht = buildHash(oldTable, oldCi, oldPos)
+			probe(held)
+		}
+		probe(sel)
+	})
 	if err != nil {
 		return err
 	}
-	ht := buildHash(newTable, newCi, build)
-	oldPos := e.cols[e.p.slot[st.oldAlias]]
-	var src, newPos []int32
-	for i := 0; i < e.n; i++ {
-		if i&ctxCheckMask == 0 {
-			if err := e.ctx.Err(); err != nil {
-				return err
+	switch {
+	case ht == nil:
+		ht = buildHash(newTable, newCi, held)
+		for i := 0; i < e.n; i++ {
+			if i&ctxCheckMask == 0 {
+				if err := e.ctx.Err(); err != nil {
+					return err
+				}
+			}
+			for j := ht.first(oldTable.Cell(int(oldPos[i]), oldCi)); j != 0; j = ht.next[j-1] {
+				src = append(src, int32(i))
+				newPos = append(newPos, held[j-1])
 			}
 		}
-		for _, pos := range ht.lookup(oldTable.Cell(int(oldPos[i]), oldCi)) {
-			src = append(src, int32(i))
-			newPos = append(newPos, pos)
-		}
+	case !ordered:
+		src, newPos = sortBySource(src, newPos, e.n)
 	}
 	e.rebind(st.alias, src, newPos)
 	return nil
+}
+
+// sortBySource reorders join pairs emitted in (scan position, source
+// tuple) order into (source tuple, scan position) order: a stable
+// counting sort on src over n source tuples.
+func sortBySource(src, newPos []int32, n int) ([]int32, []int32) {
+	at := make([]int32, n+1)
+	for _, s := range src {
+		at[s+1]++
+	}
+	for i := 0; i < n; i++ {
+		at[i+1] += at[i]
+	}
+	osrc := make([]int32, len(src))
+	opos := make([]int32, len(src))
+	for k, s := range src {
+		osrc[at[s]], opos[at[s]] = s, newPos[k]
+		at[s]++
+	}
+	return osrc, opos
 }
 
 // stepCartesian crosses the intermediate tuples with a filtered scan of

@@ -8,9 +8,10 @@ import (
 	"legodb/internal/xschema"
 )
 
-// The engine's first microbenchmarks: the three physical shapes the
-// executor runs (filtered scan, index nested-loop through a key, hash
-// join on data columns), each under both implementations, so the
+// The engine's microbenchmarks: the physical shapes the executor runs
+// (filtered scan, index nested-loop through a key, hash join on data
+// columns between two large relations, and the same join probed by a
+// single tuple), each under both implementations, so the
 // vectorization speedup is measured rather than asserted. cmd/bench's
 // engine-exec scenario reports the same comparison on the IMDB workload
 // shapes into BENCH_search.json.
@@ -124,5 +125,12 @@ func BenchmarkExecuteBlockINL(b *testing.B) {
 
 func BenchmarkExecuteBlockHashJoin(b *testing.B) {
 	db := benchDB(b, 16, 10000, 10000, 5000)
+	benchBlock(b, db, hashJoinBlock())
+}
+
+// One A tuple joined to 10 000 B rows, two of which match: the shape of a
+// point lookup that then collects its children.
+func BenchmarkHashJoinPointProbe(b *testing.B) {
+	db := benchDB(b, 1, 1, 10000, 5000)
 	benchBlock(b, db, hashJoinBlock())
 }

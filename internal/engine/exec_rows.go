@@ -63,9 +63,12 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 						return nil, err
 					}
 				}
-				v := oldTable.Cell(l[st.oldAlias], oldCi)
-				positions, _ := newTable.Lookup(st.newCol, v)
 				stats.Probes++
+				v := oldTable.Cell(l[st.oldAlias], oldCi)
+				if v.IsNull() {
+					continue // NULL equals nothing, a NULL key included
+				}
+				positions, _ := newTable.Lookup(st.newCol, v)
 				for _, pos := range positions {
 					stats.TuplesRead++
 					stats.BytesRead += newTable.probeRowBytes(pos)
@@ -97,8 +100,11 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			hash := make(map[Value][]int, len(rows))
 			for _, r := range rows {
 				pos := r[st.alias]
-				v := newTable.Cell(pos, newCi)
-				hash[v] = append(hash[v], pos)
+				// NULL equals nothing, so NULL keys stay out of the build
+				// and a NULL probe finds no bucket.
+				if v := newTable.Cell(pos, newCi); !v.IsNull() {
+					hash[v] = append(hash[v], pos)
+				}
 			}
 			var joined []binding
 			for li, l := range current {

@@ -275,100 +275,80 @@ func compactPair(l, r *Vector, op sqlast.CmpOp, sel []int32) []int32 {
 	return sel[:w]
 }
 
-// hashTable is a typed hash-join build over one column of a table:
-// int64 or string keys map to build-side row positions, with NULL keys
-// in their own bucket (Value-map semantics of the reference executor:
-// exact-kind matching, NULL probe matches NULL build rows). A build
-// column mixing kinds falls back to a boxed Value map.
+// hashTable is a typed hash-join build over one column of a table at a
+// list of row positions; entry j stands for positions[j]. Entries with
+// equal keys form a chain in ascending entry order: a head map (int64 or
+// string keys) holds the first entry of each key and next[j] the one
+// after entry j, both stored +1 so that 0 ends a chain. A build is thus
+// two allocations whatever the number of distinct keys. NULL keys are
+// left out — NULL equals nothing, itself included — and matching is
+// exact-kind (a string probe never matches an integer key), as in the
+// reference executor's map[Value]. A build column mixing kinds falls
+// back to a boxed Value head map.
 type hashTable struct {
-	kind  ValueKind
-	ints  map[int64][]int32
-	strs  map[string][]int32
-	nullP []int32
-	mixed map[Value][]int32
+	kind  ValueKind // NullValue until a non-null key is seen
+	ints  map[int64]int32
+	strs  map[string]int32
+	mixed map[Value]int32
+	next  []int32
 }
 
 // buildHash builds the table over column ci of t at the given positions.
 func buildHash(t *Table, ci int, positions []int32) *hashTable {
-	ht := &hashTable{kind: NullValue}
-	for _, pos := range positions {
-		v := t.Cell(int(pos), ci)
-		if ht.kind != mixedKind {
-			switch v.Kind {
-			case NullValue:
-				ht.nullP = append(ht.nullP, pos)
-				continue
-			case ht.kind:
-				// Same kind as established; fall through to insert.
+	ht := &hashTable{next: make([]int32, len(positions))}
+	// Last to first, so that pushing on the head leaves chains ascending.
+	for j := len(positions) - 1; j >= 0; j-- {
+		v := t.Cell(int(positions[j]), ci)
+		if v.Kind == NullValue {
+			continue
+		}
+		if ht.kind != v.Kind && ht.kind != mixedKind {
+			switch {
+			case ht.kind != NullValue:
+				ht.demote()
+			case v.Kind == IntValue:
+				ht.kind, ht.ints = IntValue, make(map[int64]int32, j+1)
 			default:
-				if ht.kind == NullValue {
-					ht.kind = v.Kind
-					if v.Kind == IntValue {
-						ht.ints = make(map[int64][]int32, len(positions))
-					} else {
-						ht.strs = make(map[string][]int32, len(positions))
-					}
-				} else {
-					ht.demote(t, ci)
-				}
+				ht.kind, ht.strs = StrValue, make(map[string]int32, j+1)
 			}
 		}
 		switch ht.kind {
 		case IntValue:
-			ht.ints[v.Int] = append(ht.ints[v.Int], pos)
+			ht.next[j], ht.ints[v.Int] = ht.ints[v.Int], int32(j+1)
 		case StrValue:
-			ht.strs[v.Str] = append(ht.strs[v.Str], pos)
+			ht.next[j], ht.strs[v.Str] = ht.strs[v.Str], int32(j+1)
 		case mixedKind:
-			ht.mixed[v] = append(ht.mixed[v], pos)
+			ht.next[j], ht.mixed[v] = ht.mixed[v], int32(j+1)
 		}
 	}
 	return ht
 }
 
-// demote reboxes a typed build into a Value map when the build column
-// mixes kinds.
-func (ht *hashTable) demote(t *Table, ci int) {
-	ht.mixed = make(map[Value][]int32)
-	for k, p := range ht.ints {
-		ht.mixed[IntVal(k)] = p
+// demote reboxes a typed head map into a Value map when the build column
+// mixes kinds; the chains stay as they are.
+func (ht *hashTable) demote() {
+	ht.mixed = make(map[Value]int32, len(ht.ints)+len(ht.strs))
+	for k, h := range ht.ints {
+		ht.mixed[IntVal(k)] = h
 	}
-	for k, p := range ht.strs {
-		ht.mixed[StrVal(k)] = p
+	for k, h := range ht.strs {
+		ht.mixed[StrVal(k)] = h
 	}
-	for _, pos := range ht.nullP {
-		ht.mixed[Null] = append(ht.mixed[Null], pos)
-	}
-	ht.ints, ht.strs, ht.nullP = nil, nil, nil
+	ht.ints, ht.strs = nil, nil
 	ht.kind = mixedKind
 }
 
-// lookup returns the build positions matching probe value v. Matching is
-// exact (no cross-kind coercion): a string probe never matches an
-// integer build key, and NULL matches the NULL bucket — both exactly as
-// the reference executor's map[Value] build behaves.
-func (ht *hashTable) lookup(v Value) []int32 {
-	switch ht.kind {
-	case IntValue:
-		if v.Kind == IntValue {
-			return ht.ints[v.Int]
-		}
-		if v.Kind == NullValue {
-			return ht.nullP
-		}
-	case StrValue:
-		if v.Kind == StrValue {
-			return ht.strs[v.Str]
-		}
-		if v.Kind == NullValue {
-			return ht.nullP
-		}
-	case mixedKind:
+// first returns the first entry (+1) whose key equals v, 0 if none; the
+// rest of the chain follows through next.
+func (ht *hashTable) first(v Value) int32 {
+	switch {
+	case ht.kind == mixedKind:
 		return ht.mixed[v]
-	case NullValue:
-		// Empty build.
-		if v.Kind == NullValue {
-			return ht.nullP
-		}
+	case ht.kind != v.Kind:
+		return 0
+	case v.Kind == IntValue:
+		return ht.ints[v.Int]
+	default:
+		return ht.strs[v.Str]
 	}
-	return nil
 }

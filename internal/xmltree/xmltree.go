@@ -160,9 +160,22 @@ func Canonicalize(n *Node) *Node {
 	for i, c := range n.Children {
 		cp.Children[i] = Canonicalize(c)
 	}
-	sort.SliceStable(cp.Children, func(i, j int) bool {
-		return cp.Children[i].String() < cp.Children[j].String()
-	})
+	if len(cp.Children) < 2 {
+		return cp
+	}
+	// Serialize each child once, not once per comparison.
+	type keyed struct {
+		key  string
+		node *Node
+	}
+	ks := make([]keyed, len(cp.Children))
+	for i, c := range cp.Children {
+		ks[i] = keyed{c.String(), c}
+	}
+	sort.SliceStable(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for i := range ks {
+		cp.Children[i] = ks[i].node
+	}
 	return cp
 }
 
@@ -304,12 +317,13 @@ func (n *Node) String() string {
 	return b.String()
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// Built once: a Replacer compiles its lookup tables on first use and is
+// safe for concurrent use.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+)
 
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func escapeText(s string) string { return textEscaper.Replace(s) }
+
+func escapeAttr(s string) string { return attrEscaper.Replace(s) }
