@@ -40,9 +40,8 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 		p:      p,
 		params: params,
 		cols:   make([][]int32, len(p.order)),
-		selBuf: make([]int32, 0, BatchSize),
 	}
-	start, err := e.scanPositions(p.tables[p.start], p.startFilters)
+	start, err := e.startPositions()
 	if err != nil {
 		return nil, err
 	}
@@ -51,13 +50,13 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 
 	for i := range p.steps {
 		st := &p.steps[i]
-		switch st.kind {
-		case stepINL:
-			err = e.stepINL(st)
-		case stepHash:
-			err = e.stepHash(st)
-		case stepCartesian:
+		switch {
+		case st.kind == stepCartesian:
 			err = e.stepCartesian(st)
+		case st.probesIndex(e.n, p.tables[st.alias], params):
+			err = e.stepINL(st)
+		default:
+			err = e.stepHash(st)
 		}
 		if err != nil {
 			return nil, err
@@ -67,6 +66,44 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 		}
 	}
 	return e.project()
+}
+
+// startPositions binds the start relation: the filtered positions of an
+// index lookup when the plan has one, of a scan otherwise. Either way
+// they leave ascending.
+func (e *batchExec) startPositions() ([]int32, error) {
+	t := e.p.tables[e.p.start]
+	matched, cf, ok := e.p.indexStart(e.params, e.stats)
+	if !ok {
+		return e.scanPositions(t, e.p.startFilters)
+	}
+	out := make([]int32, 0, len(matched))
+	for base := 0; base < len(matched); base += BatchSize {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		chunk := matched[base:min(base+BatchSize, len(matched))]
+		sel := e.selection(len(chunk))
+		for _, pos := range chunk {
+			sel = append(sel, int32(pos))
+		}
+		sel, err := e.filterChunk(t, cf, sel)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sel...)
+	}
+	return out, nil
+}
+
+// selection returns the empty scratch selection with room for n
+// positions, sized by the first chunk that asks: a point lookup does not
+// pay for a full batch.
+func (e *batchExec) selection(n int) []int32 {
+	if cap(e.selBuf) < n {
+		e.selBuf = make([]int32, 0, n)
+	}
+	return e.selBuf[:0]
 }
 
 // scanChunks scans a table chunk by chunk, applying constant filters
@@ -85,7 +122,7 @@ func (e *batchExec) scanChunks(t *Table, filters []sqlast.Filter, emit func(sel 
 			return err
 		}
 		end := min(base+BatchSize, n)
-		sel := e.selBuf[:0]
+		sel := e.selection(end - base)
 		if len(t.dead) == 0 {
 			for pos := base; pos < end; pos++ {
 				sel = append(sel, int32(pos))
@@ -137,10 +174,10 @@ func (e *batchExec) filterChunk(t *Table, cf []compiledFilter, sel []int32) ([]i
 	return sel, nil
 }
 
-// stepINL probes the new relation's key index once per intermediate
-// tuple, collecting (source tuple, matched position) pairs.
+// stepINL probes the new relation's index on the join column once per
+// intermediate tuple, collecting (source tuple, matched position) pairs.
 func (e *batchExec) stepINL(st *planStep) error {
-	// The new side's column index is unused (Lookup probes by name) but
+	// The new side's column index is unused (the plan holds the index) but
 	// is still resolved for error parity with the reference executor.
 	_, oldCi, err := e.p.resolveJoinCols(st)
 	if err != nil {
@@ -163,8 +200,7 @@ func (e *batchExec) stepINL(st *planStep) error {
 		if v.IsNull() {
 			continue // NULL equals nothing, a NULL key included
 		}
-		positions, _ := newTable.Lookup(st.newCol, v)
-		for _, pos := range positions {
+		for _, pos := range newTable.lookup(st.index, v) {
 			e.stats.TuplesRead++
 			e.stats.BytesRead += newTable.probeRowBytes(pos)
 			ok, err := passesCompiledAt(newTable, pos, cf)

@@ -19,7 +19,7 @@ import (
 // benchDB builds R (nR rows) with children A (nA rows) and B (nB rows);
 // A.x and B.y cycle through `values` distinct integers, A.parent_R
 // spreads across the R rows.
-func benchDB(tb testing.TB, nR, nA, nB, values int) *Database {
+func benchDB(tb testing.TB, nR, nA, nB, values int, indexes ...relational.IndexRef) *Database {
 	tb.Helper()
 	s := xschema.MustParseSchema(`
 type R = r[ A*<#3>, B*<#3> ]
@@ -29,6 +29,7 @@ type B = b[ y[ Integer ] ]`)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	cat.SetIndexes(indexes)
 	db := NewDatabase(cat)
 	r := db.Table("R")
 	for i := 0; i < nR; i++ {
@@ -65,6 +66,13 @@ func scanBlock() *sqlast.Block {
 		Value: sqlast.Literal{IsInt: true, Int: 500},
 	}}
 	b.Projects = []sqlast.ColumnRef{{Alias: "a", Column: "x"}}
+	return b
+}
+
+// pointBlock selects the A rows with x = 7.
+func pointBlock() *sqlast.Block {
+	b := scanBlock()
+	b.Filters[0].Op, b.Filters[0].Value.Int = sqlast.OpEq, 7
 	return b
 }
 
@@ -133,4 +141,16 @@ func BenchmarkExecuteBlockHashJoin(b *testing.B) {
 func BenchmarkHashJoinPointProbe(b *testing.B) {
 	db := benchDB(b, 1, 1, 10000, 5000)
 	benchBlock(b, db, hashJoinBlock())
+}
+
+// Two of 50 000 A rows have x = 7: the start relation of a point lookup,
+// bound by scanning under the key-only design and by one probe once the
+// design indexes the column.
+func BenchmarkIndexStartLookup(b *testing.B) {
+	b.Run("scan", func(b *testing.B) {
+		benchBlock(b, benchDB(b, 16, 50000, 0, 25000), pointBlock())
+	})
+	b.Run("index", func(b *testing.B) {
+		benchBlock(b, benchDB(b, 16, 50000, 0, 25000, relational.IndexRef{Table: "A", Column: "x"}), pointBlock())
+	})
 }

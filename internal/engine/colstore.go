@@ -198,7 +198,7 @@ func (b *ColumnBase) value(pos, ci int) Value {
 }
 
 // SetColumnBase installs a frozen columnar base under an empty table
-// (no heap rows, no tombstones) and rebuilds the key/FK hash indexes
+// (no heap rows, no tombstones) and rebuilds the table's hash indexes
 // over the base rows. A nil base clears back to pure heap storage.
 func (t *Table) SetColumnBase(b *ColumnBase) error {
 	if len(t.Rows) != 0 || len(t.dead) != 0 {
@@ -209,18 +209,8 @@ func (t *Table) SetColumnBase(b *ColumnBase) error {
 			t.Def.Name, len(b.cols), len(t.Def.Columns))
 	}
 	t.base = b
-	for col := range t.indexes {
-		t.indexes[col] = make(map[Value][]int)
-	}
-	if b == nil {
-		return nil
-	}
-	for col, idx := range t.indexes {
-		ci := t.colIdx[col]
-		for pos := 0; pos < b.rows; pos++ {
-			v := b.value(pos, ci)
-			idx[v] = append(idx[v], pos)
-		}
+	for _, ix := range t.indexes {
+		ix.rebuild(t)
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 // Package engine is an instrumented in-memory relational execution
 // substrate: heap tables over the catalogs produced by the fixed mapping,
-// hash indexes on key and foreign-key columns, and an iterator executor
-// for the SPJ blocks the XQuery translator emits.
+// hash indexes on key and foreign-key columns and on the columns the
+// catalog's physical design flags, and an iterator executor for the SPJ
+// blocks the XQuery translator emits.
 //
 // The paper validated its cost model against Microsoft SQL-Server 6.5;
 // this engine plays that role here (see DESIGN.md): it counts the same
@@ -91,10 +92,11 @@ func Compare(a, b Value) int {
 type Row []Value
 
 // Table is a heap relation with hash indexes on its key and foreign-key
-// columns, optionally frozen over a columnar base image (see
-// colstore.go). Row positions are global — base rows first, then the
-// heap tail in Rows — and deletes are tombstones: positions stay
-// stable, dead rows are skipped by scans, probes and snapshots.
+// columns and on every column the catalog flags with a secondary index,
+// optionally frozen over a columnar base image (see colstore.go). Row
+// positions are global — base rows first, then the heap tail in Rows —
+// and deletes are tombstones: positions stay stable, dead rows are
+// skipped by scans, probes and snapshots.
 type Table struct {
 	Def *relational.Table
 	// Rows is the mutable heap tail; with a columnar base attached,
@@ -103,24 +105,41 @@ type Table struct {
 	Rows   []Row
 	base   *ColumnBase
 	colIdx map[string]int
-	// indexes maps indexed column name to value → global row positions.
-	indexes map[string]map[Value][]int
+	// indexes holds one hash index per maintained column (see
+	// relational.Column.Maintained), each with its column position
+	// resolved once so that Insert pays no name lookups.
+	indexes []*hashIndex
 	nextID  int64
 	dead    map[int]bool
+}
+
+// hashIndex maps the values of one column to the global positions of the
+// rows holding them, ascending, tombstoned rows included.
+type hashIndex struct {
+	col string
+	ci  int
+	m   map[Value][]int
+	// kinds counts the entries by ValueKind, so an equality probe knows
+	// whether a value of the literal's other kind can be there at all.
+	kinds [3]int
+}
+
+func (ix *hashIndex) add(v Value, pos int) {
+	ix.m[v] = append(ix.m[v], pos)
+	ix.kinds[v.Kind]++
 }
 
 // NewTable builds an empty heap table for a catalog relation.
 func NewTable(def *relational.Table) *Table {
 	t := &Table{
-		Def:     def,
-		colIdx:  make(map[string]int, len(def.Columns)),
-		indexes: make(map[string]map[Value][]int),
-		nextID:  1,
+		Def:    def,
+		colIdx: make(map[string]int, len(def.Columns)),
+		nextID: 1,
 	}
 	for i, c := range def.Columns {
 		t.colIdx[c.Name] = i
-		if c.Key || c.FKRef != "" {
-			t.indexes[c.Name] = make(map[Value][]int)
+		if c.Maintained() {
+			t.indexes = append(t.indexes, &hashIndex{col: c.Name, ci: i, m: make(map[Value][]int)})
 		}
 	}
 	return t
@@ -161,11 +180,71 @@ func (t *Table) Insert(r Row) error {
 	}
 	pos := t.NumRows()
 	t.Rows = append(t.Rows, r)
-	for col, idx := range t.indexes {
-		v := r[t.colIdx[col]]
-		idx[v] = append(idx[v], pos)
+	for _, ix := range t.indexes {
+		ix.add(r[ix.ci], pos)
 	}
 	return nil
+}
+
+// index returns the hash index on a column, nil if there is none.
+func (t *Table) index(col string) *hashIndex {
+	for _, ix := range t.indexes {
+		if ix.col == col {
+			return ix
+		}
+	}
+	return nil
+}
+
+// accessIndex returns the index through which query plans may enter the
+// table by col — the column must be an access path of the physical
+// design (relational.Column.AccessPath), not merely maintained for the
+// publisher — or nil when plans must scan.
+func (t *Table) accessIndex(col string) *hashIndex {
+	if c := t.Def.Column(col); c == nil || !c.AccessPath() {
+		return nil
+	}
+	return t.index(col)
+}
+
+// BuildIndex builds a hash index on a column in one ascending pass over
+// the base image and the heap tail; Insert maintains it from then on. A
+// column that already has one is left alone.
+func (t *Table) BuildIndex(col string) error {
+	ci := t.ColumnIndex(col)
+	if ci < 0 {
+		return fmt.Errorf("engine: %s: no column %s to index", t.Def.Name, col)
+	}
+	if t.index(col) != nil {
+		return nil
+	}
+	ix := &hashIndex{col: col, ci: ci}
+	ix.rebuild(t)
+	t.indexes = append(t.indexes, ix)
+	return nil
+}
+
+// rebuild empties the index and refills it from every row of t.
+func (ix *hashIndex) rebuild(t *Table) {
+	ix.m, ix.kinds = make(map[Value][]int), [3]int{}
+	for pos, n := 0, t.NumRows(); pos < n; pos++ {
+		ix.add(t.Cell(pos, ix.ci), pos)
+	}
+}
+
+// DropIndex removes a secondary index. The key and foreign-key indexes
+// stay whatever the design says: the shredder and the publisher find
+// rows through them.
+func (t *Table) DropIndex(col string) {
+	if c := t.Def.Column(col); c != nil && (c.Key || c.FKRef != "") {
+		return
+	}
+	for i, ix := range t.indexes {
+		if ix.col == col {
+			t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
+			return
+		}
+	}
 }
 
 // Lookup returns the positions of live rows whose column equals v, using
@@ -174,13 +253,63 @@ func (t *Table) Insert(r Row) error {
 // the hot case on probe-heavy plans — so callers must not mutate it; a
 // fresh slice is allocated only when tombstones actually filter.
 func (t *Table) Lookup(col string, v Value) ([]int, bool) {
-	idx, ok := t.indexes[col]
-	if !ok {
+	ix := t.index(col)
+	if ix == nil {
 		return nil, false
 	}
-	positions := idx[v]
+	return t.lookup(ix, v), true
+}
+
+// lookupEq returns the live positions whose indexed cell satisfies
+// (= lit) exactly as satisfies decides it: NULL matches nothing, and the
+// literal matches its own kind and the one other value it coerces to —
+// an integer the string of its decimal form, a string in canonical
+// decimal form that integer ("7" but not "007"). The two position lists
+// are disjoint and merge ascending; the second key is probed only when
+// the column holds a value of that kind at all.
+func (t *Table) lookupEq(ix *hashIndex, lit Value) []int {
+	var other Value
+	switch lit.Kind {
+	case IntValue:
+		if ix.kinds[StrValue] == 0 {
+			return t.lookup(ix, lit)
+		}
+		other = StrVal(strconv.FormatInt(lit.Int, 10))
+	case StrValue:
+		if ix.kinds[IntValue] == 0 {
+			return t.lookup(ix, lit)
+		}
+		n, err := strconv.ParseInt(lit.Str, 10, 64)
+		if err != nil || strconv.FormatInt(n, 10) != lit.Str {
+			return t.lookup(ix, lit)
+		}
+		other = IntVal(n)
+	default:
+		return nil
+	}
+	a, b := t.lookup(ix, lit), t.lookup(ix, other)
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// lookup is Lookup through an index already resolved.
+func (t *Table) lookup(ix *hashIndex, v Value) []int {
+	positions := ix.m[v]
 	if len(t.dead) == 0 {
-		return positions, true
+		return positions
 	}
 	dead := 0
 	for _, p := range positions {
@@ -189,7 +318,7 @@ func (t *Table) Lookup(col string, v Value) ([]int, bool) {
 		}
 	}
 	if dead == 0 {
-		return positions, true
+		return positions
 	}
 	live := make([]int, 0, len(positions)-dead)
 	for _, p := range positions {
@@ -197,7 +326,7 @@ func (t *Table) Lookup(col string, v Value) ([]int, bool) {
 			live = append(live, p)
 		}
 	}
-	return live, true
+	return live
 }
 
 // Alive reports whether the row at pos has not been deleted.

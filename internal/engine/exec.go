@@ -112,8 +112,10 @@ const (
 	// stepINL probes the new relation's key index once per intermediate
 	// tuple (index nested-loop join).
 	stepINL stepKind = iota
-	// stepHash scans and builds the new relation into a hash table keyed
-	// on the join column, then probes it with the intermediate tuples.
+	// stepHash scans the new relation and joins it to the intermediate
+	// tuples through a hash table — unless the join column carries a
+	// secondary index and the intermediate is the smaller side, when it
+	// runs as index probes like stepINL (see planStep.probesIndex).
 	stepHash
 	// stepCartesian crosses the intermediate tuples with a filtered scan
 	// of a disconnected relation.
@@ -132,6 +134,10 @@ type planStep struct {
 	newCol   string
 	oldAlias string
 	oldCol   string
+	// index is the new relation's index on newCol when the physical
+	// design makes that column an access path: the key index of a
+	// stepINL, a secondary index a stepHash may probe instead of scanning.
+	index *hashIndex
 	// cross lists the cross filters that first become applicable (both
 	// aliases bound) after this step. Equality cross filters that the
 	// planner consumed as join edges are enforced by the join itself and
@@ -151,18 +157,27 @@ type blockPlan struct {
 	start string
 	// startFilters are the constant filters on the start alias.
 	startFilters []sqlast.Filter
-	steps        []planStep
-	projs        []sqlast.ColumnRef
+	// startIndex is the access path into the start relation: the index
+	// answering startFilters[startLookup], the first equality-with-
+	// constant filter on a column that is one. nil means scan.
+	startIndex  *hashIndex
+	startLookup int
+	steps       []planStep
+	projs       []sqlast.ColumnRef
 }
 
 // planBlock derives the physical plan: the start relation (prefer one
-// with constant filters), the deterministic join order (declared joins
-// first, then equality cross filters, first applicable edge wins — the
-// same order the seed executor produced), the join algorithm per edge
-// (INL through a key index, hash otherwise), cartesian fallbacks for
-// disconnected aliases, and the cross-filter schedule. Join order never
-// depends on the data, only on the block and the catalog, so it can be
-// fixed before execution.
+// with constant filters) and its access path (an index lookup when an
+// equality-with-constant filter sits on a column with a secondary index,
+// a scan otherwise), the deterministic join order (declared joins first,
+// then equality cross filters, first applicable edge wins — the same
+// order the seed executor produced), the join algorithm per edge (INL
+// through a key index, hash otherwise, the hash step probing a secondary
+// index on the join column when the intermediate is the smaller side),
+// cartesian fallbacks for disconnected aliases, and the cross-filter
+// schedule. Join order never depends on the data, only on the block and
+// the catalog, so it can be fixed before execution; a catalog without
+// secondary indexes plans exactly as the paper's key-only model does.
 func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 	if len(b.Tables) == 0 {
 		return nil, fmt.Errorf("block has no tables")
@@ -201,6 +216,15 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 		}
 	}
 	p.startFilters = constFilters[p.start]
+	for i, f := range p.startFilters {
+		if f.Op != sqlast.OpEq || f.RightCol != nil {
+			continue
+		}
+		if ix := p.tables[p.start].accessIndex(f.Col.Column); ix != nil {
+			p.startIndex, p.startLookup = ix, i
+			break
+		}
+	}
 
 	bound := map[string]bool{p.start: true}
 	eqUsed := make([]bool, len(cross))
@@ -240,14 +264,13 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 		}
 		st.filters = constFilters[st.alias]
 		if st.kind != stepCartesian {
-			newTable := p.tables[st.alias]
 			// Index nested-loop only through the new relation's key,
-			// mirroring the optimizer's physical assumptions (FK hash
-			// indexes exist for the publisher, but query plans join FK
-			// edges with hash joins).
-			_, hasIndex := newTable.indexes[st.newCol]
-			keyCol := newTable.Def.Column(st.newCol)
-			if hasIndex && keyCol != nil && keyCol.Key {
+			// mirroring the optimizer's physical assumptions; any other
+			// access path the design offers (a foreign key's index
+			// included) is probed by the hash step when that is cheaper.
+			newTable := p.tables[st.alias]
+			st.index = newTable.accessIndex(st.newCol)
+			if c := newTable.Def.Column(st.newCol); st.index != nil && c.Key {
 				st.kind = stepINL
 			} else {
 				st.kind = stepHash
@@ -294,6 +317,46 @@ func nextEdge(b *sqlast.Block, cross []sqlast.Filter, bound map[string]bool) (st
 		}
 	}
 	return planStep{}, -1, false
+}
+
+// probesIndex reports whether a join step runs as index probes, one per
+// intermediate tuple: always through a key; through a secondary index
+// only while the intermediate (n tuples) is smaller than the relation a
+// hash step would scan, and only when every filter on the relation
+// resolves — a scan surfaces a filter's deferred error as soon as a live
+// row reaches it, which a probe that matches nothing would not.
+func (st *planStep) probesIndex(n int, t *Table, params Params) bool {
+	switch {
+	case st.kind == stepINL:
+		return true
+	case st.kind != stepHash || st.index == nil || n >= t.NumRows():
+		return false
+	}
+	return !filtersFail(compileFilters(t, st.filters, params))
+}
+
+// indexStart answers the start relation's equality filter from its
+// secondary index: the live positions whose cell equals the literal,
+// ascending as a scan would meet them, with Counters accrued like an
+// index join's (one probe, every matched tuple read). The caller still
+// applies all of cf to them. ok is false when the block starts with a
+// scan — no index, or a filter that does not resolve (see probesIndex).
+func (p *blockPlan) indexStart(params Params, stats *Counters) (positions []int, cf []compiledFilter, ok bool) {
+	if p.startIndex == nil {
+		return nil, nil, false
+	}
+	t := p.tables[p.start]
+	cf = compileFilters(t, p.startFilters, params)
+	if filtersFail(cf) {
+		return nil, nil, false
+	}
+	positions = t.lookupEq(p.startIndex, cf[p.startLookup].lit)
+	stats.Probes++
+	for _, pos := range positions {
+		stats.TuplesRead++
+		stats.BytesRead += t.probeRowBytes(pos)
+	}
+	return positions, cf, true
 }
 
 // resolveJoinCols resolves a join step's column indices, with the new
@@ -400,6 +463,17 @@ func compileFilters(t *Table, filters []sqlast.Filter, params Params) []compiled
 		out[i] = cf
 	}
 	return out
+}
+
+// filtersFail reports whether any compiled filter carries a deferred
+// resolution error.
+func filtersFail(cf []compiledFilter) bool {
+	for i := range cf {
+		if cf[i].err != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // passesCompiled evaluates compiled filters on one row (the scalar path

@@ -17,27 +17,29 @@ import (
 type binding map[string]int
 
 func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params Params, stats *Counters) (*ResultSet, error) {
-	current, err := db.scanFiltered(ctx, p.tables[p.start], p.start, p.startFilters, params, stats)
+	current, err := db.startRows(ctx, p, params, stats)
 	if err != nil {
 		return nil, err
 	}
 
 	for i := range p.steps {
 		st := &p.steps[i]
-		switch st.kind {
-		case stepCartesian:
+		switch {
+		case st.kind == stepCartesian:
 			rows, err := db.scanFiltered(ctx, p.tables[st.alias], st.alias, st.filters, params, stats)
 			if err != nil {
 				return nil, err
 			}
 			var merged []binding
-			for li, l := range current {
-				if li&ctxCheckMask == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
+			for _, l := range current {
 				for _, r := range rows {
+					// Polled per emitted pair: one outer tuple alone can
+					// clone thousands of inner ones.
+					if len(merged)&ctxCheckMask == 0 {
+						if err := ctx.Err(); err != nil {
+							return nil, err
+						}
+					}
 					m := cloneBinding(l)
 					m[st.alias] = r[st.alias]
 					merged = append(merged, m)
@@ -45,17 +47,17 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			}
 			current = merged
 
-		case stepINL:
-			// The new side's column index is unused (Lookup probes by
-			// name) but is still resolved for error parity.
+		case st.probesIndex(len(current), p.tables[st.alias], params):
+			// The new side's column index is unused (the plan holds the
+			// index) but is still resolved for error parity.
 			_, oldCi, err := p.resolveJoinCols(st)
 			if err != nil {
 				return nil, err
 			}
 			newTable := p.tables[st.alias]
 			oldTable := p.tables[st.oldAlias]
-			// Index nested-loop join: probe the new relation's key index
-			// once per intermediate tuple.
+			// Index nested-loop join: probe the new relation's index on
+			// the join column once per intermediate tuple.
 			var joined []binding
 			for li, l := range current {
 				if li&ctxCheckMask == 0 {
@@ -68,8 +70,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 				if v.IsNull() {
 					continue // NULL equals nothing, a NULL key included
 				}
-				positions, _ := newTable.Lookup(st.newCol, v)
-				for _, pos := range positions {
+				for _, pos := range newTable.lookup(st.index, v) {
 					stats.TuplesRead++
 					stats.BytesRead += newTable.probeRowBytes(pos)
 					row := newTable.Row(pos)
@@ -85,7 +86,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			}
 			current = joined
 
-		case stepHash:
+		default:
 			newCi, oldCi, err := p.resolveJoinCols(st)
 			if err != nil {
 				return nil, err
@@ -147,6 +148,32 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 		rs.Rows = append(rs.Rows, row)
 	}
 	return rs, nil
+}
+
+// startRows binds the start relation: an index lookup when the plan has
+// one, a filtered scan otherwise.
+func (db *Database) startRows(ctx context.Context, p *blockPlan, params Params, stats *Counters) ([]binding, error) {
+	t := p.tables[p.start]
+	matched, _, ok := p.indexStart(params, stats)
+	if !ok {
+		return db.scanFiltered(ctx, t, p.start, p.startFilters, params, stats)
+	}
+	var out []binding
+	for i, pos := range matched {
+		if i&ctxCheckMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		ok, err := db.passes(t.Row(pos), t, p.startFilters, params)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, binding{p.start: pos})
+		}
+	}
+	return out, nil
 }
 
 // scanFiltered scans a table, applying constant filters, and returns one

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"legodb/internal/relational"
 	"legodb/internal/sqlast"
 )
 
@@ -223,5 +224,42 @@ func TestAllocsHashPointProbe(t *testing.T) {
 	small, large := allocs(1000), allocs(10000)
 	if large != small || large > 40 {
 		t.Errorf("point probe allocates %.0f objects into 10 000 rows, %.0f into 1 000; want the same, at most 40", large, small)
+	}
+}
+
+// TestAllocsIndexStartLookup budgets the index start lookup: probing the
+// index allocates nothing while no matched row is dead (the positions
+// alias the index), and a point lookup through it allocates the same
+// whatever the size of the relation — the position vector and the result,
+// never anything per row scanned.
+func TestAllocsIndexStartLookup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold without the race detector")
+	}
+	x := relational.IndexRef{Table: "A", Column: "x"}
+	db := benchDB(t, 1, 10000, 0, 5000, x)
+	a := db.Table("A")
+	a.MarkDeleted(0) // dead elsewhere: x = 0, not the probed 7
+	ix, lit := a.accessIndex("x"), IntVal(7)
+	if got := testing.AllocsPerRun(200, func() {
+		if len(a.lookupEq(ix, lit)) != 2 {
+			t.Fatal("unexpected lookup result")
+		}
+	}); got > 0 {
+		t.Errorf("lookupEq: %.1f allocs/op, budget 0", got)
+	}
+	allocs := func(nA int) float64 {
+		db := benchDB(t, 1, nA, 0, nA/2, x) // two matches at either size
+		block := pointBlock()
+		return testing.AllocsPerRun(20, func() {
+			rs, err := db.ExecuteBlock(block, nil)
+			if err != nil || len(rs.Rows) != 2 {
+				t.Fatalf("rows = %d, err = %v", len(rs.Rows), err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	if large != small || large > 24 {
+		t.Errorf("index point lookup allocates %.0f objects into 10 000 rows, %.0f into 1 000; want the same, at most 24", large, small)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -18,8 +19,13 @@ var allOps = []sqlast.CmpOp{
 // IntVal(7) equals StrVal("7") but stays distinct from "007" (the
 // shredder stores digits verbatim in string columns and parsed in
 // integer columns). It also cross-checks opHolds against satisfies and
-// NULL's never-matching.
+// NULL's never-matching, and holds the index start lookup to the same
+// contract: for every literal/cell kind pair, lookupEq finds exactly the
+// positions whose cell satisfies (= literal), in order.
 func FuzzSatisfiesCoercion(f *testing.F) {
+	def := &relational.Table{Name: "T", Columns: []*relational.Column{
+		{Name: "T_id", Key: true}, {Name: "v", Index: true},
+	}}
 	f.Add(int64(7), "7", uint8(0))
 	f.Add(int64(7), "007", uint8(0))
 	f.Add(int64(-3), "-3", uint8(1))
@@ -55,6 +61,31 @@ func FuzzSatisfiesCoercion(f *testing.F) {
 		buf := strconv.AppendInt(nil, n, 10)
 		if sign(cmpBytesStr(buf, s)) != sign(Compare(StrVal(string(buf)), sv)) {
 			t.Fatalf("cmpBytesStr(%q, %q) sign mismatch", buf, s)
+		}
+		// An index probe is the equality filter it replaces. The column
+		// mixes both kinds, both renderings of n, NULL, and whatever
+		// integer s spells; one row is dead.
+		cells := []Value{iv, sv, StrVal(string(buf)), Null, IntVal(n + 1), sv, iv}
+		if m, err := strconv.ParseInt(s, 10, 64); err == nil {
+			cells = append(cells, IntVal(m))
+		}
+		tbl := NewTable(def)
+		for i, c := range cells {
+			if err := tbl.Insert(Row{IntVal(int64(i + 1)), c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl.MarkDeleted(len(cells) - 2)
+		for _, lit := range []Value{iv, sv, StrVal(string(buf)), Null} {
+			var want []int
+			for pos, c := range cells {
+				if tbl.Alive(pos) && satisfies(c, sqlast.OpEq, lit) {
+					want = append(want, pos)
+				}
+			}
+			if got := tbl.lookupEq(tbl.accessIndex("v"), lit); !slices.Equal(got, want) {
+				t.Fatalf("lookupEq(%#v) over %#v = %v, filter keeps %v", lit, cells, got, want)
+			}
 		}
 	})
 }

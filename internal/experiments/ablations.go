@@ -13,7 +13,9 @@ import (
 	"legodb/internal/relational"
 	"legodb/internal/shred"
 	"legodb/internal/sqlast"
+	"legodb/internal/xmltree"
 	"legodb/internal/xquery"
+	"legodb/internal/xschema"
 	"legodb/internal/xstats"
 )
 
@@ -81,11 +83,42 @@ func AblationSIvsSO(ctx context.Context) (*Table, error) {
 // configuration, the workload queries, and their parameter bindings.
 type costModelFixture struct {
 	shows   int
+	doc     *xmltree.Node
+	ps      *xschema.Schema
 	db      *engine.Database
 	cat     *relational.Catalog
 	opt     *optimizer.Optimizer
 	queries []costModelQuery
 	params  engine.Params
+}
+
+// indexed returns the fixture under the secondary indexes the cost model
+// chooses for the fixture's own queries, equally weighted: the same
+// document shredded into a copy of the catalog carrying the flags, and
+// every query re-priced with them. The validation then covers the index
+// access paths: the engine probes what the optimizer priced.
+func (fx *costModelFixture) indexed() (*costModelFixture, error) {
+	var tw optimizer.TranslatedWorkload
+	for _, q := range fx.queries {
+		tw.Queries = append(tw.Queries, optimizer.WeightedQuery{Query: q.sql, Weight: 1})
+	}
+	cat := fx.cat.Clone()
+	cat.SetIndexes(optimizer.ChooseIndexes(cat, tw))
+	ix := &costModelFixture{
+		shows: fx.shows, doc: fx.doc, ps: fx.ps, params: fx.params,
+		db: engine.NewDatabase(cat), cat: cat, opt: optimizer.New(cat),
+	}
+	if err := shred.New(ix.ps, cat, ix.db).Shred(ix.doc); err != nil {
+		return nil, err
+	}
+	for _, q := range fx.queries {
+		est, err := ix.opt.QueryCost(q.sql)
+		if err != nil {
+			return nil, err
+		}
+		ix.queries = append(ix.queries, costModelQuery{name: q.name, sql: q.sql, est: est.Cost})
+	}
+	return ix, nil
 }
 
 // freeze round-trips every fixture table through the colfile binary
@@ -166,6 +199,8 @@ func newCostModelFixture() (*costModelFixture, error) {
 	}
 	fx := &costModelFixture{
 		shows: shows,
+		doc:   doc,
+		ps:    ps,
 		db:    db,
 		cat:   cat,
 		opt:   opt,
@@ -237,9 +272,14 @@ func (fx *costModelFixture) measure(q costModelQuery) (measured float64, elapsed
 // queries are executed, and the measured work (converted with the same
 // cost constants) is compared with the optimizer's estimates. The claim
 // to check is agreement in *ranking* and rough magnitude, not identical
-// numbers.
+// numbers. The queries run twice: under the paper's key-only design, then
+// ("+idx" rows) under the index set the cost model chooses for them.
 func AblationCostModel(ctx context.Context) (*Table, error) {
 	fx, err := newCostModelFixture()
+	if err != nil {
+		return nil, err
+	}
+	ix, err := fx.indexed()
 	if err != nil {
 		return nil, err
 	}
@@ -247,18 +287,24 @@ func AblationCostModel(ctx context.Context) (*Table, error) {
 		Name:   "ablation-costmodel",
 		Title:  fmt.Sprintf("Estimated vs engine-measured cost (all-inlined, %d shows)", fx.shows),
 		Header: []string{"query", "estimated", "measured", "est/meas"},
-		Notes:  "measured = seeks+pages+tuples+probes of the engine, weighted with the model's constants",
+		Notes: "measured = seeks+pages+tuples+probes of the engine, weighted with the model's constants; +idx = under the chosen indexes " +
+			fmt.Sprint(ix.cat.Indexes()),
 	}
-	for _, q := range fx.queries {
-		measured, _, err := fx.measure(q)
-		if err != nil {
-			return nil, err
+	for _, v := range []struct {
+		fx     *costModelFixture
+		suffix string
+	}{{fx, ""}, {ix, " +idx"}} {
+		for _, q := range v.fx.queries {
+			measured, _, err := v.fx.measure(q)
+			if err != nil {
+				return nil, err
+			}
+			ratio := 0.0
+			if measured > 0 {
+				ratio = q.est / measured
+			}
+			t.AddRow(q.name+v.suffix, f1(q.est), f1(measured), f2(ratio))
 		}
-		ratio := 0.0
-		if measured > 0 {
-			ratio = q.est / measured
-		}
-		t.AddRow(q.name, f1(q.est), f1(measured), f2(ratio))
 	}
 	return t, nil
 }
@@ -280,7 +326,7 @@ func AblationExecModes(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	frozen, err := fx.freeze()
+	ix, err := fx.indexed()
 	if err != nil {
 		return nil, err
 	}
@@ -288,28 +334,42 @@ func AblationExecModes(ctx context.Context) (*Table, error) {
 		Name:   "ablation-execmodes",
 		Title:  fmt.Sprintf("Cost model vs executors x storages (all-inlined, %d shows)", fx.shows),
 		Header: []string{"query", "storage", "estimated", "meas batch", "meas rows", "est/meas", "speedup"},
-		Notes:  "meas batch and meas rows are counter deltas in cost units and must agree exactly per storage; est/meas shifts between heap and colfile because persistent scans charge encoded bytes; speedup is row-at-a-time wall clock over batch",
+		Notes:  "meas batch and meas rows are counter deltas in cost units and must agree exactly per storage; est/meas shifts between heap and colfile because persistent scans charge encoded bytes; +idx storages carry the chosen secondary indexes; speedup is row-at-a-time wall clock over batch",
 	}
-	heap := fx.db
-	for _, q := range fx.queries {
-		for _, storage := range []struct {
-			name string
-			db   *engine.Database
-		}{{"heap", heap}, {"colfile", frozen}} {
-			fx.db = storage.db
-			fx.db.Exec = engine.Options{}
-			mb, eb, err := fx.measure(q)
+	type storage struct {
+		name string
+		fx   *costModelFixture
+	}
+	var storages []storage
+	for _, v := range []struct {
+		fx     *costModelFixture
+		suffix string
+	}{{fx, ""}, {ix, "+idx"}} {
+		frozen, err := v.fx.freeze()
+		if err != nil {
+			return nil, err
+		}
+		onFrozen := *v.fx
+		onFrozen.db = frozen
+		storages = append(storages, storage{"heap" + v.suffix, v.fx}, storage{"colfile" + v.suffix, &onFrozen})
+	}
+	for qi := range fx.queries {
+		for _, st := range storages {
+			q := st.fx.queries[qi]
+			st.fx.db.Exec = engine.Options{}
+			mb, eb, err := st.fx.measure(q)
 			if err != nil {
 				return nil, err
 			}
-			fx.db.Exec = engine.Options{RowAtATime: true}
-			mr, er, err := fx.measure(q)
+			st.fx.db.Exec = engine.Options{RowAtATime: true}
+			mr, er, err := st.fx.measure(q)
 			if err != nil {
 				return nil, err
 			}
+			st.fx.db.Exec = engine.Options{}
 			if mb != mr {
 				return nil, fmt.Errorf("ablation-execmodes: %s/%s: measured cost diverges between executors: batch=%v rows=%v",
-					q.name, storage.name, mb, mr)
+					q.name, st.name, mb, mr)
 			}
 			ratio, speedup := 0.0, 0.0
 			if mb > 0 {
@@ -318,10 +378,8 @@ func AblationExecModes(ctx context.Context) (*Table, error) {
 			if eb > 0 {
 				speedup = float64(er) / float64(eb)
 			}
-			t.AddRow(q.name, storage.name, f1(q.est), f1(mb), f1(mr), f2(ratio), f2(speedup))
-			fx.db.Exec = engine.Options{}
+			t.AddRow(q.name, st.name, f1(q.est), f1(mb), f1(mr), f2(ratio), f2(speedup))
 		}
 	}
-	fx.db = heap
 	return t, nil
 }

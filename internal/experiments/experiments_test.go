@@ -203,8 +203,9 @@ func TestAblationCostModel(t *testing.T) {
 
 func TestAblationExecModes(t *testing.T) {
 	tbl := run(t, "ablation-execmodes")
-	// 4 queries x 2 storages (heap rows, colfile-frozen persistent image).
-	if len(tbl.Rows) != 8 {
+	// 4 queries x 2 storages (heap rows, colfile-frozen persistent
+	// image) x 2 designs (key-only, chosen secondary indexes).
+	if len(tbl.Rows) != 16 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	storages := map[string]int{}
@@ -221,8 +222,10 @@ func TestAblationExecModes(t *testing.T) {
 			t.Errorf("cost model off by more than 20x on %s: ratio %.2f", label, ratio)
 		}
 	}
-	if storages["heap"] != 4 || storages["colfile"] != 4 {
-		t.Errorf("storage rows = %v, want 4 heap + 4 colfile", storages)
+	for _, name := range []string{"heap", "colfile", "heap+idx", "colfile+idx"} {
+		if storages[name] != 4 {
+			t.Errorf("storage rows = %v, want 4 of %s", storages, name)
+		}
 	}
 }
 

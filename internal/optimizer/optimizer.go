@@ -9,12 +9,24 @@
 //
 //   - rows are stored fixed-width (CHAR semantics; NULL columns still
 //     occupy space), as in the paper's SQL Server 6.5 validation target;
-//   - each relation is indexed on its key (<T>_id) column only, so a
-//     join can run as an index nested-loop when it enters the new
-//     relation through its key; joins entering through a foreign key and
-//     selections on data columns cost a scan (this matches Table 2 of
-//     the paper, where the cost over the un-partitioned reviews table
-//     does not change with the NYT percentage);
+//   - the index set is part of the physical design and is carried by the
+//     catalog: a plan may enter a relation through a column only if it is
+//     an access path (relational.Column.AccessPath) — the key (<T>_id)
+//     column always, any other column when the design flags it with a
+//     secondary index. The engine's planner reads the same rule;
+//   - with no column flagged this is the paper's assumption that each
+//     relation is indexed on its key only: a join can run as an index
+//     nested-loop when it enters the new relation through its key, joins
+//     entering through a foreign key and selections on data columns cost
+//     a scan (this matches Table 2 of the paper, where the cost over the
+//     un-partitioned reviews table does not change with the NYT
+//     percentage). Searches, figures and Advice.Cost are priced this way;
+//   - with columns flagged, an equality-with-constant selection on one
+//     costs a probe plus the matched rows fetched at random, a join may
+//     enter a relation through one while the intermediate result is the
+//     smaller side, and every write pays IndexWriteCost per index it
+//     maintains. ChooseIndexes picks the flags from a workload by that
+//     trade, the way the search picks inlining;
 //   - join orders are chosen greedily from the most selective base
 //     relation, choosing per step between index nested-loop and hash
 //     join.
@@ -96,7 +108,10 @@ func New(cat *relational.Catalog) *Optimizer {
 type Estimate struct {
 	Cost float64
 	Rows float64
-	// Plan is a human-readable join order, for debugging and reports.
+	// Plan is a human-readable join order with the access path of every
+	// relation, for debugging and reports: "scan" or "index(Table.column)"
+	// and the start relation's alias, then one "inl"/"hash"/"cartesian"
+	// step per joined alias; blocks are joined by " UNION ".
 	Plan string
 }
 
@@ -154,9 +169,13 @@ type rel struct {
 	rows    float64 // after local selections
 	rawRows float64
 	width   float64
-	// eqFiltered marks that a local equality selection applies (affects
-	// nothing else; scans are still scans on data columns).
 	filters int
+	// lookupCol is the column of the first equality-with-constant
+	// selection on an access path — the one the engine answers by an
+	// index lookup when it starts here — and lookupRows the rows it
+	// matches before the other selections apply. Empty: scans only.
+	lookupCol  string
+	lookupRows float64
 }
 
 // edge is a join predicate between two aliases.
@@ -226,11 +245,17 @@ func (o *Optimizer) blockCost(b *sqlast.Block, scanned map[string]bool) (Estimat
 		if r == nil {
 			return Estimate{}, fmt.Errorf("filter on unknown alias %q", f.Col.Alias)
 		}
-		r.rows *= o.selectivity(r.table, f)
+		sel := o.selectivity(r.table, f)
+		r.rows *= sel
 		if r.rows < 0.01 {
 			r.rows = 0.01
 		}
 		r.filters++
+		if r.lookupCol == "" && f.Op == sqlast.OpEq && f.RightCol == nil {
+			if c := r.table.Column(f.Col.Column); c != nil && c.AccessPath() {
+				r.lookupCol, r.lookupRows = c.Name, r.rawRows*sel
+			}
+		}
 	}
 	est := o.greedyJoin(rels, order, edges, scanned)
 	// Output cost: result rows times projected width.
@@ -321,6 +346,24 @@ func markScanned(scanned map[string]bool, r *rel) {
 	}
 }
 
+// startCost prices binding the start relation and renders its access
+// path: one index probe plus the matched rows fetched at random (each its
+// share of a page, plus handling the tuple — joinStep's per-probe terms)
+// when an equality selection sits on an access path and that beats the
+// scan, the scan (committed to the scanned set) otherwise.
+func (o *Optimizer) startCost(r *rel, scanned map[string]bool) (float64, string) {
+	m := o.Model
+	scan := o.scanCost(r, scanned)
+	if r.lookupCol != "" {
+		lookup := m.ProbeCost + r.lookupRows*(r.width/m.PageSize*m.PageIOCost*m.RandomIOPenalty+m.CPUTupleCost)
+		if lookup < scan {
+			return lookup, "index(" + r.table.Name + "." + r.lookupCol + ") " + r.alias
+		}
+	}
+	markScanned(scanned, r)
+	return scan, "scan " + r.alias
+}
+
 // greedyJoin orders the join greedily: start from the cheapest filtered
 // relation, then repeatedly attach the connected relation with the
 // lowest incremental cost, choosing between index nested-loop (when the
@@ -330,9 +373,8 @@ func markScanned(scanned map[string]bool, r *rel) {
 func (o *Optimizer) greedyJoin(rels map[string]*rel, order []string, edges []edge, scanned map[string]bool) Estimate {
 	if len(order) == 1 {
 		r := rels[order[0]]
-		c := o.scanCost(r, scanned)
-		markScanned(scanned, r)
-		return Estimate{Cost: c, Rows: r.rows, Plan: r.alias}
+		c, how := o.startCost(r, scanned)
+		return Estimate{Cost: c, Rows: r.rows, Plan: how}
 	}
 	// Candidate start relations: the globally smallest, and the smallest
 	// among locally-filtered relations (starting at a filtered child lets
@@ -385,10 +427,9 @@ func cloneCache(scanned map[string]bool) map[string]bool {
 // relation.
 func (o *Optimizer) greedyJoinFrom(rels map[string]*rel, order []string, edges []edge, scanned map[string]bool, start string) Estimate {
 	joined := map[string]bool{start: true}
-	cost := o.scanCost(rels[start], scanned)
-	markScanned(scanned, rels[start])
+	cost, how := o.startCost(rels[start], scanned)
 	rows := rels[start].rows
-	plan := []string{rels[start].alias}
+	plan := []string{how}
 	consumed := make([]bool, len(edges))
 	for len(joined) < len(order) {
 		bestAlias := ""
@@ -463,7 +504,10 @@ func connectingEdges(edges []edge, consumed []bool, joined map[string]bool, a st
 func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, edges []edge, connecting []int, scanned map[string]bool) (float64, float64, string) {
 	r := rels[a]
 	outRows := curRows * r.rows
-	keyJoin := false
+	// perProbe is the number of rows of r one index probe fetches: one
+	// through the key, the column's average fan-out through a secondary
+	// index; 0 while no connecting predicate enters r by an access path.
+	perProbe := 0.0
 	for _, i := range connecting {
 		e := edges[i]
 		aCol := e.aCol
@@ -486,8 +530,13 @@ func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, ed
 			if col.NullFraction > 0 {
 				outRows *= 1 - col.NullFraction
 			}
-			if col.Key {
-				keyJoin = true
+			switch {
+			case col.Key:
+				perProbe = 1
+			case col.Index && perProbe == 0 && curRows < r.rawRows:
+				// The engine probes a secondary index only while the
+				// intermediate is the smaller side.
+				perProbe = math.Max(1, r.rawRows*(1-col.NullFraction)/colDistinct(r, aCol))
 			}
 		}
 		if col := rels[otherAlias].table.Column(bCol); col != nil && col.NullFraction > 0 {
@@ -510,14 +559,15 @@ func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, ed
 		outRows*o.Model.CPUTupleCost
 
 	// Index nested-loop: available when some join predicate enters r
-	// through its key (relations are indexed on their id column only;
-	// joins entering a child table through its foreign key run as hash
-	// joins, matching the scan-based plans of the paper's Table 2).
+	// through an access path. With no secondary index chosen that is the
+	// key alone (joins entering a child table through its foreign key run
+	// as hash joins, matching the scan-based plans of the paper's Table
+	// 2), and every probe fetches one row.
 	inl := math.Inf(1)
-	if keyJoin {
+	if perProbe > 0 {
 		inl = curRows*(o.Model.ProbeCost+
-			r.width/o.Model.PageSize*o.Model.PageIOCost*o.Model.RandomIOPenalty+
-			o.Model.CPUTupleCost) +
+			perProbe*(r.width/o.Model.PageSize*o.Model.PageIOCost*o.Model.RandomIOPenalty)+
+			perProbe*o.Model.CPUTupleCost) +
 			outRows*o.Model.CPUTupleCost
 	}
 	if inl < hash {

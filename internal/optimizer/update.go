@@ -37,9 +37,11 @@ func (o *Optimizer) targetCost(kind xquery.UpdateKind, tgt xquery.UpdateTarget) 
 		if t == nil {
 			return 0
 		}
-		indexes := 1.0 // key index
+		// One index on the key, one per foreign key, one per chosen
+		// secondary index (a column that is several of these has one).
+		indexes := 0.0
 		for _, c := range t.Columns {
-			if c.FKRef != "" {
+			if c.Maintained() {
 				indexes++
 			}
 		}
@@ -47,8 +49,8 @@ func (o *Optimizer) targetCost(kind xquery.UpdateKind, tgt xquery.UpdateTarget) 
 	}
 	switch kind {
 	case xquery.ModifyUpdate:
-		// Rewrite the row holding the value; indexes on data columns do
-		// not exist, so no index maintenance.
+		// Rewrite the row holding the value. Which column changes is not
+		// known here, so no index maintenance is charged.
 		t := o.Cat.Table(tgt.Table)
 		if t == nil {
 			return 0

@@ -73,10 +73,27 @@ type Column struct {
 	// for foreign keys.
 	Key   bool
 	FKRef string
+	// Index marks a secondary index on the column: part of the physical
+	// design, chosen by optimizer.ChooseIndexes from a workload and never
+	// set by the mapping. Unset everywhere is the paper's assumption that
+	// each relation is indexed on its key only. See AccessPath.
+	Index bool
 	// XMLPath records the element path of this column inside its type's
 	// content (used by the query translator and the shredder).
 	XMLPath []string
 }
+
+// AccessPath is the one rule by which the optimizer and the engine decide
+// that a query plan may enter a relation through this column instead of
+// scanning it: the key, as in the paper, or a column carrying a chosen
+// secondary index (a foreign key included — its publisher index exists
+// either way, but plans use it only when the design says so).
+func (c *Column) AccessPath() bool { return c.Key || c.Index }
+
+// Maintained reports whether writes to the table maintain an index on the
+// column: the key, every foreign key (the publisher's child lookups), and
+// every chosen secondary index.
+func (c *Column) Maintained() bool { return c.Key || c.FKRef != "" || c.Index }
 
 // SQL renders the column as a DDL fragment.
 func (c *Column) SQL() string {
@@ -201,6 +218,11 @@ func (t *Table) computeDigest() {
 		for _, p := range c.XMLPath {
 			full = tblHashStr(full, p)
 		}
+		if c.Index {
+			// Folded only when set, so a catalog without secondary
+			// indexes digests exactly as it did before they existed.
+			full = tblHashStr(full, "idx")
+		}
 		full = tblHashStr(full, "|")
 
 		shape = tblHashStr(shape, c.Name)
@@ -305,7 +327,7 @@ func (c *Catalog) TotalBytes() float64 {
 	return total
 }
 
-// SQL renders the whole catalog as DDL.
+// SQL renders the catalog's tables as DDL.
 func (c *Catalog) SQL() string {
 	var b strings.Builder
 	for _, name := range c.Order {
@@ -313,6 +335,86 @@ func (c *Catalog) SQL() string {
 		b.WriteString("\n\n")
 	}
 	return b.String()
+}
+
+// IndexSQL renders one CREATE INDEX line per chosen secondary index.
+func (c *Catalog) IndexSQL() string {
+	var b strings.Builder
+	for _, ref := range c.Indexes() {
+		fmt.Fprintf(&b, "CREATE INDEX idx_%s_%s ON %s (%s)\n", ref.Table, ref.Column, ref.Table, ref.Column)
+	}
+	return b.String()
+}
+
+// IndexRef names one column carrying a secondary index.
+type IndexRef struct {
+	Table, Column string
+}
+
+func (r IndexRef) String() string { return r.Table + "." + r.Column }
+
+// Indexes lists the chosen secondary indexes in catalog order (tables in
+// creation order, columns in definition order).
+func (c *Catalog) Indexes() []IndexRef {
+	var out []IndexRef
+	for _, name := range c.Order {
+		for _, col := range c.Tables[name].Columns {
+			if col.Index {
+				out = append(out, IndexRef{Table: name, Column: col.Name})
+			}
+		}
+	}
+	return out
+}
+
+// SetIndexes makes refs the catalog's whole secondary-index set: the
+// named columns are flagged, every other flag is cleared, and the digests
+// of the tables whose flags changed are recomputed. Names that match no
+// column are ignored. Only a catalog no one else reads may be changed
+// this way — a Clone, never one shared with the search's caches.
+func (c *Catalog) SetIndexes(refs []IndexRef) {
+	want := make(map[IndexRef]bool, len(refs))
+	for _, r := range refs {
+		want[r] = true
+	}
+	for _, name := range c.Order {
+		t := c.Tables[name]
+		changed := false
+		for _, col := range t.Columns {
+			if on := want[IndexRef{Table: name, Column: col.Name}]; on != col.Index {
+				col.Index = on
+				changed = true
+			}
+		}
+		if changed {
+			t.computeDigest()
+		}
+	}
+}
+
+// Clone returns a catalog that shares nothing mutable with c: tables and
+// columns are copied (the mapper shares column templates between the
+// catalogs it builds, so flags must never be set on those), statistics
+// slices and parent edges, which nothing mutates, are shared.
+func (c *Catalog) Clone() *Catalog {
+	out := &Catalog{
+		Tables:  make(map[string]*Table, len(c.Tables)),
+		Order:   append([]string(nil), c.Order...),
+		TableOf: make(map[string]string, len(c.TableOf)),
+	}
+	for k, v := range c.TableOf {
+		out.TableOf[k] = v
+	}
+	for name, t := range c.Tables {
+		ct := *t
+		ct.Columns = make([]*Column, len(t.Columns))
+		for i, col := range t.Columns {
+			cc := *col
+			ct.Columns[i] = &cc
+		}
+		out.Tables[name] = &ct
+	}
+	return out
 }
 
 // String summarizes the catalog: one line per table with cardinality and

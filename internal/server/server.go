@@ -619,6 +619,10 @@ type TenantStats struct {
 	ReAdvises   uint64  `json:"readvises"`
 	Migrations  uint64  `json:"migrations"`
 	LastDrift   float64 `json:"last_drift"`
+	// Indexes is the store's current secondary-index set (table.column)
+	// and IndexRetunes how often the observed workload changed it.
+	Indexes      []string `json:"indexes"`
+	IndexRetunes uint64   `json:"index_retunes"`
 }
 
 // Stats is the /stats payload: serving counters, the fleet registry's
@@ -669,6 +673,9 @@ func (s *Server) StatsSnapshot() Stats {
 			ReAdvises:   ad.ReAdvises,
 			Migrations:  ad.Migrations,
 			LastDrift:   ad.LastDrift,
+
+			Indexes:      tn.store.Indexes(),
+			IndexRetunes: tn.store.IndexRetunes(),
 		}
 	}
 	return st

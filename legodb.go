@@ -33,6 +33,7 @@ import (
 	"legodb/internal/dtd"
 	"legodb/internal/optimizer"
 	"legodb/internal/pschema"
+	"legodb/internal/relational"
 	"legodb/internal/transform"
 	"legodb/internal/xmltree"
 	"legodb/internal/xquery"
@@ -379,6 +380,11 @@ type AdviseOptions struct {
 type Advice struct {
 	result *core.Result
 	stats  *xstats.Set
+	// workload is the one the search priced; the index chooser reads it
+	// on first use (see Indexes).
+	workload  *xquery.Workload
+	indexOnce sync.Once
+	indexes   []relational.IndexRef
 }
 
 // Advise searches for an efficient storage configuration for the
@@ -449,7 +455,7 @@ func (e *Engine) AdviseWorkload(ctx context.Context, w *xquery.Workload, opts Ad
 	e.mu.Lock()
 	e.totals.Accumulate(res.Cache)
 	e.mu.Unlock()
-	return &Advice{result: res, stats: stats}, nil
+	return &Advice{result: res, stats: stats, workload: workload}, nil
 }
 
 // SaveCostCache writes the engine's cost-cache contents to w so a later
@@ -550,7 +556,7 @@ func (e *Engine) EvaluateFixed(config string, opts ...AdviseOptions) (*Advice, e
 	e.mu.Lock()
 	e.totals.Accumulate(res.Cache)
 	e.mu.Unlock()
-	return &Advice{result: res, stats: stats}, nil
+	return &Advice{result: res, stats: stats, workload: workload}, nil
 }
 
 // Cost is the estimated workload cost of the chosen configuration.
@@ -563,8 +569,12 @@ func (a *Advice) InitialCost() float64 { return a.result.InitialCost }
 func (a *Advice) PSchema() string { return a.result.Best.Schema.String() }
 
 // DDL renders the chosen relational configuration as CREATE TABLE
-// statements.
-func (a *Advice) DDL() string { return a.result.Best.Catalog.SQL() }
+// statements, followed by one CREATE INDEX line per secondary index the
+// cost model chooses for the declared workload (see Indexes).
+func (a *Advice) DDL() string {
+	cat := a.indexedCatalog()
+	return cat.SQL() + cat.IndexSQL()
+}
 
 // SQL renders the translated workload queries for the chosen
 // configuration.

@@ -2,6 +2,7 @@ package legodb
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"legodb/internal/engine"
@@ -90,10 +91,15 @@ func (s *Store) MigrateTo(a *Advice, opts ...MigrateOptions) (rep *MigrateReport
 		}
 	}()
 	newPS := a.result.Best.Schema
-	newCat := a.result.Best.Catalog
-	if newPS == nil || newCat == nil {
+	if newPS == nil || a.result.Best.Catalog == nil {
 		return nil, fmt.Errorf("legodb: migrate: advice carries no materialized configuration")
 	}
+	// The new image is built with the indexes the observed workload asks
+	// for under the new configuration, so the cutover installs them with
+	// the tables: nothing is built or dropped under the write lock.
+	newCat := a.result.Best.Catalog.Clone()
+	observed, _ := s.obs.workload()
+	newCat.SetIndexes(optimizer.ChooseIndexes(newCat, translateWorkload(observed, newPS, newCat)))
 	rep = &MigrateReport{}
 	for attempt := 0; ; attempt++ {
 		newDB, docs, epoch, err := s.rebuildOffline(newPS, newCat, o.TablesPerGroup, rep)
@@ -108,6 +114,9 @@ func (s *Store) MigrateTo(a *Advice, opts ...MigrateOptions) (rep *MigrateReport
 		if done {
 			if !rep.RebuiltUnderLock {
 				rep.Documents = docs
+			}
+			if refs := newCat.Indexes(); len(refs) > 0 {
+				slog.Info("legodb: index set after migration", "indexes", indexNames(refs))
 			}
 			return rep, nil
 		}

@@ -25,6 +25,17 @@ func (s *Store) DeleteWhere(text string, params Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	deleted, generation, err := s.deleteWhere(q, params)
+	if generation {
+		s.retuneIndexes()
+	}
+	return deleted, err
+}
+
+// deleteWhere is DeleteWhere under the write lock; generation reports
+// that observing the mutation completed an observer generation (the
+// caller retunes the indexes once the lock is released).
+func (s *Store) deleteWhere(q *xquery.Query, params Params) (deleted int, generation bool, err error) {
 	// Translate under the lock: a live migration may swap the catalog,
 	// and target blocks must execute against the catalog they were
 	// translated for.
@@ -32,14 +43,13 @@ func (s *Store) DeleteWhere(text string, params Params) (int, error) {
 	defer s.mu.Unlock()
 	targets, err := xquery.TranslateTargets(q, s.schema, s.catalog)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	s.mutEpoch++
-	deleted := 0
 	for _, tgt := range targets {
 		rs, err := s.db.ExecuteBlock(tgt.Block, params.forBlocks(s.catalog, tgt.Block))
 		if err != nil {
-			return deleted, err
+			return deleted, false, err
 		}
 		for _, row := range rs.Rows {
 			pos := s.shredder.FindRowByID(tgt.TypeName, row[0].Int)
@@ -48,13 +58,12 @@ func (s *Store) DeleteWhere(text string, params Params) (int, error) {
 			}
 			n, err := s.shredder.DeleteInstance(tgt.TypeName, pos)
 			if err != nil {
-				return deleted, err
+				return deleted, false, err
 			}
 			deleted += n
 		}
 	}
-	s.observeMutation(q, xquery.DeleteUpdate, "")
-	return deleted, nil
+	return deleted, s.observeMutation(q, xquery.DeleteUpdate, ""), nil
 }
 
 // InsertChild shreds an XML fragment as a new child of every element
@@ -74,47 +83,55 @@ func (s *Store) InsertChild(parentQuery string, params Params, fragmentXML strin
 	if err != nil {
 		return 0, err
 	}
+	inserted, generation, err := s.insertChild(q, params, fragment)
+	if generation {
+		s.retuneIndexes()
+	}
+	return inserted, err
+}
+
+// insertChild is InsertChild under the write lock (see deleteWhere).
+func (s *Store) insertChild(q *xquery.Query, params Params, fragment *xmltree.Node) (inserted int, generation bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	targets, err := xquery.TranslateTargets(q, s.schema, s.catalog)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	s.mutEpoch++
-	inserted := 0
 	for _, tgt := range targets {
 		rs, err := s.db.ExecuteBlock(tgt.Block, params.forBlocks(s.catalog, tgt.Block))
 		if err != nil {
-			return inserted, err
+			return inserted, false, err
 		}
 		for _, row := range rs.Rows {
 			if _, err := s.shredder.InsertChild(tgt.TypeName, row[0].Int, fragment.Clone()); err != nil {
-				return inserted, fmt.Errorf("legodb: %w", err)
+				return inserted, false, fmt.Errorf("legodb: %w", err)
 			}
 			inserted++
 		}
 	}
-	s.observeMutation(q, xquery.InsertUpdate, fragment.Name)
-	return inserted, nil
+	return inserted, s.observeMutation(q, xquery.InsertUpdate, fragment.Name), nil
 }
 
 // observeMutation records a mutation's shape in the observed workload as
 // an update operation: the target query's RETURN path expanded to a
 // document-rooted path (plus the inserted child's name for inserts).
 // Mutations whose target cannot be expanded — which TranslateTargets
-// would have rejected anyway — are simply not recorded.
-func (s *Store) observeMutation(q *xquery.Query, kind xquery.UpdateKind, child string) {
+// would have rejected anyway — are simply not recorded. It reports
+// whether the observation completed an observer generation.
+func (s *Store) observeMutation(q *xquery.Query, kind xquery.UpdateKind, child string) bool {
 	if len(q.Return) != 1 || q.Return[0].Path == nil {
-		return
+		return false
 	}
 	path, ok := docPath(q, *q.Return[0].Path)
 	if !ok {
-		return
+		return false
 	}
 	if child != "" {
 		path.Steps = append(path.Steps, child)
 	}
-	s.obs.observeUpdate(&xquery.Update{Kind: kind, Path: path})
+	return s.obs.observeUpdate(&xquery.Update{Kind: kind, Path: path})
 }
 
 // docPath expands a variable-rooted path to a document-rooted one by

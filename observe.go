@@ -57,9 +57,11 @@ func queryShape(q *xquery.Query) (*xquery.Query, string) {
 	return &c, c.String()
 }
 
-func (o *workloadObserver) observeQuery(q *xquery.Query) {
+// observeQuery records one execution of q; like observeUpdate it reports
+// whether the observation completed a generation.
+func (o *workloadObserver) observeQuery(q *xquery.Query) bool {
 	shape, key := queryShape(q)
-	o.record("q"+key, func() *observedShape { return &observedShape{query: shape} })
+	return o.record("q"+key, func() *observedShape { return &observedShape{query: shape} })
 }
 
 // updateShape returns the name-stripped copy of u and its canonical
@@ -72,12 +74,14 @@ func updateShape(u *xquery.Update) (*xquery.Update, string) {
 	return &c, c.String()
 }
 
-func (o *workloadObserver) observeUpdate(u *xquery.Update) {
+func (o *workloadObserver) observeUpdate(u *xquery.Update) bool {
 	shape, key := updateShape(u)
-	o.record("u"+key, func() *observedShape { return &observedShape{update: shape} })
+	return o.record("u"+key, func() *observedShape { return &observedShape{update: shape} })
 }
 
-func (o *workloadObserver) record(key string, mk func() *observedShape) {
+// record counts one observation and reports whether it completed a
+// generation (the weights just decayed).
+func (o *workloadObserver) record(key string, mk func() *observedShape) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.shapes[key]
@@ -89,9 +93,11 @@ func (o *workloadObserver) record(key string, mk func() *observedShape) {
 	s.weight++
 	o.total++
 	o.window++
-	if o.window >= observeWindow {
-		o.decayLocked()
+	if o.window < observeWindow {
+		return false
 	}
+	o.decayLocked()
+	return true
 }
 
 // decayLocked halves every weight and prunes shapes that fell below the

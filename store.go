@@ -32,8 +32,11 @@ type Store struct {
 	// mu is the store's readers-writer lock: queries, publishing and
 	// stats reads share it, mutations take it exclusively. The engine
 	// below is safe for concurrent reads but not for reads racing writes.
-	mu        sync.RWMutex
-	schema    *xschema.Schema
+	mu     sync.RWMutex
+	schema *xschema.Schema
+	// catalog is the store's own copy of its configuration's catalog:
+	// it carries the store's secondary-index flags, which change under
+	// the write lock as the observed workload does (see indexes.go).
 	catalog   *relational.Catalog
 	db        *engine.Database
 	shredder  *shred.Shredder
@@ -50,13 +53,21 @@ type Store struct {
 	// its own lock and survives migration (observation is a property of
 	// the traffic, not of the storage configuration).
 	obs *workloadObserver
+
+	// retuneMu admits one index retune at a time; indexRetunes (under mu)
+	// counts the ones that changed the index set.
+	retuneMu     sync.Mutex
+	indexRetunes uint64
 }
 
-// Open instantiates the advised configuration as an empty store.
+// Open instantiates the advised configuration as an empty store, with
+// the secondary indexes chosen for the declared workload (see
+// Advice.Indexes); the store re-chooses them from what it observes.
 func (a *Advice) Open() (*Store, error) {
-	return openStore(a.result.Best.Schema, a.result.Best.Catalog)
+	return openStore(a.result.Best.Schema, a.indexedCatalog())
 }
 
+// openStore builds an empty store over a catalog it takes ownership of.
 func openStore(ps *xschema.Schema, cat *relational.Catalog) (*Store, error) {
 	db := engine.NewDatabase(cat)
 	return &Store{
@@ -304,8 +315,11 @@ func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result,
 	}
 	// Record the observation outside the serving lock: a successful
 	// execution is one vote for this query shape in the observed
-	// workload.
-	s.obs.observeQuery(p.shape)
+	// workload, and a completed observer generation is when the store
+	// asks the cost model whether its indexes still fit it.
+	if s.obs.observeQuery(p.shape) {
+		s.retuneIndexes()
+	}
 	out := &Result{Columns: rs.Columns}
 	for _, row := range rs.Rows {
 		cells := make([]string, len(row))
@@ -318,7 +332,10 @@ func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result,
 }
 
 // ExplainQuery translates an XQuery and returns its SQL together with the
-// optimizer's cost estimate.
+// optimizer's cost estimate and, per SPJ block, the plan it priced: the
+// start relation's access path ("index(Show.title)" or "scan") and the
+// join algorithm of every step. The estimate reads the store's current
+// index set, the one the engine plans by.
 func (s *Store) ExplainQuery(text string) (string, error) {
 	q, err := xquery.Parse(text)
 	if err != nil {
@@ -334,7 +351,12 @@ func (s *Store) ExplainQuery(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s\n-- estimated cost: %.1f, rows: %.0f\n", sq.SQL(), est.Cost, est.Rows), nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n-- estimated cost: %.1f, rows: %.0f\n", sq.SQL(), est.Cost, est.Rows)
+	for i, plan := range strings.Split(est.Plan, " UNION ") {
+		fmt.Fprintf(&b, "-- block %d: %s\n", i+1, plan)
+	}
+	return b.String(), nil
 }
 
 // Publish reconstructs all loaded documents.
@@ -344,7 +366,8 @@ func (s *Store) Publish() ([]*xmltree.Node, error) {
 	return s.publisher.PublishAll()
 }
 
-// DDL returns the store's relational schema.
+// DDL returns the store's relational schema: its tables. The index set
+// is derived state that follows the traffic; Indexes lists it.
 func (s *Store) DDL() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
