@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"legodb/internal/sqlast"
 )
@@ -13,9 +14,9 @@ import (
 // map[string]int bindings. Scans and filters run in chunks of BatchSize
 // rows through gathered column Vectors; joins emit (source-tuple, new-
 // position) pairs and rebind the position columns with tight gather
-// loops; hash joins build typed hash tables. Counter accrual points are
-// identical to the row-at-a-time path in exec_rows.go — see the
-// differential tests.
+// loops; hash joins build chained tables over composite join keys.
+// Counter accrual points are identical to the row-at-a-time path in
+// exec_rows.go — see the differential tests.
 
 type batchExec struct {
 	db     *Database
@@ -30,6 +31,7 @@ type batchExec struct {
 	// Scratch buffers reused across chunks.
 	vec, vec2 Vector
 	selBuf    []int32
+	hashBuf   []uint64 // a chunk of join-key hashes
 }
 
 func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params Params, stats *Counters) (*ResultSet, error) {
@@ -65,7 +67,43 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 			return nil, err
 		}
 	}
+	e.inFromOrder()
 	return e.project()
+}
+
+// inFromOrder puts the tuples in lexicographic order of their row
+// positions, aliases taken in FROM order, so a block's rows leave in an
+// order fixed by the block and the data, whatever join order the planner
+// chose. Every step emits (source tuple, new position) pairs, so the
+// tuples already sort that way along the join order: nothing to do when
+// that is FROM order, and when it binds no alias before an earlier one
+// in FROM except through its parent key — as in the blocks the
+// translator emits, mostly — checking costs the only pass.
+func (e *batchExec) inFromOrder() {
+	if e.p.bindsInFromOrder() {
+		return
+	}
+	cmp := func(i, j int32) int {
+		for _, c := range e.cols {
+			if c[i] != c[j] {
+				return int(c[i]) - int(c[j])
+			}
+		}
+		return 0
+	}
+	i := int32(1)
+	for int(i) < e.n && cmp(i-1, i) <= 0 {
+		i++
+	}
+	if int(i) >= e.n {
+		return
+	}
+	perm := make([]int32, e.n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, cmp)
+	e.keep(perm)
 }
 
 // startPositions binds the start relation: the filtered positions of an
@@ -219,33 +257,45 @@ func (e *batchExec) stepINL(st *planStep) error {
 }
 
 // stepHash scans the new relation once and joins it to the intermediate
-// tuples through a hash table built on whichever side has fewer tuples.
-// The scan's passing positions are held back while they number no more
-// than the intermediate; if the scan ends that way they are the build
-// side and the intermediate probes. Once they outnumber it, the
-// intermediate's join values are hashed instead and the held-back
-// positions and the rest of the scan stream through, so a one-tuple
-// intermediate never hashes a whole relation and an empty one hashes
-// nothing. Either way pairs leave in (source tuple, scan position) order.
+// tuples through a hash table built on whichever side has fewer tuples,
+// keyed on the join edge and every equality the step fuses (see
+// joinKey). The scan's passing positions are held back while they number
+// no more than the intermediate; if the scan ends that way they are the
+// build side and the intermediate probes. Once they outnumber it, the
+// intermediate's keys are hashed instead and the held-back positions and
+// the rest of the scan stream through, so a one-tuple intermediate never
+// hashes a whole relation and an empty one hashes nothing. Either way
+// pairs leave in (source tuple, scan position) order.
 func (e *batchExec) stepHash(st *planStep) error {
 	newCi, oldCi, err := e.p.resolveJoinCols(st)
 	if err != nil {
 		return err
 	}
 	newTable := e.p.tables[st.alias]
-	oldTable := e.p.tables[st.oldAlias]
-	oldPos := e.cols[e.p.slot[st.oldAlias]]
+	newKey, oldKey := e.joinKeys(st, newCi, oldCi)
 	src := make([]int32, 0, e.n)
 	newPos := make([]int32, 0, e.n)
 	held := make([]int32, 0, min(e.n, newTable.NumRows()))
 	var ht *hashTable // over the intermediate, once the scan outnumbers it
 	ordered := true   // src is still non-decreasing
+	if e.hashBuf == nil {
+		e.hashBuf = make([]uint64, BatchSize)
+	}
 	probe := func(sel []int32) {
-		for _, pos := range sel {
-			for i := ht.first(newTable.Cell(int(pos), newCi)); i != 0; i = ht.next[i-1] {
-				ordered = ordered && (len(src) == 0 || src[len(src)-1] < i)
-				src = append(src, i-1)
-				newPos = append(newPos, pos)
+		newKey.on(sel)
+		for base := 0; base < len(sel); base += BatchSize {
+			hs, ints := newKey.hashes(base, min(base+BatchSize, len(sel)), e.hashBuf)
+			for j, h := range hs {
+				at := int32(base + j)
+				exact := ht.exact(h, ints)
+				for i := ht.first(h); i != 0; i = ht.next[i-1] {
+					if !exact && oldKey.primary(i-1) != newKey.primary(at) {
+						continue
+					}
+					ordered = ordered && (len(src) == 0 || src[len(src)-1] < i)
+					src = append(src, i-1)
+					newPos = append(newPos, sel[at])
+				}
 			}
 		}
 	}
@@ -258,7 +308,7 @@ func (e *batchExec) stepHash(st *planStep) error {
 				held = append(held, sel...)
 				return
 			}
-			ht = buildHash(oldTable, oldCi, oldPos)
+			ht = buildHash(oldKey, e.n, e.hashBuf)
 			probe(held)
 		}
 		probe(sel)
@@ -268,16 +318,22 @@ func (e *batchExec) stepHash(st *planStep) error {
 	}
 	switch {
 	case ht == nil:
-		ht = buildHash(newTable, newCi, held)
-		for i := 0; i < e.n; i++ {
-			if i&ctxCheckMask == 0 {
-				if err := e.ctx.Err(); err != nil {
-					return err
-				}
+		ht = buildHash(newKey.on(held), len(held), e.hashBuf)
+		for base := 0; base < e.n; base += BatchSize {
+			if err := e.ctx.Err(); err != nil {
+				return err
 			}
-			for j := ht.first(oldTable.Cell(int(oldPos[i]), oldCi)); j != 0; j = ht.next[j-1] {
-				src = append(src, int32(i))
-				newPos = append(newPos, held[j-1])
+			hs, ints := oldKey.hashes(base, min(base+BatchSize, e.n), e.hashBuf)
+			for j, h := range hs {
+				i := int32(base + j)
+				exact := ht.exact(h, ints)
+				for k := ht.first(h); k != 0; k = ht.next[k-1] {
+					if !exact && newKey.primary(k-1) != oldKey.primary(i) {
+						continue
+					}
+					src = append(src, i)
+					newPos = append(newPos, held[k-1])
+				}
 			}
 		}
 	case !ordered:
@@ -285,6 +341,39 @@ func (e *batchExec) stepHash(st *planStep) error {
 	}
 	e.rebind(st.alias, src, newPos)
 	return nil
+}
+
+// joinKeys resolves a hash step's key on both sides: the join edge, then
+// each fused equality whose columns resolve (one that does not is left to
+// its cross filter, which reports the error after the join, exactly as
+// if nothing were fused). The new side reads the new relation at the
+// positions it is pointed at (joinKey.on); the old side reads the bound
+// aliases' position columns, tuple by tuple.
+func (e *batchExec) joinKeys(st *planStep, newCi, oldCi int) (newKey, oldKey joinKey) {
+	newTable := e.p.tables[st.alias]
+	m := 1 + len(st.fused)
+	parts := make(joinKey, 2*m) // one allocation for both keys
+	newKey, oldKey = parts[:1:m], parts[m:m+1]
+	newKey[0] = keyCol{t: newTable, ci: newCi}
+	oldKey[0] = keyCol{t: e.p.tables[st.oldAlias], ci: oldCi, at: e.cols[e.p.slot[st.oldAlias]]}
+	for _, f := range st.fused {
+		ot := e.p.tables[f[1].Alias]
+		nci, oci := newTable.ColumnIndex(f[0].Column), ot.ColumnIndex(f[1].Column)
+		if nci < 0 || oci < 0 {
+			continue
+		}
+		newKey = append(newKey, keyCol{t: newTable, ci: nci})
+		oldKey = append(oldKey, keyCol{t: ot, ci: oci, at: e.cols[e.p.slot[f[1].Alias]]})
+	}
+	return newKey, oldKey
+}
+
+// on points every part of a key over one relation at positions.
+func (k joinKey) on(positions []int32) joinKey {
+	for i := range k {
+		k[i].at = positions
+	}
+	return k
 }
 
 // sortBySource reorders join pairs emitted in (scan position, source
@@ -334,6 +423,13 @@ func (e *batchExec) stepCartesian(st *planStep) error {
 // rebind gathers every bound position column through src and installs
 // newPos as the freshly bound alias's column.
 func (e *batchExec) rebind(alias string, src, newPos []int32) {
+	e.keep(src)
+	e.cols[e.p.slot[alias]] = newPos
+}
+
+// keep gathers every bound position column through src: the tuples src
+// lists, in its order, are the intermediate from now on.
+func (e *batchExec) keep(src []int32) {
 	for s, c := range e.cols {
 		if c == nil {
 			continue
@@ -344,8 +440,7 @@ func (e *batchExec) rebind(alias string, src, newPos []int32) {
 		}
 		e.cols[s] = nc
 	}
-	e.cols[e.p.slot[alias]] = newPos
-	e.n = len(newPos)
+	e.n = len(src)
 }
 
 // applyCross filters the intermediate tuples by the scheduled cross
@@ -359,7 +454,7 @@ func (e *batchExec) applyCross(filters []sqlast.Filter) error {
 		}
 		lcol := e.cols[e.p.slot[f.Col.Alias]]
 		rcol := e.cols[e.p.slot[f.RightCol.Alias]]
-		var keep []int32
+		var kept []int32
 		for base := 0; base < e.n; base += BatchSize {
 			if err := e.ctx.Err(); err != nil {
 				return err
@@ -369,31 +464,21 @@ func (e *batchExec) applyCross(filters []sqlast.Filter) error {
 			e.vec2.gather(rt, ri, rcol[base:end])
 			for j := 0; j < end-base; j++ {
 				if pairSatisfies(&e.vec, &e.vec2, j, f.Op) {
-					keep = append(keep, int32(base+j))
+					kept = append(kept, int32(base+j))
 				}
 			}
 		}
-		if len(keep) == e.n {
-			continue
+		if len(kept) < e.n {
+			e.keep(kept)
 		}
-		for s, c := range e.cols {
-			if c == nil {
-				continue
-			}
-			nc := make([]int32, len(keep))
-			for k, i := range keep {
-				nc[k] = c[i]
-			}
-			e.cols[s] = nc
-		}
-		e.n = len(keep)
 	}
 	return nil
 }
 
 // project materializes the projected columns into result rows. Rows are
-// carved from one backing array with full-capacity slices so the union
-// padding in Execute can't overwrite a neighbor.
+// carved from one backing array, each with capacity p.width, so the union
+// padding in ExecuteContext extends a row in place without reaching a
+// neighbour.
 func (e *batchExec) project() (*ResultSet, error) {
 	rs := &ResultSet{}
 	projs := e.p.projs
@@ -405,11 +490,11 @@ func (e *batchExec) project() (*ResultSet, error) {
 		// reference executor's per-row resolution.
 		return rs, nil
 	}
-	w := len(projs)
-	cells := make([]Value, e.n*w)
+	w, c := len(projs), e.p.width
+	cells := make([]Value, e.n*c)
 	rows := make([]Row, e.n)
 	for i := range rows {
-		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		rows[i] = cells[i*c : i*c+w : (i+1)*c]
 	}
 	for k, pr := range projs {
 		t := e.p.tables[pr.Alias]

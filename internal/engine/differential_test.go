@@ -50,7 +50,7 @@ func diffConfigs() []diffConfig {
 // buildDiffDB generates an IMDB document, shreds it into the given
 // configuration, and returns the database plus the document values the
 // parameter bindings draw from.
-func buildDiffDB(t *testing.T, cfg diffConfig, seed int64) (*engine.Database, *xschema.Schema, *relational.Catalog, engine.Params, engine.Params) {
+func buildDiffDB(t testing.TB, cfg diffConfig, seed int64) (*engine.Database, *xschema.Schema, *relational.Catalog, engine.Params, engine.Params) {
 	t.Helper()
 	doc := imdb.Generate(imdb.GenOptions{Shows: cfg.shows, Seed: seed})
 	s := imdb.Schema()
@@ -208,5 +208,39 @@ func TestBatchRowDifferentialIMDB(t *testing.T) {
 			}
 			t.Run("tombstoned", checkQueries)
 		})
+	}
+}
+
+// BenchmarkExecuteIMDBJoin runs each block of the value joins Q12 and
+// Q13 on both storage extremes under both executors: the shapes whose
+// name and title equalities the planner fuses into hash keys.
+func BenchmarkExecuteIMDBJoin(b *testing.B) {
+	for _, cfg := range diffConfigs()[:2] {
+		db, ps, cat, _, _ := buildDiffDB(b, cfg, 7)
+		for _, qn := range []string{"Q12", "Q13"} {
+			sq, err := xquery.Translate(imdb.Query(qn), ps, cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, block := range sq.Blocks {
+				for _, mode := range []struct {
+					name string
+					opts engine.Options
+				}{{"batch", engine.Options{}}, {"rows", engine.Options{RowAtATime: true}}} {
+					b.Run(fmt.Sprintf("%s/%s/block%d/%s", cfg.name, qn, i+1, mode.name), func(b *testing.B) {
+						db.Exec = mode.opts
+						rows := 0
+						for n := 0; n < b.N; n++ {
+							rs, err := db.ExecuteBlock(block, nil)
+							if err != nil {
+								b.Fatal(err)
+							}
+							rows = len(rs.Rows)
+						}
+						b.ReportMetric(float64(rows), "rows/op")
+					})
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"legodb/internal/faults"
 	"legodb/internal/sqlast"
@@ -36,8 +37,12 @@ func (db *Database) Execute(q *sqlast.Query, params Params) (*ResultSet, error) 
 func (db *Database) ExecuteContext(ctx context.Context, q *sqlast.Query, params Params) (*ResultSet, error) {
 	var stats Counters
 	out := &ResultSet{}
+	width := 0
 	for _, b := range q.Blocks {
-		rs, err := db.executeBlock(ctx, b, params, &stats)
+		width = max(width, blockWidth(b))
+	}
+	for _, b := range q.Blocks {
+		rs, err := db.executeBlock(ctx, b, params, &stats, width)
 		if err != nil {
 			db.addStats(stats)
 			return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
@@ -49,12 +54,10 @@ func (db *Database) ExecuteContext(ctx context.Context, q *sqlast.Query, params 
 	}
 	// Union blocks can differ in width (a publishing query's outer-union
 	// skeleton); pad narrower blocks' rows with NULL so every row matches
-	// the widest block's column list.
+	// the widest block's column list. Every row was carved with room for
+	// the widest block and the cells past its own are zero, which is NULL.
 	for i, r := range out.Rows {
-		for len(r) < len(out.Columns) {
-			r = append(r, Null)
-		}
-		out.Rows[i] = r
+		out.Rows[i] = r[:len(out.Columns)]
 	}
 	stats.TuplesOut += int64(len(out.Rows))
 	db.addStats(stats)
@@ -74,12 +77,17 @@ func (db *Database) ExecuteBlock(b *sqlast.Block, params Params) (*ResultSet, er
 // the same logical work and report identical Counters.
 func (db *Database) ExecuteBlockContext(ctx context.Context, b *sqlast.Block, params Params) (*ResultSet, error) {
 	var stats Counters
-	rs, err := db.executeBlock(ctx, b, params, &stats)
+	rs, err := db.executeBlock(ctx, b, params, &stats, blockWidth(b))
 	db.addStats(stats)
 	return rs, err
 }
 
-func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Params, stats *Counters) (*ResultSet, error) {
+// blockWidth is the number of columns a block projects (its key when it
+// lists none, see planBlock).
+func blockWidth(b *sqlast.Block) int { return max(len(b.Projects), 1) }
+
+// executeBlock runs one block, carving its rows with capacity width.
+func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Params, stats *Counters, width int) (*ResultSet, error) {
 	// SiteExec is the serving path's fault seam: tests arm it to prove an
 	// injected executor failure surfaces as a structured error without
 	// wedging or crashing the caller.
@@ -93,6 +101,7 @@ func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Pa
 	if err != nil {
 		return nil, err
 	}
+	p.width = width
 	if db.Exec.RowAtATime {
 		return db.executeBlockRows(ctx, p, params, stats)
 	}
@@ -138,13 +147,15 @@ type planStep struct {
 	// design makes that column an access path: the key index of a
 	// stepINL, a secondary index a stepHash may probe instead of scanning.
 	index *hashIndex
-	// cross lists the cross filters that first become applicable (both
-	// aliases bound) after this step. Equality cross filters that the
-	// planner consumed as join edges are enforced by the join itself and
-	// are not listed; the rest — including equality filters whose aliases
-	// both became bound through other edges — are applied here exactly
-	// once.
+	// cross lists the predicates between two aliases — cross filters and
+	// declared joins alike — that first become applicable (both aliases
+	// bound) after this step, except the join edge the step binds by. They
+	// are applied here exactly once, under satisfies.
 	cross []sqlast.Filter
+	// fused lists the equalities among cross as column pairs, alias's
+	// column first: a hash step adds them to its hash key, so pairs they
+	// reject are never formed (cross still re-checks them).
+	fused [][2]sqlast.ColumnRef
 }
 
 // blockPlan is the shared physical plan of one SPJ block.
@@ -164,20 +175,24 @@ type blockPlan struct {
 	startLookup int
 	steps       []planStep
 	projs       []sqlast.ColumnRef
+	// width is the capacity the executors give each result row: that of
+	// the query's widest block, so the union in ExecuteContext pads a
+	// narrower row in place.
+	width int
 }
 
 // planBlock derives the physical plan: the start relation (prefer one
 // with constant filters) and its access path (an index lookup when an
 // equality-with-constant filter sits on a column with a secondary index,
-// a scan otherwise), the deterministic join order (declared joins first,
-// then equality cross filters, first applicable edge wins — the same
-// order the seed executor produced), the join algorithm per edge (INL
-// through a key index, hash otherwise, the hash step probing a secondary
-// index on the join column when the intermediate is the smaller side),
-// cartesian fallbacks for disconnected aliases, and the cross-filter
-// schedule. Join order never depends on the data, only on the block and
-// the catalog, so it can be fixed before execution; a catalog without
-// secondary indexes plans exactly as the paper's key-only model does.
+// a scan otherwise), the join order (see nextAlias), the join algorithm
+// per step (INL through a key index, hash otherwise, the hash step
+// probing a secondary index on the join column when the intermediate is
+// the smaller side), cartesian fallbacks for disconnected aliases, and
+// the schedule of every other predicate between two aliases. Join order
+// depends on the block alone — not on the data, the statistics or the
+// index set — so it is fixed before execution and rows leave in the same
+// order under every index set; a catalog without secondary indexes plans
+// exactly as the paper's key-only model does.
 func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 	if len(b.Tables) == 0 {
 		return nil, fmt.Errorf("block has no tables")
@@ -198,14 +213,37 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 		p.tables[tref.Alias] = t
 	}
 
+	// preds holds every predicate between two aliases, declared joins
+	// (read as equalities) before cross filters, with their aliases'
+	// slots: built once, then only read by the greedy loop below. A
+	// block's few predicates and aliases fit the stack buffers.
 	constFilters := make(map[string][]sqlast.Filter)
-	var cross []sqlast.Filter
+	var predBuf [16]pred
+	preds := predBuf[:0]
+	for i := range b.Joins {
+		j := &b.Joins[i]
+		f := sqlast.Filter{Col: j.Left, Op: sqlast.OpEq, RightCol: &j.Right}
+		if j.Left.Alias == j.Right.Alias {
+			constFilters[f.Col.Alias] = append(constFilters[f.Col.Alias], f)
+			continue
+		}
+		preds = append(preds, pred{f: f})
+	}
 	for _, f := range b.Filters {
 		if f.RightCol != nil && f.RightCol.Alias != f.Col.Alias {
-			cross = append(cross, f)
+			preds = append(preds, pred{f: f})
 			continue
 		}
 		constFilters[f.Col.Alias] = append(constFilters[f.Col.Alias], f)
+	}
+	for i := range preds {
+		f := &preds[i].f
+		l, lok := p.slot[f.Col.Alias]
+		r, rok := p.slot[f.RightCol.Alias]
+		if !lok || !rok {
+			return nil, fmt.Errorf("predicate %s names an alias not in FROM", *f)
+		}
+		preds[i].ends = [2]int{l, r}
 	}
 
 	p.start = p.order[0]
@@ -226,44 +264,30 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 		}
 	}
 
-	bound := map[string]bool{p.start: true}
-	eqUsed := make([]bool, len(cross))
-	crossDone := make([]bool, len(cross))
-	// schedule returns the cross filters that just became applicable:
-	// both aliases bound, not yet scheduled, and not consumed as a join
-	// edge. Each filter is applied exactly once, at the earliest step
-	// where it can be evaluated.
-	schedule := func() []sqlast.Filter {
-		var out []sqlast.Filter
-		for i, f := range cross {
-			if crossDone[i] || eqUsed[i] {
-				continue
-			}
-			if bound[f.Col.Alias] && bound[f.RightCol.Alias] {
-				crossDone[i] = true
-				out = append(out, f)
-			}
-		}
-		return out
+	// boundAt[s] is the step that bound slot s (the start is step 0), -1
+	// while unbound.
+	var boundBuf [16]int
+	boundAt := boundBuf[:0]
+	for range p.order {
+		boundAt = append(boundAt, -1)
 	}
-
-	for len(bound) < len(p.order) {
-		st, crossIdx, found := nextEdge(b, cross, bound)
-		if !found {
+	boundAt[p.slot[p.start]] = 0
+	for n := 1; n < len(p.order); n++ {
+		var st planStep
+		s := nextAlias(preds, boundAt)
+		if s < 0 {
 			// Disconnected: cartesian with the next unbound alias.
-			for _, a := range p.order {
-				if !bound[a] {
-					st = planStep{kind: stepCartesian, alias: a}
+			for s = range boundAt {
+				if boundAt[s] < 0 {
 					break
 				}
 			}
-		} else if crossIdx >= 0 {
-			// This equality cross filter is enforced by the join edge; it
-			// must not be re-applied as a filter.
-			eqUsed[crossIdx] = true
-		}
-		st.filters = constFilters[st.alias]
-		if st.kind != stepCartesian {
+			st = planStep{kind: stepCartesian, alias: p.order[s]}
+		} else {
+			i := joinEdge(preds, boundAt, s)
+			preds[i].taken = true
+			e := sides(&preds[i].f, p.order[s])
+			st = planStep{alias: e[0].Alias, newCol: e[0].Column, oldAlias: e[1].Alias, oldCol: e[1].Column}
 			// Index nested-loop only through the new relation's key,
 			// mirroring the optimizer's physical assumptions; any other
 			// access path the design offers (a foreign key's index
@@ -276,8 +300,21 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 				st.kind = stepHash
 			}
 		}
-		bound[st.alias] = true
-		st.cross = schedule()
+		st.filters = constFilters[st.alias]
+		boundAt[s] = n
+		// Every other predicate is applied exactly once, at the earliest
+		// step where both its aliases are bound.
+		for i := range preds {
+			pr := &preds[i]
+			if pr.taken || boundAt[pr.ends[0]] < 0 || boundAt[pr.ends[1]] < 0 {
+				continue
+			}
+			pr.taken = true
+			st.cross = append(st.cross, pr.f)
+			if pr.f.Op == sqlast.OpEq {
+				st.fused = append(st.fused, sides(&pr.f, st.alias))
+			}
+		}
 		p.steps = append(p.steps, st)
 	}
 
@@ -288,35 +325,133 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 	return p, nil
 }
 
-// nextEdge picks the next join edge: declared joins in order, then
-// equality cross filters in order, the first with exactly one side
-// bound. crossIdx reports which cross filter supplied the edge (-1 for
-// declared joins).
-func nextEdge(b *sqlast.Block, cross []sqlast.Filter, bound map[string]bool) (st planStep, crossIdx int, found bool) {
-	for _, j := range b.Joins {
-		switch {
-		case bound[j.Left.Alias] && !bound[j.Right.Alias]:
-			return planStep{alias: j.Right.Alias, newCol: j.Right.Column,
-				oldAlias: j.Left.Alias, oldCol: j.Left.Column}, -1, true
-		case bound[j.Right.Alias] && !bound[j.Left.Alias]:
-			return planStep{alias: j.Left.Alias, newCol: j.Left.Column,
-				oldAlias: j.Right.Alias, oldCol: j.Right.Column}, -1, true
+// bindsInFromOrder reports whether the plan binds the aliases in FROM
+// order, start first.
+func (p *blockPlan) bindsInFromOrder() bool {
+	if p.slot[p.start] != 0 {
+		return false
+	}
+	for i, st := range p.steps {
+		if p.slot[st.alias] != i+1 {
+			return false
 		}
 	}
-	for i, f := range cross {
-		if f.Op != sqlast.OpEq {
+	return true
+}
+
+// ExplainBlock returns the plan the executors run for one block (see
+// blockPlan.String).
+func (db *Database) ExplainBlock(b *sqlast.Block) (string, error) {
+	p, err := db.planBlock(b)
+	if err != nil {
+		return "", err
+	}
+	return p.String(), nil
+}
+
+// String renders the plan in the notation of the optimizer's
+// Estimate.Plan: the start relation's access path ("index(Table.column)"
+// or "scan") and alias, then each step's algorithm and alias — "inl",
+// "hash", "hash|inl" for a hash step that probes a secondary index
+// instead while the intermediate is the smaller side, "cartesian" — and
+// a hash step's fused key columns, as in "hash t5 [+title]".
+func (p *blockPlan) String() string {
+	var b strings.Builder
+	if p.startIndex != nil {
+		fmt.Fprintf(&b, "index(%s.%s) %s", p.tables[p.start].Def.Name, p.startIndex.col, p.start)
+	} else {
+		b.WriteString("scan " + p.start)
+	}
+	for _, st := range p.steps {
+		how := "hash"
+		switch {
+		case st.kind == stepINL:
+			how = "inl"
+		case st.kind == stepCartesian:
+			how = "cartesian"
+		case st.index != nil:
+			how = "hash|inl"
+		}
+		b.WriteString(" -> " + how + " " + st.alias)
+		if st.kind == stepHash && len(st.fused) > 0 {
+			cols := make([]string, len(st.fused))
+			for i, f := range st.fused {
+				cols[i] = "+" + f[0].Column
+			}
+			b.WriteString(" [" + strings.Join(cols, " ") + "]")
+		}
+	}
+	return b.String()
+}
+
+// pred is a predicate between two aliases of a block — a declared join,
+// read as an equality, or a cross filter — with the slots of its two
+// aliases; taken is set once a step binds by it or applies it.
+type pred struct {
+	f     sqlast.Filter
+	ends  [2]int
+	taken bool
+}
+
+// across returns the slot at the other end of an equality from s, -1
+// when the predicate is no equality or s is neither of its ends.
+func (pr *pred) across(s int) int {
+	switch {
+	case pr.f.Op != sqlast.OpEq:
+		return -1
+	case s == pr.ends[0]:
+		return pr.ends[1]
+	case s == pr.ends[1]:
+		return pr.ends[0]
+	}
+	return -1
+}
+
+// nextAlias picks the slot the next step binds, by a greedy rule that
+// reads nothing but the block: the unbound alias with the most
+// equalities (declared joins and equality cross filters) into the bound
+// set, ties going to the one with the most recently bound neighbour,
+// then to FROM order. It returns -1 when no unbound alias has an
+// equality into the bound set.
+func nextAlias(preds []pred, boundAt []int) int {
+	best, bestN, bestRecent := -1, 0, -1
+	for s, at := range boundAt {
+		if at >= 0 {
 			continue
 		}
-		switch {
-		case bound[f.Col.Alias] && !bound[f.RightCol.Alias]:
-			return planStep{alias: f.RightCol.Alias, newCol: f.RightCol.Column,
-				oldAlias: f.Col.Alias, oldCol: f.Col.Column}, i, true
-		case bound[f.RightCol.Alias] && !bound[f.Col.Alias]:
-			return planStep{alias: f.Col.Alias, newCol: f.Col.Column,
-				oldAlias: f.RightCol.Alias, oldCol: f.RightCol.Column}, i, true
+		n, recent := 0, -1
+		for i := range preds {
+			if o := preds[i].across(s); o >= 0 && boundAt[o] >= 0 {
+				n++
+				recent = max(recent, boundAt[o])
+			}
+		}
+		if n > bestN || n > 0 && n == bestN && recent > bestRecent {
+			best, bestN, bestRecent = s, n, recent
 		}
 	}
-	return planStep{}, -1, false
+	return best
+}
+
+// joinEdge picks the equality slot s is bound by: the first between s
+// and a bound alias, declared joins coming before cross filters in
+// preds. The step matches it by exact kind; every other equality into
+// the bound set becomes a cross filter of the step.
+func joinEdge(preds []pred, boundAt []int, s int) int {
+	for i := range preds {
+		if o := preds[i].across(s); o >= 0 && boundAt[o] >= 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// sides returns the equality f's column on alias, then its other one.
+func sides(f *sqlast.Filter, alias string) [2]sqlast.ColumnRef {
+	if f.Col.Alias == alias {
+		return [2]sqlast.ColumnRef{f.Col, *f.RightCol}
+	}
+	return [2]sqlast.ColumnRef{*f.RightCol, f.Col}
 }
 
 // probesIndex reports whether a join step runs as index probes, one per

@@ -88,6 +88,63 @@ func TestEqCrossFilterBothAliasesBoundViaJoin(t *testing.T) {
 	})
 }
 
+// TestSecondDeclaredJoinEnforced is the regression test for declared
+// joins the planner never applied: with two joins between the same pair
+// of aliases, the first bound B and the second — its ends both bound
+// already — was dropped, so the block returned the whole cross product
+// of the first (9 pairs) instead of the pairs both joins hold.
+func TestSecondDeclaredJoinEnforced(t *testing.T) {
+	bothModes(t, func(t *testing.T, opts Options) {
+		db := NewDatabase(twoTableCatalog(t))
+		db.Exec = opts
+		loadAB(t, db)
+		b := &sqlast.Block{}
+		b.AddTable("A", "a")
+		b.AddTable("B", "b")
+		b.Joins = []sqlast.Join{
+			{Left: sqlast.ColumnRef{Alias: "a", Column: "parent_R"}, Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"}},
+			{Left: sqlast.ColumnRef{Alias: "a", Column: "x"}, Right: sqlast.ColumnRef{Alias: "b", Column: "y"}},
+		}
+		b.Projects = []sqlast.ColumnRef{{Alias: "a", Column: "x"}, {Alias: "b", Column: "y"}}
+		rs, err := db.ExecuteBlock(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortedRowKeys(rs); strings.Join(got, " ") != "|i2|i2 |i3|i3" {
+			t.Fatalf("rows = %v, want the 2 pairs with x = y", got)
+		}
+	})
+}
+
+// TestRowsLeaveInFromOrder: the planner binds a (the alias with a
+// constant filter) before b, but the rows leave in FROM order — by b's
+// position, then a's — on both executors, so an answer's order does not
+// depend on the join order chosen.
+func TestRowsLeaveInFromOrder(t *testing.T) {
+	bothModes(t, func(t *testing.T, opts Options) {
+		db := NewDatabase(twoTableCatalog(t))
+		loadKeys(t, db, "A", "x", []Value{IntVal(2), IntVal(3), IntVal(2)})
+		loadKeys(t, db, "B", "y", []Value{IntVal(3), IntVal(2), IntVal(2)})
+		b := &sqlast.Block{}
+		b.AddTable("B", "b")
+		b.AddTable("A", "a")
+		y := sqlast.ColumnRef{Alias: "b", Column: "y"}
+		b.Filters = []sqlast.Filter{
+			{Col: sqlast.ColumnRef{Alias: "a", Column: "A_id"}, Op: sqlast.OpLe, Value: intLit(3)},
+			{Col: sqlast.ColumnRef{Alias: "a", Column: "x"}, Op: sqlast.OpEq, RightCol: &y},
+		}
+		b.Projects = []sqlast.ColumnRef{{Alias: "b", Column: "B_id"}, {Alias: "a", Column: "A_id"}}
+		rows, _ := runMode(t, db, opts, b)
+		var got []string
+		for _, r := range rows {
+			got = append(got, fmt.Sprintf("%v-%v", r[0], r[1]))
+		}
+		if want := "1-2 2-1 2-3 3-1 3-3"; strings.Join(got, " ") != want {
+			t.Fatalf("rows %v, want %s", got, want)
+		}
+	})
+}
+
 // TestExecuteUnionPadsShortRows: a union of a 1-column and a 2-column
 // block must pad the narrow block's rows with NULL so every row has
 // len(Columns) cells.
@@ -251,6 +308,36 @@ func counterDelta(after, before Counters) Counters {
 		Probes:     after.Probes - before.Probes,
 		Scans:      after.Scans - before.Scans,
 		TuplesOut:  after.TuplesOut - before.TuplesOut,
+	}
+}
+
+// TestAllocsUnionPadding: the union of a narrow and a wide block pads the
+// narrow block's rows in place — project carves every row with room for
+// the widest block — so the union allocates the same whether the narrow
+// block returns a hundred rows or a thousand.
+func TestAllocsUnionPadding(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets only hold without the race detector")
+	}
+	narrow := &sqlast.Block{}
+	narrow.AddTable("A", "a")
+	narrow.Projects = []sqlast.ColumnRef{{Alias: "a", Column: "x"}}
+	wide := &sqlast.Block{}
+	wide.AddTable("B", "b")
+	wide.Projects = []sqlast.ColumnRef{{Alias: "b", Column: "B_id"}, {Alias: "b", Column: "y"}}
+	q := &sqlast.Query{Blocks: []*sqlast.Block{narrow, wide}}
+	allocs := func(nA int) float64 {
+		db := benchDB(t, 1, nA, 10, 5)
+		return testing.AllocsPerRun(20, func() {
+			rs, err := db.Execute(q, nil)
+			if err != nil || len(rs.Rows) != nA+10 || len(rs.Rows[0]) != 2 {
+				t.Fatalf("rows = %d, err = %v", len(rs.Rows), err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	if large != small || large > 40 {
+		t.Errorf("union allocates %.0f objects padding 1 000 narrow rows, %.0f padding 100; want the same, at most 40", large, small)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"legodb/internal/sqlast"
 )
@@ -130,13 +131,23 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 		}
 	}
 
+	// Rows leave in FROM order, as the batch executor's do (inFromOrder).
+	sort.SliceStable(current, func(i, j int) bool {
+		for _, a := range p.order {
+			if current[i][a] != current[j][a] {
+				return current[i][a] < current[j][a]
+			}
+		}
+		return false
+	})
+
 	// Projection.
 	rs := &ResultSet{}
 	for _, pr := range p.projs {
 		rs.Columns = append(rs.Columns, pr.Alias+"."+pr.Column)
 	}
 	for _, l := range current {
-		row := make(Row, len(p.projs))
+		row := make(Row, len(p.projs), p.width)
 		for i, pr := range p.projs {
 			t := p.tables[pr.Alias]
 			ci := t.ColumnIndex(pr.Column)

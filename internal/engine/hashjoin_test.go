@@ -203,6 +203,105 @@ func TestNullKeysEdgeVsCrossFilter(t *testing.T) {
 	})
 }
 
+// fuzzCell maps a fuzz byte to a cell from a pool that mixes kinds,
+// NULLs and colliding renderings (7, "7", "007").
+func fuzzCell(c byte) Value {
+	switch c % 8 {
+	case 0:
+		return Null
+	case 1:
+		return IntVal(7)
+	case 2:
+		return StrVal("7")
+	case 3:
+		return StrVal("007")
+	case 4:
+		return IntVal(-1)
+	case 5:
+		return StrVal("-1")
+	case 6:
+		return StrVal("a")
+	default:
+		return IntVal(int64(c >> 3 % 4))
+	}
+}
+
+// fuzzParent maps a fuzz byte to a parent_R cell: mostly 1 or 2, but
+// also the string "1" (which a join edge, matching by exact kind, must
+// not take for 1) and NULL.
+func fuzzParent(c byte) Value {
+	return [...]Value{IntVal(1), IntVal(2), StrVal("1"), Null}[c>>6]
+}
+
+// FuzzJoinKeyCoercion: a.parent_R = b.parent_R joined with a.x = b.y
+// fused into the hash key must return exactly the pairs the row
+// executor keeps by applying a.x = b.y as a cross filter after an
+// edge-only join, in the same order — and both must be the pairs a
+// nested loop finds: edge cells equal by exact kind and non-NULL, x and
+// y equal as satisfies decides it. Sizes and the filter on A move the
+// hash step between its two build sides.
+func FuzzJoinKeyCoercion(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 9, 66, 130, 200}, []byte{2, 1, 3, 0, 65, 129}, uint8(7), uint8(3))
+	f.Add([]byte{0, 0, 1}, []byte{1, 1, 1, 1, 2, 2, 2, 2, 7, 15}, uint8(2), uint8(2))
+	f.Add([]byte{5, 4, 6, 7, 23, 31}, []byte{4}, uint8(6), uint8(0))
+	f.Add([]byte{}, []byte{1, 2}, uint8(0), uint8(5))
+	f.Fuzz(func(t *testing.T, as, bs []byte, k, dead uint8) {
+		as, bs = as[:min(len(as), 64)], bs[:min(len(bs), 64)]
+		db := NewDatabase(twoTableCatalog(t))
+		for _, spec := range []struct {
+			table, col string
+			cells      []byte
+		}{{"A", "x", as}, {"B", "y", bs}} {
+			tbl := db.Table(spec.table)
+			for _, c := range spec.cells {
+				row := make(Row, len(tbl.Def.Columns))
+				row[tbl.ColumnIndex(spec.table+"_id")] = IntVal(tbl.NextID())
+				row[tbl.ColumnIndex(spec.col)] = fuzzCell(c)
+				row[tbl.ColumnIndex("parent_R")] = fuzzParent(c)
+				if err := tbl.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if dead > 0 {
+				for pos := 0; pos < len(spec.cells); pos += int(dead) {
+					tbl.MarkDeleted(pos)
+				}
+			}
+		}
+		block := xEqYBlock(int(k), 0)
+		block.Joins = []sqlast.Join{{
+			Left:  sqlast.ColumnRef{Alias: "a", Column: "parent_R"},
+			Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"},
+		}}
+		got, gotStats := runMode(t, db, Options{}, block)
+		want, wantStats := runMode(t, db, Options{RowAtATime: true}, block)
+		if err := sameRowsInOrder(got, want); err != nil {
+			t.Fatalf("fused key vs cross filter: %v", err)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("counters diverge:\n batch=%+v\n rows =%+v", gotStats, wantStats)
+		}
+		ta, tb := db.Table("A"), db.Table("B")
+		cell := func(t *Table, pos int, col string) Value { return t.Cell(pos, t.ColumnIndex(col)) }
+		var oracle []Row
+		for pa := 0; pa < ta.NumRows(); pa++ {
+			if !ta.Alive(pa) || !satisfies(cell(ta, pa, "A_id"), sqlast.OpLe, IntVal(int64(k))) {
+				continue
+			}
+			parent, x := cell(ta, pa, "parent_R"), cell(ta, pa, "x")
+			for pb := 0; pb < tb.NumRows(); pb++ {
+				y := cell(tb, pb, "y")
+				if tb.Alive(pb) && !parent.IsNull() && parent == cell(tb, pb, "parent_R") && satisfies(x, sqlast.OpEq, y) {
+					oracle = append(oracle, Row{cell(ta, pa, "A_id"), cell(tb, pb, "B_id"), x, y})
+				}
+			}
+		}
+		if err := sameRowsInOrder(got, oracle); err != nil {
+			t.Fatalf("fused key vs nested loop: %v", err)
+		}
+	})
+}
+
 // TestAllocsHashPointProbe: a one-tuple intermediate probing a relation
 // through a hash step hashes its own tuple and streams the scan, so the
 // step allocates the same handful of objects whether the relation holds

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"hash/maphash"
 	"strconv"
 	"strings"
 
@@ -275,80 +276,138 @@ func compactPair(l, r *Vector, op sqlast.CmpOp, sel []int32) []int32 {
 	return sel[:w]
 }
 
-// hashTable is a typed hash-join build over one column of a table at a
-// list of row positions; entry j stands for positions[j]. Entries with
-// equal keys form a chain in ascending entry order: a head map (int64 or
-// string keys) holds the first entry of each key and next[j] the one
-// after entry j, both stored +1 so that 0 ends a chain. A build is thus
-// two allocations whatever the number of distinct keys. NULL keys are
-// left out — NULL equals nothing, itself included — and matching is
-// exact-kind (a string probe never matches an integer key), as in the
-// reference executor's map[Value]. A build column mixing kinds falls
-// back to a boxed Value head map.
-type hashTable struct {
-	kind  ValueKind // NullValue until a non-null key is seen
-	ints  map[int64]int32
-	strs  map[string]int32
-	mixed map[Value]int32
-	next  []int32
+// keyCol is one column of a join key over the tuples of one side of a
+// hash step: tuple j's cell is column ci of t at position at[j].
+type keyCol struct {
+	t  *Table
+	ci int
+	at []int32
 }
 
-// buildHash builds the table over column ci of t at the given positions.
-func buildHash(t *Table, ci int, positions []int32) *hashTable {
-	ht := &hashTable{next: make([]int32, len(positions))}
-	// Last to first, so that pushing on the head leaves chains ascending.
-	for j := len(positions) - 1; j >= 0; j-- {
-		v := t.Cell(int(positions[j]), ci)
-		if v.Kind == NullValue {
-			continue
+// joinKey is what a hash step matches on. Part 0 is the join edge's
+// column, matched by exact kind as the reference executor's map[Value]
+// does (a string never meets an integer). The rest are the equality
+// cross filters the step makes applicable, fused into the key and
+// matched as satisfies compares: an integer meets the string of its
+// decimal form. NULL matches nothing in any part.
+type joinKey []keyCol
+
+// primary returns tuple j's join-edge cell.
+func (k joinKey) primary(j int32) Value { return k[0].t.Cell(int(k[0].at[j]), k[0].ci) }
+
+// keySeed seeds the string hashes of join keys; a hash decides only
+// which entries a probe compares, never a result or its order.
+var keySeed = maphash.MakeSeed()
+
+// mix64 is MurmurHash3's 64-bit finalizer, a bijection that spreads
+// every input bit over the output.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+// hashes writes the key hashes of tuples lo..hi-1 into out[:hi-lo] and
+// returns that slice. A tuple with a NULL part, which can match nothing,
+// hashes to 0; every other key to a non-zero hash, equal for equal keys:
+// the join edge's integer is its own hash (but 0 shares 1 with 1), and a
+// fused integer hashes as the string of its decimal form, so it meets
+// that string as satisfies lets it. ints reports that every key is a
+// lone integer, so equal hashes other than 1 mean equal keys.
+func (k joinKey) hashes(lo, hi int, out []uint64) (hs []uint64, ints bool) {
+	out = out[:hi-lo]
+	t, ci, fused := k[0].t, k[0].ci, len(k) > 1
+	ints = !fused
+	for j, pos := range k[0].at[lo:hi] {
+		v := t.Cell(int(pos), ci)
+		ints = ints && v.Kind != StrValue
+		h, ok := edgeHash(v)
+		if ok && fused {
+			h, ok = k.fuse(h, lo+j)
 		}
-		if ht.kind != v.Kind && ht.kind != mixedKind {
-			switch {
-			case ht.kind != NullValue:
-				ht.demote()
-			case v.Kind == IntValue:
-				ht.kind, ht.ints = IntValue, make(map[int64]int32, j+1)
-			default:
-				ht.kind, ht.strs = StrValue, make(map[string]int32, j+1)
-			}
+		switch {
+		case !ok:
+			h = 0
+		case h == 0:
+			h = 1
 		}
-		switch ht.kind {
+		out[j] = h
+	}
+	return out, ints
+}
+
+// edgeHash hashes a join edge's cell; ok is false for NULL.
+func edgeHash(v Value) (uint64, bool) {
+	switch v.Kind {
+	case IntValue:
+		return uint64(v.Int), true
+	case StrValue:
+		return maphash.String(keySeed, v.Str), true
+	}
+	return 0, false
+}
+
+// fuse folds the fused parts of tuple j's key into the join edge's hash;
+// ok is false when one is NULL.
+func (k joinKey) fuse(h uint64, j int) (uint64, bool) {
+	var buf [20]byte
+	for _, c := range k[1:] {
+		v := c.t.Cell(int(c.at[j]), c.ci)
+		var part uint64
+		switch v.Kind {
 		case IntValue:
-			ht.next[j], ht.ints[v.Int] = ht.ints[v.Int], int32(j+1)
+			part = maphash.Bytes(keySeed, strconv.AppendInt(buf[:0], v.Int, 10))
 		case StrValue:
-			ht.next[j], ht.strs[v.Str] = ht.strs[v.Str], int32(j+1)
-		case mixedKind:
-			ht.next[j], ht.mixed[v] = ht.mixed[v], int32(j+1)
+			part = maphash.String(keySeed, v.Str)
+		default:
+			return 0, false
+		}
+		h = mix64(h*0x9e3779b97f4a7c15 + part)
+	}
+	return h, true
+}
+
+// hashTable is a hash-join build over the tuples of one side, keyed on
+// their joinKey hashes; entry j stands for tuple j. Entries of equal hash
+// form a chain in ascending entry order: a head map holds the first entry
+// of each hash and next[j] the one after entry j, both stored +1 so that
+// 0 ends a chain — two allocations whatever the number of distinct keys.
+// Tuples with a NULL key part are left out. A chain may hold keys that
+// merely collide, so probes compare join-edge cells (see exact); a fused
+// part that collided is rejected by the cross filter it came from, which
+// the step still applies.
+type hashTable struct {
+	head map[uint64]int32
+	next []int32
+	ints bool // every key built is a lone integer (see joinKey.hashes)
+}
+
+// buildHash builds the table over the first n tuples of a key, hashing
+// them a chunk at a time through buf (at least BatchSize long).
+func buildHash(k joinKey, n int, buf []uint64) *hashTable {
+	ht := &hashTable{head: make(map[uint64]int32, n), next: make([]int32, n), ints: true}
+	// Last chunk to first, each last tuple to first, so that pushing on
+	// the head leaves chains ascending.
+	for base := (n - 1) / BatchSize * BatchSize; n > 0 && base >= 0; base -= BatchSize {
+		hs, ints := k.hashes(base, min(base+BatchSize, n), buf)
+		ht.ints = ht.ints && ints
+		for j := len(hs) - 1; j >= 0; j-- {
+			if h := hs[j]; h != 0 {
+				ht.next[base+j], ht.head[h] = ht.head[h], int32(base+j+1)
+			}
 		}
 	}
 	return ht
 }
 
-// demote reboxes a typed head map into a Value map when the build column
-// mixes kinds; the chains stay as they are.
-func (ht *hashTable) demote() {
-	ht.mixed = make(map[Value]int32, len(ht.ints)+len(ht.strs))
-	for k, h := range ht.ints {
-		ht.mixed[IntVal(k)] = h
-	}
-	for k, h := range ht.strs {
-		ht.mixed[StrVal(k)] = h
-	}
-	ht.ints, ht.strs = nil, nil
-	ht.kind = mixedKind
-}
+// first returns the first entry (+1) whose key hashes to h, 0 if none —
+// always for 0, the hash of a key with a NULL part; the rest of the
+// chain follows through next.
+func (ht *hashTable) first(h uint64) int32 { return ht.head[h] }
 
-// first returns the first entry (+1) whose key equals v, 0 if none; the
-// rest of the chain follows through next.
-func (ht *hashTable) first(v Value) int32 {
-	switch {
-	case ht.kind == mixedKind:
-		return ht.mixed[v]
-	case ht.kind != v.Kind:
-		return 0
-	case v.Kind == IntValue:
-		return ht.ints[v.Int]
-	default:
-		return ht.strs[v.Str]
-	}
-}
+// exact reports whether an entry found under hash h equals a probe key
+// of lone integers (ints, from joinKey.hashes) without comparing cells:
+// both sides hold lone integers, and h is no hash two integers share.
+func (ht *hashTable) exact(h uint64, ints bool) bool { return ht.ints && ints && h != 1 }

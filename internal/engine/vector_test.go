@@ -198,11 +198,17 @@ func TestVectorKernelsMatchSatisfies(t *testing.T) {
 	}
 }
 
-// chain collects the build positions a probe value reaches.
-func (ht *hashTable) chain(positions []int32, v Value) []int32 {
+// chain collects the build positions a probe value reaches, as a hash
+// step finds them: the chain of the value's hash, narrowed by the exact
+// compare of join-edge cells.
+func (ht *hashTable) chain(build joinKey, v Value) []int32 {
+	probe := joinKey{{t: scratchTable([]Value{v}), at: []int32{0}}}
+	hs, ints := probe.hashes(0, 1, make([]uint64, 1))
 	var out []int32
-	for j := ht.first(v); j != 0; j = ht.next[j-1] {
-		out = append(out, positions[j-1])
+	for j := ht.first(hs[0]); j != 0; j = ht.next[j-1] {
+		if ht.exact(hs[0], ints) || build.primary(j-1) == probe.primary(0) {
+			out = append(out, build[0].at[j-1])
+		}
 	}
 	return out
 }
@@ -210,7 +216,9 @@ func (ht *hashTable) chain(positions []int32, v Value) []int32 {
 // TestHashTableMatchesValueMap: the flat chained build must reach exactly
 // the positions, in build order, that the reference executor's
 // map[Value][]int build (NULL keys left out) holds for every probe —
-// NULL probes and cross-kind probes reaching nothing.
+// NULL probes and cross-kind probes reaching nothing. A fused key part
+// must hash every pair satisfies calls equal alike, or the hash step
+// would lose a pair its cross filter keeps.
 func TestHashTableMatchesValueMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 200; trial++ {
@@ -228,14 +236,29 @@ func TestHashTableMatchesValueMap(t *testing.T) {
 				ref[vals[i]] = append(ref[vals[i]], int32(i))
 			}
 		}
-		ht := buildHash(tb, 0, positions)
+		build := joinKey{{t: tb, at: positions}}
+		ht := buildHash(build, n, make([]uint64, BatchSize))
 		probes := append([]Value{Null, IntVal(7), StrVal("7"), StrVal("007")}, vals...)
 		for i := 0; i < 10; i++ {
 			probes = append(probes, randomValue(rng))
 		}
 		for _, p := range probes {
-			if got, want := ht.chain(positions, p), ref[p]; !equalI32(got, want) {
+			if got, want := ht.chain(build, p), ref[p]; !equalI32(got, want) {
 				t.Fatalf("lookup(%v) = %v, want %v (build %v)", p, got, want, vals)
+			}
+		}
+
+		one := scratchTable([]Value{IntVal(1)})
+		fused := joinKey{{t: one, at: make([]int32, n)}, {t: tb, at: positions}}
+		hashes, _ := fused.hashes(0, n, make([]uint64, n))
+		for i := range vals {
+			for j := range vals {
+				if satisfies(vals[i], sqlast.OpEq, vals[j]) && hashes[i] != hashes[j] {
+					t.Fatalf("fused %#v and %#v hash apart", vals[i], vals[j])
+				}
+			}
+			if vals[i].IsNull() != (hashes[i] == 0) {
+				t.Fatalf("fused %#v hashes to %d", vals[i], hashes[i])
 			}
 		}
 	}

@@ -720,12 +720,6 @@ type queryRequest struct {
 	TimeoutMs int               `json:"timeout_ms,omitempty"`
 }
 
-type queryResponse struct {
-	Columns   []string   `json:"columns"`
-	Rows      [][]string `json:"rows"`
-	ElapsedMs float64    `json:"elapsed_ms"`
-}
-
 func (s *Server) requestDeadline(ms int) time.Duration {
 	d := s.cfg.RequestTimeout
 	if ms > 0 {
@@ -751,18 +745,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, tn *tenant)
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestDeadline(req.TimeoutMs))
 	defer cancel()
 	start := time.Now()
-	res, err := pq.RunContext(ctx, legodb.Params(req.Params))
+	rs, err := pq.RunValues(ctx, legodb.Params(req.Params))
 	if err != nil {
 		s.writeExecError(w, r, err)
 		return
 	}
 	tn.served.Add(1)
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, queryResponse{
-		Columns:   res.Columns,
-		Rows:      res.Rows,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-	})
+	writeQueryResponse(w, rs, float64(time.Since(start).Microseconds())/1000)
 }
 
 type mutateRequest struct {

@@ -301,6 +301,26 @@ func (p *PreparedQuery) Run(params Params) (*Result, error) {
 // RunContext executes the prepared query under a caller-controlled
 // context (see Store.QueryContext).
 func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result, error) {
+	rs, err := p.RunValues(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Columns: rs.Columns}
+	for _, row := range rs.Rows {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = v.String()
+		}
+		out.Rows = append(out.Rows, cells)
+	}
+	return out, nil
+}
+
+// RunValues is RunContext without rendering the rows as strings: the
+// engine's result set, every cell a typed engine.Value. A caller that
+// encodes the answer itself (the /query handler) skips a pass and a
+// [][]string the size of the answer.
+func (p *PreparedQuery) RunValues(ctx context.Context, params Params) (*engine.ResultSet, error) {
 	s := p.store
 	s.mu.RLock()
 	sql, err := p.planLocked(s)
@@ -320,22 +340,15 @@ func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result,
 	if s.obs.observeQuery(p.shape) {
 		s.retuneIndexes()
 	}
-	out := &Result{Columns: rs.Columns}
-	for _, row := range rs.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		out.Rows = append(out.Rows, cells)
-	}
-	return out, nil
+	return rs, nil
 }
 
 // ExplainQuery translates an XQuery and returns its SQL together with the
-// optimizer's cost estimate and, per SPJ block, the plan it priced: the
+// optimizer's cost estimate and, per SPJ block, the plan it priced — the
 // start relation's access path ("index(Show.title)" or "scan") and the
-// join algorithm of every step. The estimate reads the store's current
-// index set, the one the engine plans by.
+// join algorithm of every step — and beneath it, marked "executes:", the
+// plan the engine runs: its own join order, access paths and fused hash
+// keys ("hash t5 [+title]"). Both read the store's current index set.
 func (s *Store) ExplainQuery(text string) (string, error) {
 	q, err := xquery.Parse(text)
 	if err != nil {
@@ -353,8 +366,13 @@ func (s *Store) ExplainQuery(text string) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n-- estimated cost: %.1f, rows: %.0f\n", sq.SQL(), est.Cost, est.Rows)
-	for i, plan := range strings.Split(est.Plan, " UNION ") {
-		fmt.Fprintf(&b, "-- block %d: %s\n", i+1, plan)
+	plans := strings.Split(est.Plan, " UNION ")
+	for i, blk := range sq.Blocks {
+		executed, err := s.db.ExplainBlock(blk)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "-- block %d: %s\n--   executes: %s\n", i+1, plans[i], executed)
 	}
 	return b.String(), nil
 }
