@@ -226,28 +226,6 @@ func BenchmarkTranslateWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkShredIMDB measures document shredding throughput.
-func BenchmarkShredIMDB(b *testing.B) {
-	s := imdb.AnnotatedSchema()
-	ps, err := pschema.AllInlined(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cat, err := relational.Map(ps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := imdb.Generate(imdb.GenOptions{Shows: 100, Seed: 5})
-	b.SetBytes(int64(len(doc.String())))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db := engine.NewDatabase(cat)
-		if err := shred.New(ps, cat, db).Shred(doc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPublishIMDB measures document reconstruction throughput.
 func BenchmarkPublishIMDB(b *testing.B) {
 	s := imdb.AnnotatedSchema()

@@ -6,6 +6,7 @@ import (
 
 	"legodb/internal/optimizer"
 	"legodb/internal/relational"
+	"legodb/internal/sqlast"
 	"legodb/internal/xquery"
 	"legodb/internal/xschema"
 )
@@ -28,6 +29,14 @@ import (
 // translateWorkload binds a workload to one configuration for the index
 // chooser. Entries that do not translate against it are left out: a
 // shape observed under one configuration need not exist in another.
+//
+// An update that carries its locate query is also a read: the blocks
+// TranslateTargets returns for it — the very blocks DeleteWhere and
+// InsertChild execute, projecting only the target's key — join the
+// queries under the update's shape and weight, so the chooser sees the
+// columns a mutation finds its targets by beside the write cost it
+// pays. Translating the locate as an ordinary query would price a
+// whole-element RETURN as a publish nobody runs.
 func translateWorkload(w *xquery.Workload, ps *xschema.Schema, cat *relational.Catalog) optimizer.TranslatedWorkload {
 	var tw optimizer.TranslatedWorkload
 	for _, e := range w.Entries {
@@ -39,8 +48,20 @@ func translateWorkload(w *xquery.Workload, ps *xschema.Schema, cat *relational.C
 		}
 	}
 	for _, u := range w.Updates {
-		if targets, err := xquery.ResolveUpdate(u.Update, ps, cat); err == nil {
-			tw.Updates = append(tw.Updates, optimizer.WeightedUpdate{Update: u.Update, Targets: targets, Weight: u.Weight})
+		targets, err := xquery.ResolveUpdate(u.Update, ps, cat)
+		if err != nil {
+			continue
+		}
+		tw.Updates = append(tw.Updates, optimizer.WeightedUpdate{Update: u.Update, Targets: targets, Weight: u.Weight})
+		if u.Update.Locate == nil {
+			continue
+		}
+		if tbs, err := xquery.TranslateTargets(u.Update.Locate, ps, cat); err == nil {
+			sq := &sqlast.Query{Name: u.Update.String()}
+			for _, tb := range tbs {
+				sq.Blocks = append(sq.Blocks, tb.Block)
+			}
+			tw.Queries = append(tw.Queries, optimizer.WeightedQuery{Query: sq, Weight: u.Weight})
 		}
 	}
 	return tw
@@ -151,7 +172,8 @@ func (s *Store) installIndexesLocked(refs []relational.IndexRef) error {
 }
 
 // causingShapes names the workload queries that select or join on a
-// column whose index was added or dropped.
+// column whose index was added or dropped, and the updates whose locate
+// does (named by their update shape).
 func causingShapes(tw optimizer.TranslatedWorkload, chosen, current []relational.IndexRef) []string {
 	changed := make(map[relational.IndexRef]bool)
 	for _, r := range chosen {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,6 +152,80 @@ func TestStoreIndexesWhatItIsAsked(t *testing.T) {
 	}
 	if got := reopened.Indexes(); !reflect.DeepEqual(got, []string{"Show.title"}) {
 		t.Errorf("reopened store re-learned %v, want [Show.title]", got)
+	}
+}
+
+// TestMutationLocateIsIndexed: a mutation is observed with the query it
+// finds its targets by, and the chooser prices that query as the
+// key-only blocks the mutation runs. One generation of year reads,
+// title-located inserts and aka-located deletes indexes the title and
+// the aka — and nothing a whole-show read would want, because nobody
+// reads whole shows — and the observed workload holds only the shapes
+// that were served.
+func TestMutationLocateIsIndexed(t *testing.T) {
+	_, _, store := indexFixture(t, 60)
+	res, err := store.Query(`FOR $v IN imdb/show RETURN $v/title, $v/year`, nil)
+	if err != nil || len(res.Rows) == 0 {
+		t.Fatalf("titles: %v", err)
+	}
+	byTitle := `FOR $s IN imdb/show WHERE $s/title = c1 RETURN $s`
+	byAka := `FOR $k IN imdb/show/aka WHERE $k = c1 RETURN $k`
+	for i := 1; i < observeWindow; i++ {
+		r := res.Rows[i%len(res.Rows)]
+		switch i % 4 {
+		case 0, 2:
+			_, err = store.Query(yearQuery, Params{"c1": r[1]})
+		case 1:
+			_, err = store.InsertChild(byTitle, Params{"c1": r[0]}, fmt.Sprintf("<aka>alias %d</aka>", i))
+		case 3:
+			_, err = store.DeleteWhere(byAka, Params{"c1": fmt.Sprintf("alias %d", i-2)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := store.Indexes()
+	for _, want := range []string{"Show.title", "Aka.aka"} {
+		if !slices.Contains(got, want) {
+			t.Errorf("indexes = %v, want %s among them", got, want)
+		}
+	}
+	for _, ix := range got {
+		if strings.HasSuffix(ix, ".parent_Show") {
+			t.Errorf("indexes = %v: %s serves only a whole-show read nobody ran", got, ix)
+		}
+	}
+	w, _ := store.ObservedWorkload()
+	var shapes []string
+	for _, e := range w.Entries {
+		shapes = append(shapes, e.Query.String())
+	}
+	served := []string{
+		mustParseQuery(t, `FOR $v IN imdb/show RETURN $v/title, $v/year`).String(),
+		mustParseQuery(t, yearQuery).String(),
+	}
+	if !reflect.DeepEqual(shapes, served) {
+		t.Errorf("observed query shapes = %q, want only the served %q", shapes, served)
+	}
+	var updates []string
+	for _, u := range w.Updates {
+		updates = append(updates, u.Update.String())
+	}
+	wantUpdates := []string{
+		"INSERT doc/imdb/show/aka AT " + mustParseQuery(t, byTitle).String(),
+		"DELETE doc/imdb/show/aka AT " + mustParseQuery(t, byAka).String(),
+	}
+	if !reflect.DeepEqual(updates, wantUpdates) {
+		t.Errorf("observed update shapes = %q, want %q", updates, wantUpdates)
+	}
+	// The retune's log line names the mutations that asked for the
+	// title and aka indexes.
+	tw := translateWorkload(w, store.schema, store.catalog)
+	causes := causingShapes(tw, store.catalog.Indexes(), nil)
+	for _, u := range wantUpdates {
+		if !slices.Contains(causes, u) {
+			t.Errorf("causing shapes %q do not name %q", causes, u)
+		}
 	}
 }
 

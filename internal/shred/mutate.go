@@ -2,10 +2,11 @@ package shred
 
 import (
 	"fmt"
+	"slices"
 
 	"legodb/internal/engine"
+	"legodb/internal/relational"
 	"legodb/internal/xmltree"
-	"legodb/internal/xschema"
 )
 
 // Mutation support: executable inserts and deletes over a shredded
@@ -51,8 +52,10 @@ func (sh *Shredder) DeleteInstance(typeName string, pos int) (int, error) {
 
 // InsertChild shreds node as a new child instance of the parent row
 // identified by (parentType, parentID): the node is matched against the
-// concrete child types the parent's content references, and inserted
-// into the first type it instantiates. It returns the new row's id.
+// element- and wildcard-bodied child types of the parent's relation, in
+// catalog order, and inserted into the first type it instantiates — in
+// the same single pass as Shred, so nothing is written unless it
+// matches. It returns the new row's id.
 func (sh *Shredder) InsertChild(parentType string, parentID int64, node *xmltree.Node) (int64, error) {
 	parentTable := sh.Cat.TableOf[parentType]
 	if sh.DB.Table(parentTable) == nil {
@@ -60,25 +63,22 @@ func (sh *Shredder) InsertChild(parentType string, parentID int64, node *xmltree
 	}
 	for _, childName := range sh.Cat.Order {
 		child := sh.DB.Table(childName)
-		hasEdge := false
-		for _, e := range child.Def.Parents {
-			if e.Parent == parentTable {
-				hasEdge = true
-			}
-		}
-		if !hasEdge {
+		if !slices.ContainsFunc(child.Def.Parents, func(e *relational.Edge) bool { return e.Parent == parentTable }) {
 			continue
 		}
-		def, ok := sh.Schema.Lookup(child.Def.TypeName)
+		img := sh.images[child.Def.TypeName]
+		if img == nil || img.self.op != opElem && img.self.op != opAny {
+			continue
+		}
+		r, ok := sh.element(img.self, node)
 		if !ok {
 			continue
 		}
-		switch def.(type) {
-		case *xschema.Element, *xschema.Wildcard:
-			if sh.Schema.MatchesType(def, node) {
-				return sh.shredInstance(child.Def.TypeName, node, parentTable, parentID)
-			}
+		rows, err := sh.flatten(img, r, -1, nil)
+		if err != nil {
+			return 0, err
 		}
+		return sh.insert(rows, parentTable, parentID)
 	}
 	return 0, fmt.Errorf("shred: <%s> does not instantiate any child type of %s", node.Name, parentType)
 }

@@ -46,10 +46,18 @@ type Update struct {
 	Name string
 	Kind UpdateKind
 	Path Path
+	// Locate is the name-stripped target query an executed mutation
+	// found its targets with; declared updates have none. It is part of
+	// the update's shape, and the index chooser prices it as the read it
+	// is (the blocks TranslateTargets returns for it).
+	Locate *Query
 }
 
 func (u *Update) String() string {
-	return fmt.Sprintf("%s %s", u.Kind, u.Path)
+	if u.Locate == nil {
+		return fmt.Sprintf("%s %s", u.Kind, u.Path)
+	}
+	return fmt.Sprintf("%s %s AT %s", u.Kind, u.Path, u.Locate)
 }
 
 // ParseUpdate parses "INSERT imdb/show/aka", "DELETE imdb/show" or

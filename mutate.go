@@ -116,10 +116,11 @@ func (s *Store) insertChild(q *xquery.Query, params Params, fragment *xmltree.No
 
 // observeMutation records a mutation's shape in the observed workload as
 // an update operation: the target query's RETURN path expanded to a
-// document-rooted path (plus the inserted child's name for inserts).
-// Mutations whose target cannot be expanded — which TranslateTargets
-// would have rejected anyway — are simply not recorded. It reports
-// whether the observation completed an observer generation.
+// document-rooted path (plus the inserted child's name for inserts),
+// located by the name-stripped target query itself. Mutations whose
+// target cannot be expanded — which TranslateTargets would have rejected
+// anyway — are simply not recorded. It reports whether the observation
+// completed an observer generation.
 func (s *Store) observeMutation(q *xquery.Query, kind xquery.UpdateKind, child string) bool {
 	if len(q.Return) != 1 || q.Return[0].Path == nil {
 		return false
@@ -131,7 +132,9 @@ func (s *Store) observeMutation(q *xquery.Query, kind xquery.UpdateKind, child s
 	if child != "" {
 		path.Steps = append(path.Steps, child)
 	}
-	return s.obs.observeUpdate(&xquery.Update{Kind: kind, Path: path})
+	locate := *q
+	locate.Name = ""
+	return s.obs.observeUpdate(&xquery.Update{Kind: kind, Path: path, Locate: &locate})
 }
 
 // docPath expands a variable-rooted path to a document-rooted one by

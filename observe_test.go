@@ -79,23 +79,50 @@ func TestObservedWorkloadAccumulates(t *testing.T) {
 }
 
 // TestObservedWorkloadRecordsMutations proves DeleteWhere and
-// InsertChild register as update shapes.
+// InsertChild register as update shapes that carry their name-stripped
+// locate query — as part of the update, not as a query of their own —
+// and that the same mutation located differently is a different shape.
 func TestObservedWorkloadRecordsMutations(t *testing.T) {
 	store := observedStore(t)
-	if _, err := store.DeleteWhere(
-		`FOR $s IN imdb/show WHERE $s/year = c1 RETURN $s`, Params{"c1": "1700"}); err != nil {
+	byYear := `FOR $s IN imdb/show WHERE $s/year = c1 RETURN $s`
+	if _, err := store.DeleteWhere(byYear, Params{"c1": "1700"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.DeleteWhere(`(: labeled :) `+byYear, Params{"c1": "1701"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.InsertChild(
 		`FOR $s IN imdb/show RETURN $s`, nil, `<aka>x</aka>`); err != nil {
 		t.Fatal(err)
 	}
-	w, n := store.ObservedWorkload()
-	if n != 2 {
-		t.Errorf("want 2 observations, got %d", n)
+	if _, err := store.InsertChild(
+		`FOR $s IN imdb/show WHERE $s/year = c1 RETURN $s`, Params{"c1": "1700"}, `<aka>x</aka>`); err != nil {
+		t.Fatal(err)
 	}
-	if len(w.Updates) != 2 {
-		t.Fatalf("want 2 update shapes, got %d", len(w.Updates))
+	w, n := store.ObservedWorkload()
+	if n != 4 {
+		t.Errorf("want 4 observations, got %d", n)
+	}
+	if len(w.Entries) != 0 {
+		t.Errorf("mutations recorded %d query shapes, want none", len(w.Entries))
+	}
+	var got []string
+	for _, u := range w.Updates {
+		if u.Update.Locate == nil || u.Update.Locate.Name != "" {
+			t.Errorf("update shape %q: locate missing or labeled", u.Update)
+		}
+		got = append(got, u.Update.String())
+	}
+	want := []string{
+		"DELETE doc/imdb/show AT " + mustParseQuery(t, byYear).String(),
+		"INSERT doc/imdb/show/aka AT " + mustParseQuery(t, `FOR $s IN imdb/show RETURN $s`).String(),
+		"INSERT doc/imdb/show/aka AT " + mustParseQuery(t, byYear).String(),
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("update shapes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if w.Updates[0].Weight != 2 {
+		t.Errorf("labeled and unlabeled deletes weigh %v together, want 2", w.Updates[0].Weight)
 	}
 }
 
