@@ -140,7 +140,10 @@ func (s *Store) retuneIndexes() {
 	if s.catalog != cat {
 		return // a migration cut over meanwhile and chose for itself
 	}
-	if err := s.installIndexesLocked(chosen); err != nil {
+	// The store's catalog is its database's: the flags the optimizer
+	// reads follow, and every engine plan made before is re-planned on
+	// its next run.
+	if err := s.db.SetIndexes(chosen); err != nil {
 		slog.Error("legodb: index retune failed", "error", err)
 		return
 	}
@@ -148,27 +151,6 @@ func (s *Store) retuneIndexes() {
 	slog.Info("legodb: index set changed",
 		"indexes", indexNames(chosen), "was", indexNames(current),
 		"shapes", causingShapes(tw, chosen, current))
-}
-
-// installIndexesLocked makes refs the store's index set: engine indexes
-// are built and dropped to match, then the catalog's flags (which the
-// planner and the optimizer read) follow. The caller holds the write
-// lock.
-func (s *Store) installIndexesLocked(refs []relational.IndexRef) error {
-	want := make(map[relational.IndexRef]bool, len(refs))
-	for _, r := range refs {
-		want[r] = true
-		if err := s.db.Table(r.Table).BuildIndex(r.Column); err != nil {
-			return err
-		}
-	}
-	for _, r := range s.catalog.Indexes() {
-		if !want[r] {
-			s.db.Table(r.Table).DropIndex(r.Column)
-		}
-	}
-	s.catalog.SetIndexes(refs)
-	return nil
 }
 
 // causingShapes names the workload queries that select or join on a

@@ -344,7 +344,7 @@ func TestIndexedStoreHammer(t *testing.T) {
 		defer workers.Done()
 		for i := 0; i < 30; i++ {
 			store.mu.Lock()
-			err := store.installIndexesLocked(nil)
+			err := store.db.SetIndexes(nil)
 			store.mu.Unlock()
 			if err != nil {
 				report(fmt.Errorf("drop indexes: %w", err))

@@ -24,6 +24,8 @@ type batchExec struct {
 	stats  *Counters
 	p      *blockPlan
 	params Params
+	// width is the capacity of every result row (see Plan.width).
+	width int
 	// cols[slot] is the position vector for the alias at that slot, nil
 	// while unbound. All non-nil columns have length n.
 	cols [][]int32
@@ -34,13 +36,14 @@ type batchExec struct {
 	hashBuf   []uint64 // a chunk of join-key hashes
 }
 
-func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params Params, stats *Counters) (*ResultSet, error) {
+func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params Params, stats *Counters, width int) (*ResultSet, error) {
 	e := &batchExec{
 		db:     db,
 		ctx:    ctx,
 		stats:  stats,
 		p:      p,
 		params: params,
+		width:  width,
 		cols:   make([][]int32, len(p.order)),
 	}
 	start, err := e.startPositions()
@@ -476,21 +479,18 @@ func (e *batchExec) applyCross(filters []sqlast.Filter) error {
 }
 
 // project materializes the projected columns into result rows. Rows are
-// carved from one backing array, each with capacity p.width, so the union
-// padding in ExecuteContext extends a row in place without reaching a
+// carved from one backing array, each with capacity e.width, so the union
+// padding in ExecutePlan extends a row in place without reaching a
 // neighbour.
 func (e *batchExec) project() (*ResultSet, error) {
-	rs := &ResultSet{}
+	rs := &ResultSet{Columns: slices.Clone(e.p.columns)}
 	projs := e.p.projs
-	for _, pr := range projs {
-		rs.Columns = append(rs.Columns, pr.Alias+"."+pr.Column)
-	}
 	if e.n == 0 {
 		// Column resolution is skipped on empty results, matching the
 		// reference executor's per-row resolution.
 		return rs, nil
 	}
-	w, c := len(projs), e.p.width
+	w, c := len(projs), e.width
 	cells := make([]Value, e.n*c)
 	rows := make([]Row, e.n)
 	for i := range rows {

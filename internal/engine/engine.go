@@ -207,10 +207,10 @@ func (t *Table) accessIndex(col string) *hashIndex {
 	return t.index(col)
 }
 
-// BuildIndex builds a hash index on a column in one ascending pass over
+// buildIndex builds a hash index on a column in one ascending pass over
 // the base image and the heap tail; Insert maintains it from then on. A
 // column that already has one is left alone.
-func (t *Table) BuildIndex(col string) error {
+func (t *Table) buildIndex(col string) error {
 	ci := t.ColumnIndex(col)
 	if ci < 0 {
 		return fmt.Errorf("engine: %s: no column %s to index", t.Def.Name, col)
@@ -232,10 +232,10 @@ func (ix *hashIndex) rebuild(t *Table) {
 	}
 }
 
-// DropIndex removes a secondary index. The key and foreign-key indexes
+// dropIndex removes a secondary index. The key and foreign-key indexes
 // stay whatever the design says: the shredder and the publisher find
 // rows through them.
-func (t *Table) DropIndex(col string) {
+func (t *Table) dropIndex(col string) {
 	if c := t.Def.Column(col); c != nil && (c.Key || c.FKRef != "") {
 		return
 	}
@@ -388,7 +388,35 @@ type Database struct {
 	// Exec selects the executor implementation for Execute/ExecuteBlock.
 	Exec Options
 
+	// design is the physical-design epoch: SetIndexes advances it, and a
+	// Plan runs only under the epoch it was made in.
+	design uint64
+
 	statsMu sync.Mutex
+}
+
+// SetIndexes makes refs the database's secondary-index set: engine
+// indexes are built and dropped to match, then the catalog's flags
+// (which the planner and the optimizer read) follow, and the
+// physical-design epoch advances, so every Plan made before it is no
+// longer Current. It is the one way the access paths of a live database
+// change; the caller serializes it against executions.
+func (db *Database) SetIndexes(refs []relational.IndexRef) error {
+	db.design++
+	want := make(map[relational.IndexRef]bool, len(refs))
+	for _, r := range refs {
+		want[r] = true
+		if err := db.Table(r.Table).buildIndex(r.Column); err != nil {
+			return err
+		}
+	}
+	for _, r := range db.Cat.Indexes() {
+		if !want[r] {
+			db.Table(r.Table).dropIndex(r.Column)
+		}
+	}
+	db.Cat.SetIndexes(refs)
+	return nil
 }
 
 // addStats folds one execution's counters into the database totals.

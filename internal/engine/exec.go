@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -31,21 +32,76 @@ func (db *Database) Execute(q *sqlast.Query, params Params) (*ResultSet, error) 
 // cancelling ctx (or exceeding its deadline) aborts the execution at the
 // next chunk or probe-loop boundary with the context's error, so a
 // served query stops consuming engine work as soon as its request is
-// cancelled. Counters accrue into an execution-local accumulator and are
-// folded into db.Stats once at the end (partial work included on error),
-// so concurrent executions never race on the shared counters.
+// cancelled. It plans the query and runs the plan: the one path a
+// prepared execution takes too, minus the reuse.
 func (db *Database) ExecuteContext(ctx context.Context, q *sqlast.Query, params Params) (*ResultSet, error) {
+	p, err := db.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	return db.ExecutePlan(ctx, p, params)
+}
+
+// Plan is the physical plan of a whole query: one blockPlan per block,
+// planned under one physical design of one database. It is immutable
+// once built, so any number of executions — concurrent ones included —
+// may share it, for as long as that design stands (see Current).
+type Plan struct {
+	db *Database
+	// design is db.design when the plan was made.
+	design uint64
+	name   string
+	blocks []*blockPlan
+	// width is the widest block's projection: every result row is carved
+	// with that capacity, so the union in ExecutePlan pads a narrower row
+	// in place.
+	width int
+}
+
+// ErrStalePlan reports a plan run against a database, or a physical
+// design, other than the one it was planned for.
+var ErrStalePlan = errors.New("plan is stale: the physical design changed")
+
+// Plan derives the physical plan of every block of q (see planBlock)
+// against the database's current physical design.
+func (db *Database) Plan(q *sqlast.Query) (*Plan, error) {
+	p := &Plan{db: db, design: db.design, name: q.Name, blocks: make([]*blockPlan, len(q.Blocks))}
+	for i, b := range q.Blocks {
+		bp, err := db.planBlock(b)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
+		}
+		p.blocks[i] = bp
+		p.width = max(p.width, len(bp.projs))
+	}
+	return p, nil
+}
+
+// Current reports whether p was planned for db under the physical design
+// db has now: no SetIndexes since.
+func (p *Plan) Current(db *Database) bool { return p.db == db && p.design == db.design }
+
+// ExplainBlock returns the plan the executors run for block i (see
+// blockPlan.String).
+func (p *Plan) ExplainBlock(i int) string { return p.blocks[i].String() }
+
+// ExecutePlan runs every block of a plan and unions their results.
+// Counters accrue into an execution-local accumulator and are folded
+// into db.Stats once at the end (partial work included on error), so
+// concurrent executions never race on the shared counters. A plan that
+// is not Current for db is refused with ErrStalePlan: a plan runs only
+// under the physical design it was planned for.
+func (db *Database) ExecutePlan(ctx context.Context, p *Plan, params Params) (*ResultSet, error) {
+	if !p.Current(db) {
+		return nil, fmt.Errorf("engine: %s: %w", p.name, ErrStalePlan)
+	}
 	var stats Counters
 	out := &ResultSet{}
-	width := 0
-	for _, b := range q.Blocks {
-		width = max(width, blockWidth(b))
-	}
-	for _, b := range q.Blocks {
-		rs, err := db.executeBlock(ctx, b, params, &stats, width)
+	for _, bp := range p.blocks {
+		rs, err := db.executeBlock(ctx, bp, params, &stats, p.width)
 		if err != nil {
 			db.addStats(stats)
-			return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
+			return nil, fmt.Errorf("engine: %s: %w", p.name, err)
 		}
 		if len(rs.Columns) > len(out.Columns) {
 			out.Columns = rs.Columns
@@ -72,22 +128,23 @@ func (db *Database) ExecuteBlock(b *sqlast.Block, params Params) (*ResultSet, er
 // ExecuteBlockContext runs one SPJ block: filtered scan of a start
 // relation, then index-nested-loop or hash joins along the join graph,
 // then projection. The physical plan (join order, join algorithm per
-// edge, cross-filter schedule) is derived once by planBlock and shared by
+// edge, cross-filter schedule) is derived by planBlock and shared by
 // both executor implementations, so the batch and row-at-a-time paths do
 // the same logical work and report identical Counters.
 func (db *Database) ExecuteBlockContext(ctx context.Context, b *sqlast.Block, params Params) (*ResultSet, error) {
+	p, err := db.planBlock(b)
+	if err != nil {
+		return nil, err
+	}
 	var stats Counters
-	rs, err := db.executeBlock(ctx, b, params, &stats, blockWidth(b))
+	rs, err := db.executeBlock(ctx, p, params, &stats, len(p.projs))
 	db.addStats(stats)
 	return rs, err
 }
 
-// blockWidth is the number of columns a block projects (its key when it
-// lists none, see planBlock).
-func blockWidth(b *sqlast.Block) int { return max(len(b.Projects), 1) }
-
-// executeBlock runs one block, carving its rows with capacity width.
-func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Params, stats *Counters, width int) (*ResultSet, error) {
+// executeBlock runs one planned block, carving its rows with capacity
+// width.
+func (db *Database) executeBlock(ctx context.Context, p *blockPlan, params Params, stats *Counters, width int) (*ResultSet, error) {
 	// SiteExec is the serving path's fault seam: tests arm it to prove an
 	// injected executor failure surfaces as a structured error without
 	// wedging or crashing the caller.
@@ -97,15 +154,10 @@ func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Pa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p, err := db.planBlock(b)
-	if err != nil {
-		return nil, err
-	}
-	p.width = width
 	if db.Exec.RowAtATime {
-		return db.executeBlockRows(ctx, p, params, stats)
+		return db.executeBlockRows(ctx, p, params, stats, width)
 	}
-	return db.executeBlockBatch(ctx, p, params, stats)
+	return db.executeBlockBatch(ctx, p, params, stats, width)
 }
 
 // ctxCheckMask bounds how often the executors' inner loops poll for
@@ -158,7 +210,8 @@ type planStep struct {
 	fused [][2]sqlast.ColumnRef
 }
 
-// blockPlan is the shared physical plan of one SPJ block.
+// blockPlan is the physical plan of one SPJ block. It is never written
+// after planBlock returns: executions share it and keep their own state.
 type blockPlan struct {
 	tables map[string]*Table
 	// order lists aliases in FROM order; slot maps an alias to its
@@ -175,10 +228,8 @@ type blockPlan struct {
 	startLookup int
 	steps       []planStep
 	projs       []sqlast.ColumnRef
-	// width is the capacity the executors give each result row: that of
-	// the query's widest block, so the union in ExecuteContext pads a
-	// narrower row in place.
-	width int
+	// columns names the projected columns, alias.column.
+	columns []string
 }
 
 // planBlock derives the physical plan: the start relation (prefer one
@@ -322,6 +373,10 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 	if len(p.projs) == 0 {
 		p.projs = []sqlast.ColumnRef{{Alias: p.order[0], Column: p.tables[p.order[0]].Def.Key()}}
 	}
+	p.columns = make([]string, len(p.projs))
+	for i, pr := range p.projs {
+		p.columns[i] = pr.Alias + "." + pr.Column
+	}
 	return p, nil
 }
 
@@ -337,16 +392,6 @@ func (p *blockPlan) bindsInFromOrder() bool {
 		}
 	}
 	return true
-}
-
-// ExplainBlock returns the plan the executors run for one block (see
-// blockPlan.String).
-func (db *Database) ExplainBlock(b *sqlast.Block) (string, error) {
-	p, err := db.planBlock(b)
-	if err != nil {
-		return "", err
-	}
-	return p.String(), nil
 }
 
 // String renders the plan in the notation of the optimizer's

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"legodb/internal/sqlast"
@@ -17,7 +18,7 @@ import (
 // binding is one intermediate tuple: row positions per bound alias.
 type binding map[string]int
 
-func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params Params, stats *Counters) (*ResultSet, error) {
+func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params Params, stats *Counters, width int) (*ResultSet, error) {
 	current, err := db.startRows(ctx, p, params, stats)
 	if err != nil {
 		return nil, err
@@ -142,12 +143,9 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 	})
 
 	// Projection.
-	rs := &ResultSet{}
-	for _, pr := range p.projs {
-		rs.Columns = append(rs.Columns, pr.Alias+"."+pr.Column)
-	}
+	rs := &ResultSet{Columns: slices.Clone(p.columns)}
 	for _, l := range current {
-		row := make(Row, len(p.projs), p.width)
+		row := make(Row, len(p.projs), width)
 		for i, pr := range p.projs {
 			t := p.tables[pr.Alias]
 			ci := t.ColumnIndex(pr.Column)

@@ -15,8 +15,8 @@ import (
 
 // indexedCopy rebuilds db under a copy of its catalog that flags refs as
 // secondary indexes. With built true the rows go in first and the indexes
-// are built afterwards in one pass (Table.BuildIndex, the path a store's
-// retune takes); otherwise the tables are created indexed and Insert
+// are built afterwards in one pass (Database.SetIndexes, the path a
+// store's retune takes); otherwise the tables are created indexed and Insert
 // maintains them (the path a load takes). Positions and tombstones are
 // those of db.
 func indexedCopy(t *testing.T, db *engine.Database, cat *relational.Catalog, refs []relational.IndexRef, built bool) (*engine.Database, *relational.Catalog) {
@@ -39,12 +39,9 @@ func indexedCopy(t *testing.T, db *engine.Database, cat *relational.Catalog, ref
 		dst.SetNextID(src.PeekNextID())
 	}
 	if built {
-		for _, r := range refs {
-			if err := idb.Table(r.Table).BuildIndex(r.Column); err != nil {
-				t.Fatal(err)
-			}
+		if err := idb.SetIndexes(refs); err != nil {
+			t.Fatal(err)
 		}
-		icat.SetIndexes(refs)
 	}
 	return idb, icat
 }

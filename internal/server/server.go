@@ -570,16 +570,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // maxBodyBytes bounds request bodies (schemas, documents, queries) so a
-// hostile payload cannot balloon memory before parsing rejects it.
+// hostile payload cannot balloon memory before parsing rejects it. A body
+// past it is answered 413, never read as a truncated one.
 const maxBodyBytes = 8 << 20
 
+// decodeJSON reads a request body holding exactly one JSON value into v:
+// a body over maxBodyBytes is answered 413, and a malformed value or
+// anything but whitespace after it 400.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "bad request body: " + err.Error()})
-		return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return true
+	writeJSON(w, statusForError(err), errBody{Error: "bad request body: " + err.Error()})
+	return false
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -703,7 +712,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, tn *tenant) {
-	if err := tn.store.LoadXML(io.LimitReader(r.Body, maxBodyBytes)); err != nil {
+	if err := tn.store.LoadXML(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		writeJSON(w, statusForError(err), errBody{Error: err.Error()})
 		return
 	}
@@ -913,11 +922,15 @@ func (s *Server) writeExecError(w http.ResponseWriter, r *http.Request, err erro
 	}
 }
 
-// statusForError distinguishes injected/engine faults (500) from
-// validation failures (400). Engine errors carry the "engine:" prefix
-// or wrap the failpoint sentinel; everything else came from parsing or
-// schema validation of caller input.
+// statusForError distinguishes injected/engine faults (500) and bodies
+// over maxBodyBytes (413) from validation failures (400). Engine errors
+// carry the "engine:" prefix or wrap the failpoint sentinel; everything
+// else came from parsing or schema validation of caller input.
 func statusForError(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
 	if errors.Is(err, faults.ErrInjected) {
 		return http.StatusInternalServerError
 	}

@@ -16,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"legodb"
 	"legodb/internal/faults"
 	"legodb/internal/imdb"
+	"legodb/internal/xmltree"
 )
 
 const lookupQuery = `FOR $v IN imdb/show WHERE $v/year = c1 RETURN $v/title, $v/year`
@@ -746,5 +748,101 @@ func TestStoreDirQuarantinesCorruptTenantSnapshot(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("corrupt snapshot not quarantined: %v", err)
+	}
+}
+
+// TestOversizedBody413: a body past maxBodyBytes is refused as too
+// large — a query body and a document alike — never parsed as the
+// truncated prefix the server managed to read.
+func TestOversizedBody413(t *testing.T) {
+	s := newTestServer(t, Config{})
+	huge := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/tenants/imdb/query", `{"query":"` + huge + `"}`},
+		{"/tenants/imdb/load", `<imdb>` + huge + `</imdb>`},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body = %d: %s", c.path, len(c.body), rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
+// TestTrailingBodyData400: a JSON body is exactly one value; anything
+// after it but whitespace is a bad request, not silently ignored.
+func TestTrailingBodyData400(t *testing.T) {
+	s := newTestServer(t, Config{})
+	query, _ := json.Marshal(queryRequest{Query: lookupQuery, Params: map[string]string{"c1": "1999"}})
+	for body, want := range map[string]int{
+		string(query) + " \n":               http.StatusOK,
+		string(query) + `{"query":"again"}`: http.StatusBadRequest,
+		string(query) + ` garbage`:          http.StatusBadRequest,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tenants/imdb/query", strings.NewReader(body)))
+		if rec.Code != want {
+			t.Errorf("body %q = %d, want %d: %s", body, rec.Code, want, rec.Body.Bytes())
+		}
+	}
+}
+
+// TestQueryUntranslatableAfterMigration400: a text served before a
+// migration that no longer translates after it is the client's error —
+// a 400 from preparing it — while the texts that still translate keep
+// answering.
+func TestQueryUntranslatableAfterMigration400(t *testing.T) {
+	const (
+		withISBN = `type Lib = lib [ Book{0,*} ]
+type Book = book [ title [ String ], year [ Integer ], isbn [ String ]{0,*} ]`
+		byYear = `FOR $b IN lib/book WHERE $b/year = c1 RETURN $b/title`
+		byISBN = `FOR $b IN lib/book WHERE $b/isbn = c1 RETURN $b/title`
+	)
+	s, err := New(Config{Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := TenantSpec{Name: "lib", Schema: withISBN, Config: "all-inlined",
+		Queries: []TenantQuery{{Name: "year", Text: byYear, Weight: 1}}}
+	if err := s.AddTenant(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmltree.Parse(strings.NewReader(`<lib><book><title>Emma</title><year>1815</year></book></lib>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadDocument("lib", doc); err != nil {
+		t.Fatal(err)
+	}
+	query := func(text string) int {
+		body, _ := json.Marshal(queryRequest{Query: text, Params: map[string]string{"c1": "1815"}})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tenants/lib/query", bytes.NewReader(body)))
+		return rec.Code
+	}
+	for _, text := range []string{byYear, byISBN} {
+		if code := query(text); code != http.StatusOK {
+			t.Fatalf("before the migration %q = %d", text, code)
+		}
+	}
+	eng, err := legodb.New(strings.Replace(withISBN, ", isbn [ String ]{0,*}", "", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AddQuery("year", byYear, 1); err != nil {
+		t.Fatal(err)
+	}
+	advice, err := eng.EvaluateFixed("all-inlined")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TenantStore("lib").MigrateTo(advice); err != nil {
+		t.Fatal(err)
+	}
+	if code := query(byISBN); code != http.StatusBadRequest {
+		t.Errorf("after the migration the isbn lookup = %d, want 400", code)
+	}
+	if code := query(byYear); code != http.StatusOK {
+		t.Errorf("after the migration the year lookup = %d, want 200", code)
 	}
 }

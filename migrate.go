@@ -230,9 +230,11 @@ func shredGroup(ps *xschema.Schema, cat *relational.Catalog, docs []*xmltree.Nod
 
 // swapLocked installs the new configuration; the caller holds the write
 // lock. The executor mode and accumulated counters carry over, and the
-// workload observer is untouched — observation is a property of the
-// traffic, not the storage layout.
+// workload observer and the prepared texts are untouched — observation
+// is a property of the traffic, not the storage layout — but the
+// prepared texts' translations and plans go with the old image.
 func (s *Store) swapLocked(ps *xschema.Schema, cat *relational.Catalog, db *engine.Database) {
+	s.prepared.dropSnapshots()
 	db.Exec = s.db.Exec
 	db.Stats = s.db.Measured()
 	s.schema = ps

@@ -118,7 +118,7 @@ func TestMigrateDifferential(t *testing.T) {
 	}
 	// White-box: the plan cache must now be bound to the new catalog
 	// (the run above forced the lazy re-translation).
-	if pq.cat == oldCat || pq.cat != store.catalog {
+	if cat := pq.snap.Load().cat; cat == oldCat || cat != store.catalog {
 		t.Error("prepared query was not re-planned against the new catalog")
 	}
 	adhoc, err := store.Query(q, Params{"c1": "1995"})

@@ -47,21 +47,22 @@ func newWorkloadObserver() *workloadObserver {
 	return &workloadObserver{shapes: make(map[string]*observedShape)}
 }
 
-// queryShape returns the name-stripped copy of q and its canonical text.
-// Stripping the name makes the shape key insensitive to report labels
-// ("(: Q1 :)" comments), so the same query text observed from different
-// callers lands on one shape.
+// queryShape returns the name-stripped copy of q and the key it is
+// observed under: its canonical text. Stripping the name makes the key
+// insensitive to report labels ("(: Q1 :)" comments), so the same query
+// text observed from different callers lands on one shape. A prepared
+// query computes both once.
 func queryShape(q *xquery.Query) (*xquery.Query, string) {
 	c := *q
 	c.Name = ""
-	return &c, c.String()
+	return &c, "q" + c.String()
 }
 
-// observeQuery records one execution of q; like observeUpdate it reports
-// whether the observation completed a generation.
-func (o *workloadObserver) observeQuery(q *xquery.Query) bool {
-	shape, key := queryShape(q)
-	return o.record("q"+key, func() *observedShape { return &observedShape{query: shape} })
+// observeQuery records one execution of a query shape under its key (see
+// queryShape); like observeUpdate it reports whether the observation
+// completed a generation.
+func (o *workloadObserver) observeQuery(shape *xquery.Query, key string) bool {
+	return o.record(key, func() *observedShape { return &observedShape{query: shape} })
 }
 
 // updateShape returns the name-stripped copy of u and its canonical

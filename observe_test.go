@@ -131,11 +131,11 @@ func TestObservedWorkloadRecordsMutations(t *testing.T) {
 // while the hot shape survives.
 func TestObserverDecayAndPrune(t *testing.T) {
 	obs := newWorkloadObserver()
-	hot, _ := queryShape(mustParseQuery(t, `FOR $v IN imdb/show RETURN $v/title`))
-	cold, _ := queryShape(mustParseQuery(t, `FOR $v IN imdb/show RETURN $v/year`))
-	obs.observeQuery(cold)
+	hot, hotKey := queryShape(mustParseQuery(t, `FOR $v IN imdb/show RETURN $v/title`))
+	cold, coldKey := queryShape(mustParseQuery(t, `FOR $v IN imdb/show RETURN $v/year`))
+	obs.observeQuery(cold, coldKey)
 	for i := 0; i < 2*observeWindow; i++ {
-		obs.observeQuery(hot)
+		obs.observeQuery(hot, hotKey)
 	}
 	w, total := obs.workload()
 	if total != uint64(2*observeWindow+1) {

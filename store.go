@@ -2,7 +2,6 @@ package legodb
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -58,6 +57,10 @@ type Store struct {
 	// counts the ones that changed the index set.
 	retuneMu     sync.Mutex
 	indexRetunes uint64
+
+	// prepared holds the store's prepared queries by request text (see
+	// Prepare); it has its own lock and survives migration.
+	prepared preparedCache
 }
 
 // Open instantiates the advised configuration as an empty store, with
@@ -109,48 +112,30 @@ func (s *Store) LoadXML(r io.Reader) error {
 // values that parse as integers bind as integers.
 type Params map[string]string
 
-// toEngine is the catalog-blind fallback: digit-shaped values bind as
-// integers. Only used for parameters whose comparison site cannot be
-// resolved; query and mutation execution bind through forBlocks.
-func (p Params) toEngine() engine.Params {
-	out := make(engine.Params, len(p))
-	for k, v := range p {
-		out[k] = looseValue(v)
-	}
-	return out
+// forBlocks binds each parameter by the comparison sites it has in the
+// given blocks (see bind). Mutations bind through it; a prepared query
+// resolves its sites once per translation instead.
+func (p Params) forBlocks(cat *relational.Catalog, blocks ...*sqlast.Block) engine.Params {
+	return p.bind(paramColumnTypes(cat, blocks))
 }
 
-func looseValue(v string) engine.Value {
-	if n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil {
-		return engine.IntVal(n)
-	}
-	return engine.StrVal(v)
-}
-
-// forBlocks binds each parameter by consulting the catalog type of the
-// column it is compared against in the given blocks (the parameter's
-// comparison site). INT-column parameters bind as integers when they
-// parse — an unparseable value (overflow-length digits, non-numeric
-// text) binds as a string and simply matches no stored integer.
+// bind binds each parameter by the catalog type of the column it is
+// compared against (its comparison site, see paramColumnTypes).
 // String-column parameters always bind verbatim, preserving leading
 // zeros, surrounding spaces and overlong digit strings exactly as
-// stored. Parameters without a site keep the loose heuristic.
-func (p Params) forBlocks(cat *relational.Catalog, blocks ...*sqlast.Block) engine.Params {
-	sites := paramColumnTypes(cat, blocks)
+// stored. INT-column parameters, and those without a site, bind as
+// integers when they parse; an unparseable value (overflow-length
+// digits, non-numeric text) binds as a string and simply matches no
+// stored integer.
+func (p Params) bind(sites map[string]relational.ColumnType) engine.Params {
 	out := make(engine.Params, len(p))
 	for k, v := range p {
-		ct, found := sites[k]
-		switch {
-		case found && ct == relational.IntCol:
-			if n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil {
-				out[k] = engine.IntVal(n)
-			} else {
-				out[k] = engine.StrVal(v)
-			}
-		case found:
+		if ct, found := sites[k]; found && ct != relational.IntCol {
 			out[k] = engine.StrVal(v)
-		default:
-			out[k] = looseValue(v)
+		} else if n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil {
+			out[k] = engine.IntVal(n)
+		} else {
+			out[k] = engine.StrVal(v)
 		}
 	}
 	return out
@@ -215,7 +200,7 @@ type Result struct {
 	Rows    [][]string
 }
 
-// Query parses, translates and executes an XQuery against the store.
+// Query prepares (see Prepare) and executes an XQuery against the store.
 func (s *Store) Query(text string, params Params) (*Result, error) {
 	return s.QueryContext(context.Background(), text, params)
 }
@@ -230,151 +215,6 @@ func (s *Store) QueryContext(ctx context.Context, text string, params Params) (*
 		return nil, err
 	}
 	return p.RunContext(ctx, params)
-}
-
-// PreparedQuery is a parsed and translated query, reusable with
-// different parameters; repeated executions skip parsing and
-// translation.
-type PreparedQuery struct {
-	store *Store
-	q     *xquery.Query
-	// shape is the parsed query with its report name stripped — the
-	// observation key each successful execution is recorded under.
-	shape *xquery.Query
-
-	// planMu guards the cached translation. The plan is bound to the
-	// catalog it was translated against; when a live migration swaps the
-	// store's configuration, the next execution re-translates against
-	// the new one instead of running a stale plan.
-	planMu sync.Mutex
-	sql    *sqlast.Query
-	cat    *relational.Catalog
-}
-
-// Prepare parses and translates an XQuery once for repeated execution.
-func (s *Store) Prepare(text string) (*PreparedQuery, error) {
-	q, err := xquery.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	schema, catalog := s.schema, s.catalog
-	s.mu.RUnlock()
-	sq, err := xquery.Translate(q, schema, catalog)
-	if err != nil {
-		return nil, err
-	}
-	shape, _ := queryShape(q)
-	return &PreparedQuery{store: s, q: q, shape: shape, sql: sq, cat: catalog}, nil
-}
-
-// planLocked returns the translated plan for the store's current
-// configuration, re-translating when a migration has swapped the
-// catalog since the last execution. The caller holds the store's read
-// lock, pinning schema and catalog for the duration.
-func (p *PreparedQuery) planLocked(s *Store) (*sqlast.Query, error) {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	if p.cat != s.catalog {
-		sq, err := xquery.Translate(p.q, s.schema, s.catalog)
-		if err != nil {
-			return nil, err
-		}
-		p.sql, p.cat = sq, s.catalog
-	}
-	return p.sql, nil
-}
-
-// SQL returns the prepared query's translated SQL (for the configuration
-// it was last executed or prepared against).
-func (p *PreparedQuery) SQL() string {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.sql.SQL()
-}
-
-// Run executes the prepared query with the given parameters.
-func (p *PreparedQuery) Run(params Params) (*Result, error) {
-	return p.RunContext(context.Background(), params)
-}
-
-// RunContext executes the prepared query under a caller-controlled
-// context (see Store.QueryContext).
-func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result, error) {
-	rs, err := p.RunValues(ctx, params)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Columns: rs.Columns}
-	for _, row := range rs.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		out.Rows = append(out.Rows, cells)
-	}
-	return out, nil
-}
-
-// RunValues is RunContext without rendering the rows as strings: the
-// engine's result set, every cell a typed engine.Value. A caller that
-// encodes the answer itself (the /query handler) skips a pass and a
-// [][]string the size of the answer.
-func (p *PreparedQuery) RunValues(ctx context.Context, params Params) (*engine.ResultSet, error) {
-	s := p.store
-	s.mu.RLock()
-	sql, err := p.planLocked(s)
-	if err != nil {
-		s.mu.RUnlock()
-		return nil, err
-	}
-	rs, err := s.db.ExecuteContext(ctx, sql, params.forBlocks(s.catalog, sql.Blocks...))
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	// Record the observation outside the serving lock: a successful
-	// execution is one vote for this query shape in the observed
-	// workload, and a completed observer generation is when the store
-	// asks the cost model whether its indexes still fit it.
-	if s.obs.observeQuery(p.shape) {
-		s.retuneIndexes()
-	}
-	return rs, nil
-}
-
-// ExplainQuery translates an XQuery and returns its SQL together with the
-// optimizer's cost estimate and, per SPJ block, the plan it priced — the
-// start relation's access path ("index(Show.title)" or "scan") and the
-// join algorithm of every step — and beneath it, marked "executes:", the
-// plan the engine runs: its own join order, access paths and fused hash
-// keys ("hash t5 [+title]"). Both read the store's current index set.
-func (s *Store) ExplainQuery(text string) (string, error) {
-	q, err := xquery.Parse(text)
-	if err != nil {
-		return "", err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sq, err := xquery.Translate(q, s.schema, s.catalog)
-	if err != nil {
-		return "", err
-	}
-	est, err := s.opt.QueryCost(sq)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n-- estimated cost: %.1f, rows: %.0f\n", sq.SQL(), est.Cost, est.Rows)
-	plans := strings.Split(est.Plan, " UNION ")
-	for i, blk := range sq.Blocks {
-		executed, err := s.db.ExplainBlock(blk)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "-- block %d: %s\n--   executes: %s\n", i+1, plans[i], executed)
-	}
-	return b.String(), nil
 }
 
 // Publish reconstructs all loaded documents.
