@@ -769,6 +769,33 @@ func TestOversizedBody413(t *testing.T) {
 	}
 }
 
+// TestLoadTextOutsideRoot400: a document is one root element with only
+// whitespace, comments and processing instructions around it; text
+// before or after the root is a bad request that loads nothing.
+func TestLoadTextOutsideRoot400(t *testing.T) {
+	s := newTestServer(t, Config{})
+	doc := imdb.Generate(imdb.GenOptions{Shows: 2, Seed: 11}).String()
+	rows := s.TenantStore("imdb").TotalRows()
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{"junk" + doc + "junk", http.StatusBadRequest},
+		{doc + "trailing junk", http.StatusBadRequest},
+		{"junk" + doc, http.StatusBadRequest},
+		{"<?xml version=\"1.0\"?>\n" + doc + "\n<!-- end -->\n", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tenants/imdb/load", strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("load of %.40q… = %d, want %d: %s", c.body, rec.Code, c.want, rec.Body.Bytes())
+		}
+		if c.want != http.StatusOK && s.TenantStore("imdb").TotalRows() != rows {
+			t.Fatalf("a refused load wrote rows")
+		}
+	}
+}
+
 // TestTrailingBodyData400: a JSON body is exactly one value; anything
 // after it but whitespace is a bad request, not silently ignored.
 func TestTrailingBodyData400(t *testing.T) {

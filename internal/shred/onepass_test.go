@@ -331,7 +331,9 @@ func acceptsWhatValidates(t *testing.T, sh *Shredder, doc *xmltree.Node) {
 }
 
 // FuzzShredAcceptance: Shred fails exactly when ValidateDocument does,
-// and a failed Shred writes nothing — no row, no id burned.
+// and a failed Shred writes nothing — no row, no id burned. Each
+// document is shredded twice: as built, and parsed back from its text
+// as a load receives it.
 func FuzzShredAcceptance(f *testing.F) {
 	configs := imdbConfigurations(f)
 	names := make([]string, 0, len(configs))
@@ -360,6 +362,14 @@ func FuzzShredAcceptance(f *testing.F) {
 			doc = perturb(doc, r)
 		}
 		acceptsWhatValidates(t, sh, doc)
+		parsed, err := xmltree.ParseString(doc.String())
+		if err != nil {
+			t.Fatalf("the document does not parse from its text: %v\n%s", err, doc)
+		}
+		if (sh.Schema.ValidateDocument(parsed) == nil) != (sh.Schema.ValidateDocument(doc) == nil) {
+			t.Fatalf("parsing the document's text changed its validity\n%s", doc)
+		}
+		acceptsWhatValidates(t, sh, parsed)
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package xmltree provides an ordered-tree document model for XML, with a
-// parser built on encoding/xml and a serializer. It is the document
-// substrate used by the validator, the statistics collector, the shredder
-// and the publisher.
+// one-pass byte scanner that parses into it (see Parse) and a serializer.
+// It is the document substrate used by the validator, the statistics
+// collector, the shredder and the publisher.
 //
 // The model is deliberately small: elements carry a name, attributes, and
 // an ordered list of children; leaves carry character data. Mixed content
@@ -9,7 +9,6 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
@@ -208,61 +207,6 @@ func (n *Node) Walk(fn func(path []string, node *Node)) {
 	}
 	rec(n, nil)
 }
-
-// Parse reads an XML document from r and returns its root element.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var stack []*Node
-	var root *Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				n.SetAttr(a.Name.Local, a.Value)
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements")
-				}
-				root = n
-			} else {
-				top := stack[len(stack)-1]
-				top.Children = append(top.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				text := string(t)
-				if strings.TrimSpace(text) != "" {
-					stack[len(stack)-1].Text += strings.TrimSpace(text)
-				}
-			}
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unclosed elements")
-	}
-	return root, nil
-}
-
-// ParseString parses an XML document held in a string.
-func ParseString(s string) (*Node, error) { return Parse(strings.NewReader(s)) }
 
 // Encode serializes the subtree as XML with two-space indentation.
 func (n *Node) Encode(w io.Writer) error {

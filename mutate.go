@@ -2,7 +2,6 @@ package legodb
 
 import (
 	"fmt"
-	"strings"
 
 	"legodb/internal/xmltree"
 	"legodb/internal/xquery"
@@ -75,7 +74,7 @@ func (s *Store) deleteWhere(q *xquery.Query, params Params) (deleted int, genera
 //	    legodb.Params{"c1": "Fugitive, The"},
 //	    `<aka>Le Fugitif</aka>`)
 func (s *Store) InsertChild(parentQuery string, params Params, fragmentXML string) (int, error) {
-	fragment, err := xmltree.Parse(strings.NewReader(fragmentXML))
+	fragment, err := xmltree.ParseString(fragmentXML)
 	if err != nil {
 		return 0, fmt.Errorf("legodb: fragment: %w", err)
 	}
