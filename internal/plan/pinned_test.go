@@ -1,0 +1,129 @@
+package plan_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+
+	"legodb/internal/core"
+	"legodb/internal/imdb"
+	"legodb/internal/optimizer"
+	"legodb/internal/plan"
+	"legodb/internal/pschema"
+	"legodb/internal/relational"
+	"legodb/internal/sqlast"
+	"legodb/internal/transform"
+	"legodb/internal/xquery"
+	"legodb/internal/xschema"
+	"legodb/internal/xstats"
+)
+
+// pinnedCosts is the SHA-256 of every estimate in the pinned cost corpus
+// (see costDigest): a change to the optimizer or the plan layer that
+// moves any cost or row count by one bit, or any rendered plan, moves it.
+const pinnedCosts = "25bf9bd6088a7117494f4001cf92422f866ebb62032915b36daa4d12f89393a3"
+
+// costCorpusSchemas returns all-inlined, all-outlined and every
+// first-iteration candidate of both initial p-schemas of the annotated
+// IMDB schema.
+func costCorpusSchemas(t *testing.T) []*xschema.Schema {
+	t.Helper()
+	stats := imdb.Stats()
+	annotated := imdb.Schema().Clone()
+	if err := xstats.Annotate(annotated, stats); err != nil {
+		t.Fatal(err)
+	}
+	var out []*xschema.Schema
+	for _, mk := range []func(*xschema.Schema) (*xschema.Schema, error){pschema.AllInlined, pschema.InitialOutlined} {
+		ps, err := mk(annotated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ps)
+	}
+	for _, strategy := range []core.Strategy{core.GreedySO, core.GreedySI} {
+		ps, err := core.InitialSchema(annotated, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cand := range transform.Candidates(ps, transform.Options{}) {
+			next, err := transform.Apply(ps, cand)
+			if err != nil {
+				continue
+			}
+			if err := xstats.Annotate(next, stats); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, next)
+		}
+	}
+	return out
+}
+
+// costDigest costs every Appendix C and Figure 5 query on every corpus
+// schema key-only and with every access column indexed, and on
+// all-inlined and all-outlined also with the indexes ChooseIndexes picks
+// for the whole query set, through
+// optimizer.QueryCost (cost, rows, plan), Explain, BlockCostShared and a
+// plan.Space over one Store shared by the whole corpus.
+func costDigest(t *testing.T) string {
+	h := sha256.New()
+	store := plan.NewStore(0)
+	for si, ps := range costCorpusSchemas(t) {
+		cat, err := relational.Map(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var queries []*sqlast.Query
+		var tw optimizer.TranslatedWorkload
+		var every []relational.IndexRef
+		for _, name := range imdb.QueryNames() {
+			sq, err := xquery.Translate(imdb.Query(name), ps, cat)
+			if err != nil {
+				continue
+			}
+			queries = append(queries, sq)
+			tw.Queries = append(tw.Queries, optimizer.WeightedQuery{Query: sq, Weight: 1})
+			every = append(every, optimizer.AccessColumns(sq)...)
+		}
+		designs := [][]relational.IndexRef{nil, every}
+		if si < 2 {
+			designs = append(designs, optimizer.ChooseIndexes(cat, tw))
+		}
+		for ii, refs := range designs {
+			cat.SetIndexes(refs)
+			opt := optimizer.New(cat)
+			space := plan.NewSpace(opt, core.ModelID(nil), store)
+			fmt.Fprintf(h, "== schema %d indexes %d %v\n", si, ii, cat.Indexes())
+			for _, sq := range queries {
+				est, err := opt.QueryCost(sq)
+				if err != nil {
+					fmt.Fprintf(h, "%s error %v\n", sq.Name, err)
+					continue
+				}
+				fmt.Fprintf(h, "%s %x %x %s\n", sq.Name, math.Float64bits(est.Cost), math.Float64bits(est.Rows), est.Plan)
+				ex, err := opt.Explain(sq)
+				fmt.Fprintf(h, "%s %v\n", ex, err)
+				scanned := map[string]bool{}
+				for _, b := range sq.Blocks {
+					be, err := opt.BlockCostShared(b, scanned)
+					fmt.Fprintf(h, "%x %x %v\n", math.Float64bits(be.Cost), math.Float64bits(be.Rows), err)
+				}
+				c, err := space.QueryCost(sq)
+				fmt.Fprintf(h, "space %x %v\n", math.Float64bits(c), err)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCostsPinned: every estimate of the pinned cost corpus hashes to the
+// digest the optimizer has always produced. Optimizations of block
+// costing must keep every cost bit-identical.
+func TestCostsPinned(t *testing.T) {
+	if got := costDigest(t); got != pinnedCosts {
+		t.Fatalf("cost corpus digest = %s, pinned %s", got, pinnedCosts)
+	}
+}
