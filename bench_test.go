@@ -166,6 +166,68 @@ func BenchmarkAblationBeam(b *testing.B) { benchExperiment(b, "ablation-beam") }
 // BenchmarkAblationUpdates measures the update-workload ablation.
 func BenchmarkAblationUpdates(b *testing.B) { benchExperiment(b, "ablation-updates") }
 
+type adviseBundleSearch struct {
+	workload *xquery.Workload
+	strategy Strategy
+}
+
+// adviseBundleSearches are the seven searches of one advise-search
+// bundle of the benchmark module (benchmark/advise.go): the paper's
+// Figure 10 (lookup and publish, greedy-so and greedy-si) and Figure 11
+// (mixed workloads, greedy-si).
+func adviseBundleSearches() []adviseBundleSearch {
+	return []adviseBundleSearch{
+		{imdb.LookupWorkload(), GreedySO},
+		{imdb.LookupWorkload(), GreedySI},
+		{imdb.PublishWorkload(), GreedySO},
+		{imdb.PublishWorkload(), GreedySI},
+		{imdb.MixedWorkload(0.25), GreedySI},
+		{imdb.MixedWorkload(0.5), GreedySI},
+		{imdb.MixedWorkload(0.75), GreedySI},
+	}
+}
+
+// BenchmarkAdviseBundle runs one advise-search bundle per iteration, in
+// process: each of the seven searches advises cold on a fresh engine
+// (fresh cost cache), then warm again on the same engine, with one
+// worker — the same calls the benchmark module makes, so a CPU profile
+// of the advisor needs only
+//
+//	go test -run '^$' -bench BenchmarkAdviseBundle -cpuprofile cpu.prof .
+func BenchmarkAdviseBundle(b *testing.B) {
+	searches := adviseBundleSearches()
+	stats := imdb.Stats().String()
+	opts := AdviseOptions{Workers: 1}
+	for i := 0; i < b.N; i++ {
+		for _, s := range searches {
+			eng, err := New(imdb.SchemaText)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.SetStatisticsText(stats); err != nil {
+				b.Fatal(err)
+			}
+			for _, e := range s.workload.Entries {
+				if err := eng.AddQuery(e.Query.Name, e.Query.String(), e.Weight); err != nil {
+					b.Fatal(err)
+				}
+			}
+			opts.Strategy = s.strategy
+			cold, err := eng.AdviseContext(context.Background(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			warm, err := eng.AdviseContext(context.Background(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if warm.Cost() != cold.Cost() {
+				b.Fatalf("warm re-advise cost %g differs from cold %g", warm.Cost(), cold.Cost())
+			}
+		}
+	}
+}
+
 // --- component micro-benchmarks ---
 
 // BenchmarkGreedyIteration measures one full greedy-search run on the

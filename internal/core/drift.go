@@ -12,18 +12,25 @@ import (
 // WorkloadID digests, with query report names stripped so labels do not
 // register as drift), and compared by total variation distance — half
 // the L1 distance between the normalized weight vectors over the union
-// of shapes. The metric is symmetric, ranges over [0, 1], and by
+// of shapes. The metric is symmetric (up to the update fold below),
+// ranges over [0, 1], and by
 // construction accounts both for weight shifts on shared shapes and for
 // the full mass of shapes only one side has seen: a completely disjoint
 // observed workload scores 1, an identical one scores 0.
+//
+// An observed update carries the locate it found its targets with
+// ("INSERT imdb/show/aka AT FOR ..."), while a declared one is usually
+// bare ("INSERT imdb/show/aka"). A located observed update counts as the
+// declared bare update of the same kind and path when the advised
+// workload has one: serving what was declared is not drift.
 
 // DriftScore measures how far the observed workload has drifted from the
 // advised one, in [0, 1]. A nil or empty workload counts as having no
 // shape mass: two empty workloads score 0, an empty against a non-empty
 // scores 1.
 func DriftScore(advised, observed *xquery.Workload) float64 {
-	a := shapeDistribution(advised)
-	b := shapeDistribution(observed)
+	a := shapeDistribution(advised, nil)
+	b := shapeDistribution(observed, a)
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
@@ -44,8 +51,9 @@ func DriftScore(advised, observed *xquery.Workload) float64 {
 
 // shapeDistribution normalizes a workload's weights into a distribution
 // over canonical shape keys. Entries with non-positive weight carry no
-// mass and are dropped.
-func shapeDistribution(w *xquery.Workload) map[string]float64 {
+// mass and are dropped. A located update whose bare form (same kind and
+// path, no locate) is a key of declared counts under that key.
+func shapeDistribution(w *xquery.Workload, declared map[string]float64) map[string]float64 {
 	if w == nil {
 		return nil
 	}
@@ -64,7 +72,15 @@ func shapeDistribution(w *xquery.Workload) map[string]float64 {
 		if u.Weight <= 0 {
 			continue
 		}
-		m["u"+u.Update.String()] += u.Weight
+		key := "u" + u.Update.String()
+		if u.Update.Locate != nil {
+			bare := *u.Update
+			bare.Locate = nil
+			if k := "u" + bare.String(); declared[k] > 0 {
+				key = k
+			}
+		}
+		m[key] += u.Weight
 		total += u.Weight
 	}
 	if total == 0 {

@@ -111,3 +111,37 @@ func TestDriftScoreUpdates(t *testing.T) {
 		t.Errorf("update-shape drift = %v, want 0.5", d)
 	}
 }
+
+// TestDriftScoreLocatedUpdates: an observed update carries its locate,
+// a declared one usually does not. A located update counts as the
+// declared bare update of the same kind and path, and only as that.
+func TestDriftScoreLocatedUpdates(t *testing.T) {
+	located := func(kind xquery.UpdateKind, path string) *xquery.Update {
+		u := xquery.MustParseUpdate(kind.String() + " " + path)
+		u.Locate = xquery.MustParse(`FOR $v IN imdb/show WHERE $v/title = c1 RETURN $v`)
+		return u
+	}
+	for _, tc := range []struct {
+		name     string
+		declared *xquery.Update
+		observed *xquery.Update
+		want     float64
+	}{
+		{"identical", xquery.MustParseUpdate("INSERT imdb/show/aka"), xquery.MustParseUpdate("INSERT imdb/show/aka"), 0},
+		{"located vs bare", xquery.MustParseUpdate("INSERT imdb/show/aka"), located(xquery.InsertUpdate, "imdb/show/aka"), 0},
+		{"different path", xquery.MustParseUpdate("INSERT imdb/show/aka"), located(xquery.InsertUpdate, "imdb/show/review"), 0.5},
+		{"different kind", xquery.MustParseUpdate("INSERT imdb/show/aka"), located(xquery.DeleteUpdate, "imdb/show/aka"), 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Both sides also serve one query with the same weight, so a
+			// mismatched update moves exactly half the mass.
+			a := wl(we{qTitle, "", 1})
+			a.AddUpdate(tc.declared, 1)
+			b := wl(we{qTitle, "", 1})
+			b.AddUpdate(tc.observed, 1)
+			if d := DriftScore(a, b); math.Abs(d-tc.want) > 1e-12 {
+				t.Errorf("drift = %v, want %v", d, tc.want)
+			}
+		})
+	}
+}

@@ -53,7 +53,7 @@ func ChooseIndexes(cat *relational.Catalog, w TranslatedWorkload) []relational.I
 
 	cands := indexCandidates(work, w)
 	queryCost := func(i int) float64 {
-		est, err := o.QueryCost(w.Queries[i].Query)
+		est, err := o.queryCost(w.Queries[i].Query, false)
 		if err != nil {
 			return 0
 		}

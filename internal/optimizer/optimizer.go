@@ -122,6 +122,11 @@ type Estimate struct {
 // sorted-outer-union publishing query re-reads its hub relations in
 // every block).
 func (o *Optimizer) QueryCost(q *sqlast.Query) (Estimate, error) {
+	return o.queryCost(q, true)
+}
+
+// queryCost is QueryCost, rendering Estimate.Plan only when asked.
+func (o *Optimizer) queryCost(q *sqlast.Query, render bool) (Estimate, error) {
 	if err := faults.Inject(faults.SiteQueryCost); err != nil {
 		return Estimate{}, err
 	}
@@ -129,13 +134,15 @@ func (o *Optimizer) QueryCost(q *sqlast.Query) (Estimate, error) {
 	var plans []string
 	scanned := make(map[string]bool)
 	for _, b := range q.Blocks {
-		est, err := o.BlockCostShared(b, scanned)
+		est, err := o.blockCost(b, scanned, render)
 		if err != nil {
 			return Estimate{}, fmt.Errorf("optimizer: %s: %w", q.Name, err)
 		}
 		total.Cost += est.Cost
 		total.Rows += est.Rows
-		plans = append(plans, est.Plan)
+		if render {
+			plans = append(plans, est.Plan)
+		}
 	}
 	total.Plan = strings.Join(plans, " UNION ")
 	return total, nil
@@ -149,7 +156,7 @@ func (o *Optimizer) WorkloadCost(queries []*sqlast.Query, weights []float64) (fl
 	}
 	total, wsum := 0.0, 0.0
 	for i, q := range queries {
-		est, err := o.QueryCost(q)
+		est, err := o.queryCost(q, false)
 		if err != nil {
 			return 0, err
 		}
@@ -162,7 +169,9 @@ func (o *Optimizer) WorkloadCost(queries []*sqlast.Query, weights []float64) (fl
 	return total / wsum, nil
 }
 
-// rel is the per-alias working state during block costing.
+// rel is the per-alias working state during block costing. A block's
+// relations sit in FROM order, and edges and join steps name them by
+// that position.
 type rel struct {
 	alias   string
 	table   *relational.Table
@@ -176,17 +185,45 @@ type rel struct {
 	// matches before the other selections apply. Empty: scans only.
 	lookupCol  string
 	lookupRows float64
+	// group is the position of the block's first relation over the same
+	// table. Scans and hash builds are shared per table, so the join
+	// search keeps their state per group.
+	group int
+	// incident lists the edges between this relation and another one of
+	// the block, in edge order: the only edges a join step attaching it
+	// can apply.
+	incident []int
 }
 
-// edge is a join predicate between two aliases.
+// edge is a join predicate between the relations at positions a and b,
+// on the columns aCol and bCol (nil when the table has no such column).
 type edge struct {
-	a, b       string // aliases
-	aCol, bCol string
+	a, b       int
+	aCol, bCol *relational.Column
 }
+
+// newEdge resolves a join predicate's aliases and columns.
+func newEdge(rels []rel, left, right sqlast.ColumnRef) edge {
+	e := edge{a: relIndex(rels, left.Alias), b: relIndex(rels, right.Alias)}
+	if e.a >= 0 {
+		e.aCol = rels[e.a].table.Column(left.Column)
+	}
+	if e.b >= 0 {
+		e.bCol = rels[e.b].table.Column(right.Column)
+	}
+	return e
+}
+
+// Per-table scan state of a join search: the table has been read (its
+// re-scans cost CPU only), and its hash build exists.
+const (
+	tableScanned uint8 = 1 << iota
+	tableHashed
+)
 
 // BlockCost estimates the best plan cost for a block in isolation.
 func (o *Optimizer) BlockCost(b *sqlast.Block) (Estimate, error) {
-	return o.blockCost(b, make(map[string]bool))
+	return o.blockCost(b, make(map[string]bool), true)
 }
 
 // BlockCostShared is the block-level costing unit that QueryCost composes:
@@ -198,53 +235,73 @@ func (o *Optimizer) BlockCost(b *sqlast.Block) (Estimate, error) {
 // confined to those names — the invariant that lets the logical-plan layer
 // (internal/plan) memoize (cost, added entries) across structurally
 // identical blocks and replay them into a different query's scan state.
+// It prices without rendering: the estimate's Plan is empty.
 func (o *Optimizer) BlockCostShared(b *sqlast.Block, scanned map[string]bool) (Estimate, error) {
 	if scanned == nil {
 		scanned = make(map[string]bool)
 	}
-	return o.blockCost(b, scanned)
+	return o.blockCost(b, scanned, false)
+}
+
+// relIndex returns the position of the relation bound under the alias,
+// or -1.
+func relIndex(rels []rel, alias string) int {
+	for i := range rels {
+		if rels[i].alias == alias {
+			return i
+		}
+	}
+	return -1
 }
 
 // blockCost estimates a block's cost; scanned carries the tables already
 // read by earlier blocks of the same query (their re-scans cost CPU
-// only).
-func (o *Optimizer) blockCost(b *sqlast.Block, scanned map[string]bool) (Estimate, error) {
+// only). The plan text is rendered only when render is set.
+func (o *Optimizer) blockCost(b *sqlast.Block, scanned map[string]bool, render bool) (Estimate, error) {
 	if len(b.Tables) == 0 {
 		return Estimate{}, fmt.Errorf("block has no tables")
 	}
-	rels := make(map[string]*rel, len(b.Tables))
-	var order []string
-	for _, tref := range b.Tables {
+	rels := make([]rel, len(b.Tables))
+	for i, tref := range b.Tables {
 		t := o.Cat.Table(tref.Table)
 		if t == nil {
 			return Estimate{}, fmt.Errorf("unknown table %q", tref.Table)
 		}
-		r := &rel{alias: tref.Alias, table: t, rows: t.Rows, rawRows: t.Rows, width: t.RowBytes()}
+		if relIndex(rels[:i], tref.Alias) >= 0 {
+			return Estimate{}, fmt.Errorf("duplicate alias %q", tref.Alias)
+		}
+		r := rel{alias: tref.Alias, table: t, rows: t.Rows, rawRows: t.Rows, width: t.RowBytes(), group: i}
 		if r.rows < 1 {
 			r.rows = 1
 		}
 		if r.rawRows < 1 {
 			r.rawRows = 1
 		}
-		rels[tref.Alias] = r
-		order = append(order, tref.Alias)
+		for j := range rels[:i] {
+			if rels[j].table == t {
+				r.group = j
+				break
+			}
+		}
+		rels[i] = r
 	}
 	// Local selections reduce the estimated rows of their alias.
-	var edges []edge
+	edges := make([]edge, 0, len(b.Joins)+len(b.Filters))
 	for _, j := range b.Joins {
-		edges = append(edges, edge{a: j.Left.Alias, aCol: j.Left.Column, b: j.Right.Alias, bCol: j.Right.Column})
+		edges = append(edges, newEdge(rels, j.Left, j.Right))
 	}
 	for _, f := range b.Filters {
 		if f.RightCol != nil {
 			if f.RightCol.Alias != f.Col.Alias {
-				edges = append(edges, edge{a: f.Col.Alias, aCol: f.Col.Column, b: f.RightCol.Alias, bCol: f.RightCol.Column})
+				edges = append(edges, newEdge(rels, f.Col, *f.RightCol))
 				continue
 			}
 		}
-		r := rels[f.Col.Alias]
-		if r == nil {
+		ri := relIndex(rels, f.Col.Alias)
+		if ri < 0 {
 			return Estimate{}, fmt.Errorf("filter on unknown alias %q", f.Col.Alias)
 		}
+		r := &rels[ri]
 		sel := o.selectivity(r.table, f)
 		r.rows *= sel
 		if r.rows < 0.01 {
@@ -257,15 +314,27 @@ func (o *Optimizer) blockCost(b *sqlast.Block, scanned map[string]bool) (Estimat
 			}
 		}
 	}
-	est := o.greedyJoin(rels, order, edges, scanned)
+	// Index each relation's edges once. An edge naming an unknown alias,
+	// or the same alias twice, links no two relations and never applies.
+	incident := make([]int, 0, 2*len(edges))
+	for i := range rels {
+		from := len(incident)
+		for k, e := range edges {
+			if e.a >= 0 && e.b >= 0 && e.a != e.b && (e.a == i || e.b == i) {
+				incident = append(incident, k)
+			}
+		}
+		rels[i].incident = incident[from:len(incident):len(incident)]
+	}
+	est := o.greedyJoin(rels, edges, scanned, render)
 	// Output cost: result rows times projected width.
 	projWidth := 0.0
 	for _, p := range b.Projects {
-		r := rels[p.Alias]
-		if r == nil {
+		ri := relIndex(rels, p.Alias)
+		if ri < 0 {
 			return Estimate{}, fmt.Errorf("projection on unknown alias %q", p.Alias)
 		}
-		if c := r.table.Column(p.Column); c != nil {
+		if c := rels[ri].table.Column(p.Column); c != nil {
 			projWidth += float64(c.Size)
 		}
 	}
@@ -328,40 +397,73 @@ func cumulativeBelow(col *relational.Column, v float64) float64 {
 	return below
 }
 
-// scanCost is the cost of reading a relation sequentially. Tables in the
-// scanned set have been read earlier in the same query and cost only
-// CPU. The set is not modified; callers commit a scan with markScanned
-// once a plan step is actually chosen.
-func (o *Optimizer) scanCost(r *rel, scanned map[string]bool) float64 {
-	if scanned != nil && scanned[r.table.Name] {
+// scanCost is the cost of reading a relation sequentially. Tables
+// already read in the same query (per the join search's scan state) cost
+// only CPU. The state is not modified; a scan is committed once a plan
+// step is actually chosen.
+func (o *Optimizer) scanCost(r *rel, state []uint8) float64 {
+	if state[r.group]&tableScanned != 0 {
 		return r.rawRows * o.Model.CPUTupleCost
 	}
 	pages := math.Ceil(r.rawRows * r.width / o.Model.PageSize)
 	return o.Model.SeekCost + pages*o.Model.PageIOCost + r.rawRows*o.Model.CPUTupleCost
 }
 
-func markScanned(scanned map[string]bool, r *rel) {
-	if scanned != nil {
-		scanned[r.table.Name] = true
-	}
-}
-
-// startCost prices binding the start relation and renders its access
-// path: one index probe plus the matched rows fetched at random (each its
-// share of a page, plus handling the tuple — joinStep's per-probe terms)
-// when an equality selection sits on an access path and that beats the
-// scan, the scan (committed to the scanned set) otherwise.
-func (o *Optimizer) startCost(r *rel, scanned map[string]bool) (float64, string) {
+// startCost prices binding the start relation: one index probe plus the
+// matched rows fetched at random (each its share of a page, plus handling
+// the tuple — joinStep's per-probe terms) when an equality selection sits
+// on an access path and that beats the scan, the scan (committed to the
+// scan state) otherwise. lookup reports which.
+func (o *Optimizer) startCost(r *rel, state []uint8) (cost float64, lookup bool) {
 	m := o.Model
-	scan := o.scanCost(r, scanned)
+	scan := o.scanCost(r, state)
 	if r.lookupCol != "" {
 		lookup := m.ProbeCost + r.lookupRows*(r.width/m.PageSize*m.PageIOCost*m.RandomIOPenalty+m.CPUTupleCost)
 		if lookup < scan {
-			return lookup, "index(" + r.table.Name + "." + r.lookupCol + ") " + r.alias
+			return lookup, true
 		}
 	}
-	markScanned(scanned, r)
-	return scan, "scan " + r.alias
+	state[r.group] |= tableScanned
+	return scan, false
+}
+
+// startPlan renders the start relation's access path.
+func startPlan(r *rel, lookup bool) string {
+	if lookup {
+		return "index(" + r.table.Name + "." + r.lookupCol + ") " + r.alias
+	}
+	return "scan " + r.alias
+}
+
+// stepKind is the algorithm of one join step.
+type stepKind uint8
+
+const (
+	stepINL stepKind = iota
+	stepHash
+	stepCartesian
+)
+
+func (k stepKind) String() string {
+	switch k {
+	case stepINL:
+		return "inl"
+	case stepHash:
+		return "hash"
+	default:
+		return "cartesian"
+	}
+}
+
+// joinScratch is the working memory of one block's join search, reused
+// across its start candidates and steps.
+type joinScratch struct {
+	joined, consumed []bool
+	conn, bestConn   []int
+	// before, state and best hold the per-table scan state (indexed by
+	// relation group): on entry, during one start's search, and after
+	// the cheapest start's.
+	before, state, best []uint8
 }
 
 // greedyJoin orders the join greedily: start from the cheapest filtered
@@ -369,164 +471,190 @@ func (o *Optimizer) startCost(r *rel, scanned map[string]bool) (float64, string)
 // lowest incremental cost, choosing between index nested-loop (when the
 // join enters the new relation through its key) and hash join. Every
 // remaining join predicate whose sides are both bound applies as a
-// selectivity reduction as soon as it becomes applicable.
-func (o *Optimizer) greedyJoin(rels map[string]*rel, order []string, edges []edge, scanned map[string]bool) Estimate {
-	if len(order) == 1 {
-		r := rels[order[0]]
-		c, how := o.startCost(r, scanned)
-		return Estimate{Cost: c, Rows: r.rows, Plan: how}
-	}
-	// Candidate start relations: the globally smallest, and the smallest
-	// among locally-filtered relations (starting at a filtered child lets
-	// the plan probe ancestors through their keys). Keep the cheaper
-	// resulting plan; side effects on the shared scan cache commit only
-	// for the winner.
-	minRows := order[0]
-	var minFiltered string
-	for _, a := range order {
-		if rels[a].rows < rels[minRows].rows {
-			minRows = a
-		}
-		if rels[a].filters > 0 && (minFiltered == "" || rels[a].rows < rels[minFiltered].rows) {
-			minFiltered = a
-		}
-	}
-	starts := []string{minRows}
-	if minFiltered != "" && minFiltered != minRows {
-		starts = append(starts, minFiltered)
-	}
-	best := Estimate{Cost: math.Inf(1)}
-	var bestCache map[string]bool
-	for _, start := range starts {
-		cache := cloneCache(scanned)
-		est := o.greedyJoinFrom(rels, order, edges, cache, start)
-		if est.Cost < best.Cost {
-			best = est
-			bestCache = cache
-		}
-	}
-	if scanned != nil {
-		for k, v := range bestCache {
-			if v {
-				scanned[k] = true
+// selectivity reduction as soon as it becomes applicable. The scan
+// state the cheapest plan leaves is committed to scanned.
+func (o *Optimizer) greedyJoin(rels []rel, edges []edge, scanned map[string]bool, render bool) Estimate {
+	n := len(rels)
+	flags := make([]uint8, 3*n)
+	sc := joinScratch{before: flags[:n], state: flags[n : 2*n], best: flags[2*n:]}
+	for i := range rels {
+		if rels[i].group == i {
+			if scanned[rels[i].table.Name] {
+				sc.before[i] |= tableScanned
 			}
+			if scanned[hashKey(rels[i].table)] {
+				sc.before[i] |= tableHashed
+			}
+		}
+	}
+	copy(sc.best, sc.before)
+	var best Estimate
+	if n == 1 {
+		copy(sc.state, sc.before)
+		c, lookup := o.startCost(&rels[0], sc.state)
+		best = Estimate{Cost: c, Rows: rels[0].rows}
+		if render {
+			best.Plan = startPlan(&rels[0], lookup)
+		}
+		copy(sc.best, sc.state)
+	} else {
+		// Candidate start relations: the globally smallest, and the
+		// smallest among locally-filtered relations (starting at a
+		// filtered child lets the plan probe ancestors through their
+		// keys). Keep the cheaper resulting plan; its scan state alone
+		// commits.
+		minRows, minFiltered := 0, -1
+		for a := range rels {
+			if rels[a].rows < rels[minRows].rows {
+				minRows = a
+			}
+			if rels[a].filters > 0 && (minFiltered < 0 || rels[a].rows < rels[minFiltered].rows) {
+				minFiltered = a
+			}
+		}
+		sc.joined = make([]bool, n)
+		sc.consumed = make([]bool, len(edges))
+		best.Cost = math.Inf(1)
+		starts := [2]int{minRows, -1}
+		if minFiltered != minRows {
+			starts[1] = minFiltered
+		}
+		for _, start := range starts {
+			if start < 0 {
+				continue
+			}
+			copy(sc.state, sc.before)
+			est := o.greedyJoinFrom(rels, edges, start, render, &sc)
+			if est.Cost < best.Cost {
+				best = est
+				copy(sc.best, sc.state)
+			}
+		}
+	}
+	for i := range rels {
+		if rels[i].group != i {
+			continue
+		}
+		added := sc.best[i] &^ sc.before[i]
+		if added&tableScanned != 0 {
+			scanned[rels[i].table.Name] = true
+		}
+		if added&tableHashed != 0 {
+			scanned[hashKey(rels[i].table)] = true
 		}
 	}
 	return best
 }
 
-func cloneCache(scanned map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(scanned))
-	for k, v := range scanned {
-		out[k] = v
-	}
-	return out
-}
+// hashKey is the scan-set entry recording a shared hash build of t.
+func hashKey(t *relational.Table) string { return "hash:" + t.Name }
 
 // greedyJoinFrom runs the greedy join ordering from a fixed start
-// relation.
-func (o *Optimizer) greedyJoinFrom(rels map[string]*rel, order []string, edges []edge, scanned map[string]bool, start string) Estimate {
-	joined := map[string]bool{start: true}
-	cost, how := o.startCost(rels[start], scanned)
+// relation, updating sc.state with the scans and hash builds it commits.
+func (o *Optimizer) greedyJoinFrom(rels []rel, edges []edge, start int, render bool, sc *joinScratch) Estimate {
+	clear(sc.joined)
+	clear(sc.consumed)
+	joined, consumed := sc.joined, sc.consumed
+	joined[start] = true
+	cost, lookup := o.startCost(&rels[start], sc.state)
 	rows := rels[start].rows
-	plan := []string{how}
-	consumed := make([]bool, len(edges))
-	for len(joined) < len(order) {
-		bestAlias := ""
-		var bestEdges []int
+	var plan strings.Builder
+	if render {
+		plan.WriteString(startPlan(&rels[start], lookup))
+	}
+	for nJoined := 1; nJoined < len(rels); nJoined++ {
+		best := -1
 		bestCost := math.Inf(1)
 		bestRows := 0.0
-		bestHow := ""
-		for _, a := range order {
+		var bestHow stepKind
+		sc.bestConn = sc.bestConn[:0]
+		for a := range rels {
 			if joined[a] {
 				continue
 			}
-			connecting := connectingEdges(edges, consumed, joined, a)
-			if len(connecting) == 0 {
+			// The unconsumed edges linking the joined set to a.
+			conn := sc.conn[:0]
+			for _, k := range rels[a].incident {
+				other := edges[k].a
+				if other == a {
+					other = edges[k].b
+				}
+				if !consumed[k] && joined[other] {
+					conn = append(conn, k)
+				}
+			}
+			sc.conn = conn
+			if len(conn) == 0 {
 				continue
 			}
-			stepCost, stepRows, how := o.joinStep(rels, rows, a, edges, connecting, scanned)
+			stepCost, stepRows, how := o.joinStep(rels, rows, a, edges, conn, sc.state)
 			if stepCost < bestCost {
-				bestAlias, bestEdges, bestCost, bestRows, bestHow = a, connecting, stepCost, stepRows, how
+				best, bestCost, bestRows, bestHow = a, stepCost, stepRows, how
+				sc.conn, sc.bestConn = sc.bestConn, conn
 			}
 		}
-		if bestAlias == "" {
+		if best < 0 {
 			// Disconnected component: fall back to a cartesian-ish merge
 			// with the smallest remaining relation.
-			for _, a := range order {
+			for a := range rels {
 				if joined[a] {
 					continue
 				}
-				r := rels[a]
-				stepCost := o.scanCost(r, scanned) + rows*r.rows*o.Model.CPUTupleCost
-				if stepCost < bestCost {
-					bestAlias, bestEdges, bestCost = a, nil, stepCost
+				r := &rels[a]
+				stepCost := o.scanCost(r, sc.state) + rows*r.rows*o.Model.CPUTupleCost
+				if best < 0 || stepCost < bestCost {
+					best, bestCost, bestHow = a, stepCost, stepCartesian
 					bestRows = rows * r.rows
-					bestHow = "cartesian"
 				}
 			}
 		}
-		joined[bestAlias] = true
-		if bestHow == "hash" || bestHow == "cartesian" {
-			markScanned(scanned, rels[bestAlias])
-			if bestHow == "hash" && scanned != nil {
-				scanned["hash:"+rels[bestAlias].table.Name] = true
-			}
+		joined[best] = true
+		switch bestHow {
+		case stepHash:
+			sc.state[rels[best].group] |= tableScanned | tableHashed
+		case stepCartesian:
+			sc.state[rels[best].group] |= tableScanned
 		}
-		for _, i := range bestEdges {
-			consumed[i] = true
+		for _, k := range sc.bestConn {
+			consumed[k] = true
 		}
 		cost += bestCost
 		rows = bestRows
-		plan = append(plan, bestHow+" "+bestAlias)
-	}
-	return Estimate{Cost: cost, Rows: rows, Plan: strings.Join(plan, " -> ")}
-}
-
-// connectingEdges returns the indexes of every unconsumed edge linking
-// the joined set to alias a.
-func connectingEdges(edges []edge, consumed []bool, joined map[string]bool, a string) []int {
-	var out []int
-	for i, e := range edges {
-		if consumed[i] {
-			continue
-		}
-		if (joined[e.a] && e.b == a) || (joined[e.b] && e.a == a) {
-			out = append(out, i)
+		if render {
+			plan.WriteString(" -> ")
+			plan.WriteString(bestHow.String())
+			plan.WriteString(" ")
+			plan.WriteString(rels[best].alias)
 		}
 	}
-	return out
+	return Estimate{Cost: cost, Rows: rows, Plan: plan.String()}
 }
 
 // joinStep costs attaching relation a to the current intermediate result,
 // applying every connecting predicate jointly (independent selectivities
-// multiply). The scanned set is consulted read-only.
-func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, edges []edge, connecting []int, scanned map[string]bool) (float64, float64, string) {
-	r := rels[a]
+// multiply). The scan state is consulted read-only.
+func (o *Optimizer) joinStep(rels []rel, curRows float64, a int, edges []edge, connecting []int, state []uint8) (float64, float64, stepKind) {
+	r := &rels[a]
 	outRows := curRows * r.rows
 	// perProbe is the number of rows of r one index probe fetches: one
 	// through the key, the column's average fan-out through a secondary
 	// index; 0 while no connecting predicate enters r by an access path.
 	perProbe := 0.0
 	for _, i := range connecting {
-		e := edges[i]
-		aCol := e.aCol
+		// col is the predicate's column on r's side, otherCol the one on
+		// the joined side.
+		e := &edges[i]
+		col, otherCol, other := e.aCol, e.bCol, e.b
 		if e.b == a {
-			aCol = e.bCol
+			col, otherCol, other = e.bCol, e.aCol, e.a
 		}
-		bCol := e.bCol
-		otherAlias := e.b
-		if e.b == a {
-			bCol = e.aCol
-			otherAlias = e.a
-		}
-		den := math.Max(colDistinct(r, aCol), colDistinct(rels[otherAlias], bCol))
+		den := math.Max(colDistinct(r, col), colDistinct(&rels[other], otherCol))
 		if den > 1 {
 			outRows /= den
 		}
 		// NULL join keys never match: scale by the non-null share of
 		// both sides (partitioned FK columns carry a null fraction).
-		if col := r.table.Column(aCol); col != nil {
+		if col != nil {
 			if col.NullFraction > 0 {
 				outRows *= 1 - col.NullFraction
 			}
@@ -536,11 +664,11 @@ func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, ed
 			case col.Index && perProbe == 0 && curRows < r.rawRows:
 				// The engine probes a secondary index only while the
 				// intermediate is the smaller side.
-				perProbe = math.Max(1, r.rawRows*(1-col.NullFraction)/colDistinct(r, aCol))
+				perProbe = math.Max(1, r.rawRows*(1-col.NullFraction)/colDistinct(r, col))
 			}
 		}
-		if col := rels[otherAlias].table.Column(bCol); col != nil && col.NullFraction > 0 {
-			outRows *= 1 - col.NullFraction
+		if otherCol != nil && otherCol.NullFraction > 0 {
+			outRows *= 1 - otherCol.NullFraction
 		}
 	}
 	if outRows < 0.01 {
@@ -550,10 +678,10 @@ func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, ed
 	// Hash join: scan + build the new relation, probe with current rows.
 	// Like scans, hash builds are shared across the blocks of one query.
 	buildCPU := r.rows * o.Model.HashCost
-	if scanned != nil && scanned["hash:"+r.table.Name] {
+	if state[r.group]&tableHashed != 0 {
 		buildCPU = 0
 	}
-	hash := o.scanCost(r, scanned) +
+	hash := o.scanCost(r, state) +
 		buildCPU +
 		curRows*o.Model.HashCost +
 		outRows*o.Model.CPUTupleCost
@@ -571,13 +699,15 @@ func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, ed
 			outRows*o.Model.CPUTupleCost
 	}
 	if inl < hash {
-		return inl, outRows, "inl"
+		return inl, outRows, stepINL
 	}
-	return hash, outRows, "hash"
+	return hash, outRows, stepHash
 }
 
-func colDistinct(r *rel, colName string) float64 {
-	if c := r.table.Column(colName); c != nil && c.Distinct > 0 {
+// colDistinct is the distinct count of r's column c (nil: not a column
+// of r), or a tenth of r's rows when unknown.
+func colDistinct(r *rel, c *relational.Column) float64 {
+	if c != nil && c.Distinct > 0 {
 		return c.Distinct
 	}
 	return math.Max(1, r.rawRows/10)

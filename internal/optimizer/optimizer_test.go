@@ -216,6 +216,12 @@ func TestBlockCostErrors(t *testing.T) {
 	if _, err := e.opt.BlockCost(bad); err == nil {
 		t.Error("unknown table accepted")
 	}
+	dup := &sqlast.Block{}
+	dup.AddTable(e.cat.Order[0], "t1")
+	dup.AddTable(e.cat.Order[0], "t1")
+	if _, err := e.opt.BlockCost(dup); err == nil {
+		t.Error("duplicate alias accepted")
+	}
 }
 
 func TestExplainOutput(t *testing.T) {

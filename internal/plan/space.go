@@ -149,10 +149,12 @@ type Space struct {
 
 	// Per-Space scratch, reused across blockCost calls so the hot hit
 	// path (shape encoding, table-name collection, scan threading)
-	// allocates nothing.
+	// allocates nothing, and a miss snapshots its tables' scan state
+	// without a map.
 	keyBuf []byte
 	names  []string
 	scan   map[string]bool
+	before []bool
 }
 
 // NewSpace returns a plan space costing against opt, memoizing into
@@ -227,13 +229,14 @@ func (sp *Space) blockCost(b *sqlast.Block, scanned map[string]bool) (float64, e
 			return out.Cost, nil
 		}
 	}
-	var before map[string]bool
+	// before holds, per table name, whether the table was scanned and
+	// whether its hash build existed ahead of this block.
+	before := sp.before[:0]
 	if keyable {
-		before = make(map[string]bool, 2*len(names))
 		for _, n := range names {
-			before[n] = scanned[n]
-			before["hash:"+n] = scanned["hash:"+n]
+			before = append(before, scanned[n], scanned["hash:"+n])
 		}
+		sp.before = before
 	}
 	est, err := sp.opt.BlockCostShared(b, scanned)
 	if err != nil {
@@ -242,11 +245,11 @@ func (sp *Space) blockCost(b *sqlast.Block, scanned map[string]bool) (float64, e
 	sp.Computed++
 	if keyable {
 		var adds []string
-		for _, n := range names {
-			if scanned[n] && !before[n] {
+		for i, n := range names {
+			if scanned[n] && !before[2*i] {
 				adds = append(adds, n)
 			}
-			if h := "hash:" + n; scanned[h] && !before[h] {
+			if h := "hash:" + n; scanned[h] && !before[2*i+1] {
 				adds = append(adds, h)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -267,7 +266,7 @@ func TestTranslatedBlocksShareNoStorage(t *testing.T) {
 				claim(i, sliceBase(b.Projects))
 				for _, f := range b.Filters {
 					if f.RightCol != nil {
-						claim(i, reflect.ValueOf(f.RightCol).Pointer())
+						claim(i, uintptr(unsafe.Pointer(f.RightCol)))
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"fmt"
+	"strconv"
 
 	"legodb/internal/faults"
 	"legodb/internal/pschema"
@@ -42,8 +43,7 @@ func translateTracked(q *Query, s *xschema.Schema, cat *relational.Catalog, trac
 		return nil, nil, err
 	}
 	tr := &translator{schema: s, cat: cat, track: track}
-	base := &context{block: &sqlast.Block{}, vars: map[string]target{}}
-	ctxs, err := tr.applyBindings([]*context{base}, q.Bindings)
+	ctxs, err := tr.applyBindings([]*context{{}}, q.Bindings)
 	if err != nil {
 		return nil, nil, fmt.Errorf("xquery: %s: %w", q.Name, err)
 	}
@@ -72,22 +72,57 @@ type target struct {
 
 // context is one alternative expansion of the query: a partially built
 // block plus variable bindings and accumulated scalar projections.
+//
+// Contexts branch at every step that matches more than once, so a branch
+// must be cheap: all of a context's slices are append-only, and a fork
+// shares their storage, copying only the slice headers (see fork). The
+// blocks a translation returns are deep copies (Block.Clone), made once
+// each, so they share nothing with one another or with the contexts.
 type context struct {
-	block    *sqlast.Block
-	vars     map[string]target
+	block    sqlast.Block
+	vars     []binding
 	projects []sqlast.ColumnRef
 }
 
-func (c *context) clone() *context {
-	vars := make(map[string]target, len(c.vars))
-	for k, v := range c.vars {
-		vars[k] = v
+// binding is one bound variable. A context's bindings are searched from
+// the end, so a rebound name shadows the earlier binding.
+type binding struct {
+	name string
+	tgt  target
+}
+
+// capped returns s with its capacity cut to its length: the next append
+// through the returned header, or through the header it was cut from,
+// reallocates instead of writing into storage the other still reads.
+func capped[T any](s []T) []T { return s[:len(s):len(s)] }
+
+// forkBlock caps b's slices and returns a copy of b that shares their
+// storage: appends on either side reallocate, so neither sees the
+// other's additions.
+func forkBlock(b *sqlast.Block) sqlast.Block {
+	b.Tables = capped(b.Tables)
+	b.Joins = capped(b.Joins)
+	b.Filters = capped(b.Filters)
+	b.Projects = capped(b.Projects)
+	return *b
+}
+
+// fork returns a branch of c that shares its storage; from here on the
+// two grow independently.
+func (c *context) fork() *context {
+	c.vars = capped(c.vars)
+	c.projects = capped(c.projects)
+	return &context{block: forkBlock(&c.block), vars: c.vars, projects: c.projects}
+}
+
+// lookupVar returns the latest binding of the variable.
+func (c *context) lookupVar(name string) (target, bool) {
+	for i := len(c.vars) - 1; i >= 0; i-- {
+		if c.vars[i].name == name {
+			return c.vars[i].tgt, true
+		}
 	}
-	return &context{
-		block:    c.block.Clone(),
-		vars:     vars,
-		projects: append([]sqlast.ColumnRef(nil), c.projects...),
-	}
+	return target{}, false
 }
 
 type translator struct {
@@ -104,7 +139,30 @@ type translator struct {
 	deps    []string
 	depSeen map[string]struct{}
 	track   bool
+	// expanding is the chain of named types the current schema walk
+	// (scanUnits/namedMatches, collectDescendants) is inside of; a walk
+	// expands a recursive type once. Walks do not nest, so one stack
+	// serves them all.
+	expanding []string
+	// matches is the scratch buffer resolvePath collects a step's
+	// matches in.
+	matches []match
 }
+
+// enter pushes a named type onto the expansion stack, reporting false
+// (and pushing nothing) when the walk is already inside it.
+func (tr *translator) enter(name string) bool {
+	for _, n := range tr.expanding {
+		if n == name {
+			return false
+		}
+	}
+	tr.expanding = append(tr.expanding, name)
+	return true
+}
+
+// leave pops the type enter pushed.
+func (tr *translator) leave() { tr.expanding = tr.expanding[:len(tr.expanding)-1] }
 
 // nextAlias returns the alias for the next FROM entry of a block. The
 // assignment is purely positional — t1, t2, ... by position in the
@@ -113,8 +171,21 @@ type translator struct {
 // identical blocks carry byte-identical aliases wherever they arise, and
 // translated blocks are deterministic inputs for plan fingerprinting.
 func nextAlias(b *sqlast.Block) string {
-	return fmt.Sprintf("t%d", len(b.Tables)+1)
+	if n := len(b.Tables); n < len(aliases) {
+		return aliases[n]
+	}
+	return "t" + strconv.Itoa(len(b.Tables)+1)
 }
+
+// aliases are the first FROM aliases, built once: blocks rarely have
+// more, and nextAlias runs for every table of every branch.
+var aliases = func() []string {
+	out := make([]string, 16)
+	for i := range out {
+		out[i] = "t" + strconv.Itoa(i+1)
+	}
+	return out
+}()
 
 // lookup resolves a named type, recording it as a dependency.
 func (tr *translator) lookup(name string) (xschema.Type, bool) {
@@ -154,7 +225,7 @@ func (tr *translator) applyBindings(ctxs []*context, bindings []Binding) ([]*con
 				return nil, err
 			}
 			for _, r := range resolutions {
-				r.ctx.vars[b.Var] = r.tgt
+				r.ctx.vars = append(r.ctx.vars, binding{name: b.Var, tgt: r.tgt})
 				next = append(next, r.ctx)
 			}
 		}
@@ -167,8 +238,9 @@ func (tr *translator) applyBindings(ctxs []*context, bindings []Binding) ([]*con
 }
 
 // resolvePath binds a path expression, returning one resolution per
-// schema alternative. Each resolution's context has the necessary tables,
-// joins and tag filters added.
+// schema alternative. Each resolution's context is a branch of ctx with
+// the necessary tables, joins and tag filters added; ctx itself is left
+// as it was.
 func (tr *translator) resolvePath(ctx *context, p Path) ([]resolution, error) {
 	var current []resolution
 	steps := p.Steps
@@ -177,26 +249,19 @@ func (tr *translator) resolvePath(ctx *context, p Path) ([]resolution, error) {
 			return nil, fmt.Errorf("empty document path")
 		}
 		// The first step must match the root element.
-		var matches []match
-		tr.namedMatches(&xschema.Ref{Name: tr.schema.Root}, steps[0], &matches, map[string]int{})
-		if len(matches) == 0 {
+		tr.matches = tr.matches[:0]
+		tr.namedMatches(&xschema.Ref{Name: tr.schema.Root}, steps[0], &tr.matches)
+		if len(tr.matches) == 0 {
 			return nil, fmt.Errorf("step %q does not match the document root", steps[0])
 		}
-		for _, m := range matches {
-			c := ctx.clone()
-			tgt, ok := tr.applyMatch(c, target{}, m, steps[0])
-			if !ok {
-				continue
-			}
-			current = append(current, resolution{ctx: c, tgt: tgt})
-		}
+		current = tr.applyMatches(ctx.fork(), target{}, steps[0], current)
 		steps = steps[1:]
 	} else {
-		tgt, ok := ctx.vars[p.Var]
+		tgt, ok := ctx.lookupVar(p.Var)
 		if !ok {
 			return nil, fmt.Errorf("unbound variable $%s", p.Var)
 		}
-		current = []resolution{{ctx: ctx.clone(), tgt: tgt}}
+		current = []resolution{{ctx: ctx.fork(), tgt: tgt}}
 	}
 	for _, step := range steps {
 		var next []resolution
@@ -205,16 +270,9 @@ func (tr *translator) resolvePath(ctx *context, p Path) ([]resolution, error) {
 			if err != nil {
 				return nil, err
 			}
-			var matches []match
-			tr.scanUnits(content, step, &matches, map[string]int{})
-			for _, m := range matches {
-				c := r.ctx.clone()
-				tgt, ok := tr.applyMatch(c, r.tgt, m, step)
-				if !ok {
-					continue
-				}
-				next = append(next, resolution{ctx: c, tgt: tgt})
-			}
+			tr.matches = tr.matches[:0]
+			tr.scanUnits(content, step, &tr.matches)
+			next = tr.applyMatches(r.ctx, r.tgt, step, next)
 		}
 		current = next
 		if len(current) == 0 {
@@ -222,6 +280,23 @@ func (tr *translator) resolvePath(ctx *context, p Path) ([]resolution, error) {
 		}
 	}
 	return current, nil
+}
+
+// applyMatches applies each of the step's matches (tr.matches) from the
+// target to a branch of own, appending a resolution to out for each that
+// applies. Every match but the last gets a fork; the last takes own
+// itself, which the caller gives up.
+func (tr *translator) applyMatches(own *context, from target, step string, out []resolution) []resolution {
+	for i, m := range tr.matches {
+		c := own
+		if i < len(tr.matches)-1 {
+			c = own.fork()
+		}
+		if tgt, ok := tr.applyMatch(c, from, m, step); ok {
+			out = append(out, resolution{ctx: c, tgt: tgt})
+		}
+	}
+	return out
 }
 
 // applyMatch materializes a match in the context: joins through the
@@ -235,7 +310,7 @@ func (tr *translator) applyMatch(ctx *context, from target, m match, step string
 		if child == nil {
 			return target{}, false
 		}
-		alias := nextAlias(ctx.block)
+		alias := nextAlias(&ctx.block)
 		ctx.block.AddTable(childTable, alias)
 		if tgt.typeName != "" {
 			parentTable := tr.cat.TableOf[tgt.typeName]
@@ -256,7 +331,15 @@ func (tr *translator) applyMatch(ctx *context, from target, m match, step string
 		}
 		tgt = target{typeName: hop, alias: alias}
 	}
-	tgt.prefix = append(append([]string(nil), tgt.prefix...), m.prefix...)
+	// Prefixes are never written in place: a target shares its prefix
+	// with the match or target it came from whenever one side is empty.
+	switch {
+	case len(m.prefix) == 0:
+	case len(tgt.prefix) == 0:
+		tgt.prefix = capped(m.prefix)
+	default:
+		tgt.prefix = append(append(make([]string, 0, len(tgt.prefix)+len(m.prefix)), tgt.prefix...), m.prefix...)
+	}
 	if m.tagFilter {
 		tagCol := tr.columnAt(tgt, "#tag")
 		if tagCol == nil {
@@ -324,18 +407,18 @@ func findChild(t xschema.Type, comp string) xschema.Type {
 // scanUnits finds step matches among the immediate children described by
 // content: inlined elements, attributes, wildcards, and outlined types
 // through named expressions.
-func (tr *translator) scanUnits(content xschema.Type, step string, out *[]match, seen map[string]int) {
+func (tr *translator) scanUnits(content xschema.Type, step string, out *[]match) {
 	switch t := content.(type) {
 	case *xschema.Sequence:
 		for _, it := range t.Items {
-			tr.scanUnits(it, step, out, seen)
+			tr.scanUnits(it, step, out)
 		}
 	case *xschema.Repeat:
 		if t.Min == 0 && t.Max == 1 && !pschema.IsNamedExpr(t.Inner) {
-			tr.scanUnits(t.Inner, step, out, seen)
+			tr.scanUnits(t.Inner, step, out)
 			return
 		}
-		tr.namedMatches(t.Inner, step, out, seen)
+		tr.namedMatches(t.Inner, step, out)
 	case *xschema.Element:
 		if t.Name == step {
 			*out = append(*out, match{prefix: []string{step}})
@@ -349,7 +432,7 @@ func (tr *translator) scanUnits(content xschema.Type, step string, out *[]match,
 			*out = append(*out, match{prefix: []string{"~"}, tagFilter: true})
 		}
 	case *xschema.Ref, *xschema.Choice:
-		tr.namedMatches(content, step, out, seen)
+		tr.namedMatches(content, step, out)
 	}
 }
 
@@ -364,30 +447,29 @@ func excludes(w *xschema.Wildcard, name string) bool {
 
 // namedMatches resolves a named-type expression against a step,
 // producing outlined matches with their join chains.
-func (tr *translator) namedMatches(expr xschema.Type, step string, out *[]match, seen map[string]int) {
+func (tr *translator) namedMatches(expr xschema.Type, step string, out *[]match) {
 	switch t := expr.(type) {
 	case *xschema.Repeat:
-		tr.namedMatches(t.Inner, step, out, seen)
+		tr.namedMatches(t.Inner, step, out)
 	case *xschema.Choice:
 		for _, alt := range t.Alts {
-			tr.namedMatches(alt, step, out, seen)
+			tr.namedMatches(alt, step, out)
 		}
 	case *xschema.Sequence:
 		for _, it := range t.Items {
-			tr.namedMatches(it, step, out, seen)
+			tr.namedMatches(it, step, out)
 		}
 	case *xschema.Ref:
-		if seen[t.Name] >= 1 {
+		if !tr.enter(t.Name) {
 			return
 		}
-		seen[t.Name]++
-		defer func() { seen[t.Name]-- }()
+		defer tr.leave()
 		def, ok := tr.lookup(t.Name)
 		if !ok {
 			return
 		}
 		if pschema.IsAlias(def) {
-			tr.namedMatches(def, step, out, seen)
+			tr.namedMatches(def, step, out)
 			return
 		}
 		switch body := def.(type) {
@@ -406,7 +488,7 @@ func (tr *translator) namedMatches(expr xschema.Type, step string, out *[]match,
 			// Group type: its content splices into the parent element, so
 			// the step matches inside it; results join through this type.
 			var sub []match
-			tr.scanUnits(def, step, &sub, seen)
+			tr.scanUnits(def, step, &sub)
 			for _, m := range sub {
 				*out = append(*out, match{
 					chain:     append([]string{t.Name}, m.chain...),
@@ -426,28 +508,19 @@ func (tr *translator) columnAt(tgt target, terminal string) *relational.Column {
 	if tbl == nil {
 		return nil
 	}
-	want := tgt.prefix
-	if terminal != "" {
-		want = append(append([]string(nil), tgt.prefix...), terminal)
-	}
 	for _, c := range tbl.Columns {
-		if pathEqual(c.XMLPath, want) {
+		path := c.XMLPath
+		if terminal != "" {
+			if len(path) == 0 || path[len(path)-1] != terminal {
+				continue
+			}
+			path = path[:len(path)-1]
+		}
+		if len(path) == len(tgt.prefix) && pathHasPrefix(path, tgt.prefix) {
 			return c
 		}
 	}
 	return nil
-}
-
-func pathEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // valueColumn returns the column holding the target's scalar value, or
@@ -608,9 +681,9 @@ func (tr *translator) processReturn(ctxs []*context, items []ReturnItem) ([]*sql
 			if len(ctx.projects) == 0 {
 				continue
 			}
-			b := ctx.block.Clone()
+			b := ctx.block
 			b.Projects = ctx.projects
-			blocks = append(blocks, b)
+			blocks = append(blocks, b.Clone())
 		}
 	}
 	for _, p := range publish {
@@ -629,7 +702,7 @@ func (tr *translator) processReturn(ctxs []*context, items []ReturnItem) ([]*sql
 		}
 	}
 	for _, nq := range nested {
-		nctxs, err := tr.applyBindings(cloneAll(ctxs), nq.Bindings)
+		nctxs, err := tr.applyBindings(forkAll(ctxs), nq.Bindings)
 		if err != nil {
 			return nil, err
 		}
@@ -646,10 +719,10 @@ func (tr *translator) processReturn(ctxs []*context, items []ReturnItem) ([]*sql
 	return blocks, nil
 }
 
-func cloneAll(ctxs []*context) []*context {
+func forkAll(ctxs []*context) []*context {
 	out := make([]*context, len(ctxs))
 	for i, c := range ctxs {
-		out[i] = c.clone()
+		out[i] = c.fork()
 	}
 	return out
 }
@@ -689,7 +762,7 @@ func (tr *translator) classifyPath(ctxs []*context, p Path) (pathKind, error) {
 func (tr *translator) publishBlocks(ctx *context, tgt target) ([]*sqlast.Block, error) {
 	var blocks []*sqlast.Block
 
-	self := ctx.block.Clone()
+	self := forkBlock(&ctx.block)
 	tbl := tr.cat.Table(tr.cat.TableOf[tgt.typeName])
 	if tbl == nil {
 		return nil, fmt.Errorf("no table for type %s", tgt.typeName)
@@ -700,7 +773,7 @@ func (tr *translator) publishBlocks(ctx *context, tgt target) ([]*sqlast.Block, 
 		}
 	}
 	if len(self.Projects) > 0 {
-		blocks = append(blocks, self)
+		blocks = append(blocks, self.Clone())
 	}
 
 	content, err := tr.contentAt(tgt.typeName, tgt.prefix)
@@ -708,9 +781,9 @@ func (tr *translator) publishBlocks(ctx *context, tgt target) ([]*sqlast.Block, 
 		return nil, err
 	}
 	var chains [][]string
-	tr.collectDescendants(content, nil, &chains, map[string]int{})
+	tr.collectDescendants(content, nil, &chains)
 	for _, chain := range chains {
-		b := ctx.block.Clone()
+		b := forkBlock(&ctx.block)
 		parentAlias := tgt.alias
 		parentTable := tr.cat.TableOf[tgt.typeName]
 		ok := true
@@ -723,7 +796,7 @@ func (tr *translator) publishBlocks(ctx *context, tgt target) ([]*sqlast.Block, 
 				ok = false
 				break
 			}
-			alias := nextAlias(b)
+			alias := nextAlias(&b)
 			b.AddTable(childName, alias)
 			fk := ""
 			for _, e := range child.Parents {
@@ -749,7 +822,7 @@ func (tr *translator) publishBlocks(ctx *context, tgt target) ([]*sqlast.Block, 
 		for _, c := range lastTable.Columns {
 			b.Projects = append(b.Projects, sqlast.ColumnRef{Alias: lastAlias, Column: c.Name})
 		}
-		blocks = append(blocks, b)
+		blocks = append(blocks, b.Clone())
 	}
 	return blocks, nil
 }
@@ -769,38 +842,37 @@ func pathHasPrefix(path, prefix []string) bool {
 // collectDescendants gathers the chains of concrete types reachable from
 // content, transitively, looking through aliases. Recursive types are
 // expanded once.
-func (tr *translator) collectDescendants(content xschema.Type, chain []string, out *[][]string, seen map[string]int) {
+func (tr *translator) collectDescendants(content xschema.Type, chain []string, out *[][]string) {
 	switch t := content.(type) {
 	case *xschema.Sequence:
 		for _, it := range t.Items {
-			tr.collectDescendants(it, chain, out, seen)
+			tr.collectDescendants(it, chain, out)
 		}
 	case *xschema.Repeat:
-		tr.collectDescendants(t.Inner, chain, out, seen)
+		tr.collectDescendants(t.Inner, chain, out)
 	case *xschema.Choice:
 		for _, alt := range t.Alts {
-			tr.collectDescendants(alt, chain, out, seen)
+			tr.collectDescendants(alt, chain, out)
 		}
 	case *xschema.Element:
-		tr.collectDescendants(t.Content, chain, out, seen)
+		tr.collectDescendants(t.Content, chain, out)
 	case *xschema.Wildcard:
-		tr.collectDescendants(t.Content, chain, out, seen)
+		tr.collectDescendants(t.Content, chain, out)
 	case *xschema.Ref:
-		if seen[t.Name] >= 1 {
+		if !tr.enter(t.Name) {
 			return
 		}
-		seen[t.Name]++
-		defer func() { seen[t.Name]-- }()
+		defer tr.leave()
 		def, ok := tr.lookup(t.Name)
 		if !ok {
 			return
 		}
 		if pschema.IsAlias(def) {
-			tr.collectDescendants(def, chain, out, seen)
+			tr.collectDescendants(def, chain, out)
 			return
 		}
-		next := append(append([]string(nil), chain...), t.Name)
+		next := append(append(make([]string, 0, len(chain)+1), chain...), t.Name)
 		*out = append(*out, next)
-		tr.collectDescendants(def, next, out, seen)
+		tr.collectDescendants(def, next, out)
 	}
 }

@@ -144,8 +144,7 @@ func resolveUpdate(u *Update, s *xschema.Schema, cat *relational.Catalog, track 
 	tr := &translator{schema: s, cat: cat, track: track}
 	// resolvePath records joins in a scratch block; only the reached
 	// targets matter here.
-	base := &context{block: &sqlast.Block{}, vars: map[string]target{}}
-	resolutions, err := tr.resolvePath(base, u.Path)
+	resolutions, err := tr.resolvePath(&context{}, u.Path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("xquery: update %s: %w", u, err)
 	}
@@ -163,7 +162,7 @@ func resolveUpdate(u *Update, s *xschema.Schema, cat *relational.Catalog, track 
 			return nil, nil, err
 		}
 		var chains [][]string
-		tr.collectDescendants(content, nil, &chains, map[string]int{})
+		tr.collectDescendants(content, nil, &chains)
 		seen := map[string]bool{ut.Table: true}
 		for _, chain := range chains {
 			tbl := cat.TableOf[chain[len(chain)-1]]
@@ -195,8 +194,7 @@ func TranslateTargets(q *Query, s *xschema.Schema, cat *relational.Catalog) ([]T
 		return nil, fmt.Errorf("xquery: %s: target queries must RETURN exactly one path", q.Name)
 	}
 	tr := &translator{schema: s, cat: cat}
-	base := &context{block: &sqlast.Block{}, vars: map[string]target{}}
-	ctxs, err := tr.applyBindings([]*context{base}, q.Bindings)
+	ctxs, err := tr.applyBindings([]*context{{}}, q.Bindings)
 	if err != nil {
 		return nil, fmt.Errorf("xquery: %s: %w", q.Name, err)
 	}
