@@ -123,15 +123,6 @@ type Options struct {
 	// and differential testing. Implied by DisableIncremental, which
 	// bypasses the per-query pipeline the plan layer lives in.
 	DisableSharing bool
-	// Reannotate re-derives statistics annotations on every candidate
-	// schema after its transformation is applied, via the incremental
-	// delta annotation (xstats.AnnotateDelta): only types that can reach
-	// the rewritten definition are re-walked. Off by default — the
-	// rewritings maintain their own statistics, and re-annotation can
-	// (intentionally) change costs where a rewriting's estimate differs
-	// from the measured statistics (e.g. wildcard-materialize label
-	// fractions). Greedy search only.
-	Reannotate bool
 }
 
 // searchCache resolves the cache the search should use (possibly nil).
@@ -580,15 +571,6 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 	cache := opts.searchCache()
 	eval := &Evaluator{Workload: wkld, RootCount: rootCount, Model: opts.Model, Cache: cache,
 		DisableIncremental: opts.DisableIncremental, DisableSharing: opts.DisableSharing}
-	// Reannotate mode: keep candidate schemas' statistics exact by
-	// re-annotating after every transformation, incrementally via the
-	// memo of the previous full annotation.
-	var memo *xstats.Memo
-	if opts.Reannotate && stats != nil {
-		if memo, err = xstats.AnnotateMemo(ps, stats); err != nil {
-			return nil, fmt.Errorf("core: annotate initial schema: %w", err)
-		}
-	}
 	cacheStart := cache.Stats()
 	// The initial configuration is evaluated before anytime semantics
 	// kick in: without it there is no best-so-far to return. (A context
@@ -617,7 +599,7 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 		}
 		start := time.Now()
 		cands := transform.Candidates(best.Schema, tropts)
-		results, hits, misses := evaluateCandidates(st, best.Schema, cands, eval, opts.Workers, stats, memo)
+		results, hits, misses := evaluateCandidates(st, best.Schema, cands, eval, opts.Workers)
 		var bestCand Config
 		bestCand.Cost = best.Cost
 		applied := ""
@@ -652,13 +634,6 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 			}
 			st.recordError(applied, "materialize", err)
 			break
-		}
-		if memo != nil {
-			// Rebuild the memo on the winner (a full walk once per
-			// iteration; the per-candidate walks above were deltas).
-			if memo, err = xstats.AnnotateMemo(bestCand.Schema, stats); err != nil {
-				return nil, fmt.Errorf("core: annotate %s: %w", applied, err)
-			}
 		}
 		improvement := (best.Cost - bestCand.Cost) / best.Cost
 		best = bestCand
@@ -699,16 +674,14 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 // like cands; inapplicable or unanswerable candidates are nil (skipped,
 // as the paper's engine does, with failures recorded in the search
 // state). It also reports how many costings were cache hits and misses.
-// A non-nil memo switches on per-candidate re-annotation
-// (Options.Reannotate) using xstats.AnnotateDelta. Cancellation stops
-// the dispatch loop; workers always drain and the WaitGroup always
-// settles, even when a candidate's evaluation panics.
-func evaluateCandidates(st *searchState, base *xschema.Schema, cands []transform.Transformation, eval *Evaluator, workers int, stats *xstats.Set, memo *xstats.Memo) ([]*Config, int, int) {
+// Cancellation stops the dispatch loop; workers always drain and the
+// WaitGroup always settles, even when a candidate's evaluation panics.
+func evaluateCandidates(st *searchState, base *xschema.Schema, cands []transform.Transformation, eval *Evaluator, workers int) ([]*Config, int, int) {
 	results := make([]*Config, len(cands))
 	var hits, misses atomic.Int64
 	if workers == 1 || len(cands) <= 1 {
 		for i := range cands {
-			results[i] = evaluateOne(st, base, cands[i], eval, &hits, &misses, stats, memo)
+			results[i] = evaluateOne(st, base, cands[i], eval, &hits, &misses)
 		}
 		return results, int(hits.Load()), int(misses.Load())
 	}
@@ -736,7 +709,7 @@ func evaluateCandidates(st *searchState, base *xschema.Schema, cands []transform
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = evaluateOne(st, base, cands[i], eval, &hits, &misses, stats, memo)
+				results[i] = evaluateOne(st, base, cands[i], eval, &hits, &misses)
 			}
 		}()
 	}
@@ -745,10 +718,9 @@ func evaluateCandidates(st *searchState, base *xschema.Schema, cands []transform
 }
 
 // evaluateOne applies and costs a single candidate. Every failure mode
-// — transformation error, annotation error, evaluation error, worker
-// panic — converts to a nil result plus a CandidateError in the search
+// — transformation error, evaluation error, worker panic — converts to a nil result plus a CandidateError in the search
 // state; nothing escapes to the worker goroutine.
-func evaluateOne(st *searchState, base *xschema.Schema, tr transform.Transformation, eval *Evaluator, hits, misses *atomic.Int64, stats *xstats.Set, memo *xstats.Memo) (out *Config) {
+func evaluateOne(st *searchState, base *xschema.Schema, tr transform.Transformation, eval *Evaluator, hits, misses *atomic.Int64) (out *Config) {
 	if !st.take() {
 		return nil
 	}
@@ -762,19 +734,6 @@ func evaluateOne(st *searchState, base *xschema.Schema, tr transform.Transformat
 	if err != nil {
 		st.recordError(tr.String(), "apply", err)
 		return nil
-	}
-	if memo != nil {
-		// Reannotate mode: refresh statistics on the transformed schema.
-		// The memo is read-only here, so concurrent workers may share it.
-		// A failed delta falls back to a full re-annotation before the
-		// candidate is given up on.
-		if _, err := xstats.AnnotateDelta(nextSchema, stats, memo); err != nil {
-			st.annFalls.Add(1)
-			if err := xstats.Annotate(nextSchema, stats); err != nil {
-				st.recordError(tr.String(), "annotate", err)
-				return nil
-			}
-		}
 	}
 	cfg, hit, err := eval.EvaluateCached(st.ctx, nextSchema)
 	if err != nil {

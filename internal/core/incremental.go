@@ -99,17 +99,19 @@ const queryShardCount = 16
 // identical values (the key determines the outputs), so last-write-wins
 // is sound. The zero value is ready to use.
 //
-// Mutation is copy-on-write on the group slice: put reassigns m[qdig]
-// with a fresh header and never shrinks or rewrites array elements a
-// concurrent snapshot can see (appends past a reader's len are
-// invisible; evictions copy), so snapshots are scanned without the lock.
+// Mutation is copy-on-write: put reassigns m[qdig] with a fresh slice
+// of group pointers and never writes a group or array element a
+// concurrent snapshot can see — a changed group is a copy, appends past
+// a reader's len are invisible and evictions copy — so snapshots are
+// scanned without the lock. A put copies the pointer slice and at most
+// one group.
 type queryStore struct {
 	shards [queryShardCount]queryShard
 }
 
 type queryShard struct {
 	mu sync.Mutex
-	m  map[uint64][]depsGroup
+	m  map[uint64][]*depsGroup
 }
 
 func (qs *queryStore) shard(qdig uint64) *queryShard {
@@ -117,7 +119,7 @@ func (qs *queryStore) shard(qdig uint64) *queryShard {
 }
 
 // snapshot returns the dependency groups stored under a query digest.
-func (qs *queryStore) snapshot(qdig uint64) []depsGroup {
+func (qs *queryStore) snapshot(qdig uint64) []*depsGroup {
 	sh := qs.shard(qdig)
 	sh.mu.Lock()
 	gs := sh.m[qdig]
@@ -133,49 +135,59 @@ func (qs *queryStore) put(qdig uint64, deps []string, v queryVariant, q *sqlast.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.m == nil {
-		sh.m = make(map[uint64][]depsGroup)
+		sh.m = make(map[uint64][]*depsGroup)
 	}
-	gs := append(sh.m[qdig][:0:0], sh.m[qdig]...)
+	old := sh.m[qdig]
 	gi := -1
-	for i := range gs {
-		if slicesEqual(gs[i].deps, deps) {
+	for i, g := range old {
+		if slicesEqual(g.deps, deps) {
 			gi = i
 			break
 		}
 	}
-	switch {
-	case gi < 0:
+	if gi < 0 {
 		// New dependency lists go to the front: lookups scan in order, and
 		// a search's hits cluster in recently created groups. The oldest
 		// list falls off the tail.
-		if len(gs) >= queryGroupsCap {
-			gs = gs[:queryGroupsCap-1]
+		keep := old
+		if len(keep) >= queryGroupsCap {
+			keep = keep[:queryGroupsCap-1]
 		}
-		g := depsGroup{deps: deps, variants: []queryVariant{v}}
+		g := &depsGroup{deps: deps, variants: []queryVariant{v}}
 		if q != nil {
 			g.shapeKey, g.shapeAST = v.skey, q
 		}
-		gs = append(append(gs[:0:0], g), gs...)
-	default:
-		g := gs[gi]
-		if q != nil && g.shapeKey != v.skey {
-			g.shapeKey, g.shapeAST = v.skey, q
-		}
-		for _, old := range g.variants {
-			if old.key == v.key {
-				gs[gi] = g
-				sh.m[qdig] = gs
-				return
-			}
-		}
+		sh.m[qdig] = append(append(make([]*depsGroup, 0, len(keep)+1), g), keep...)
+		return
+	}
+	g := *old[gi]
+	changed := false
+	if q != nil && g.shapeKey != v.skey {
+		g.shapeKey, g.shapeAST = v.skey, q
+		changed = true
+	}
+	if !hasVariant(g.variants, v.key) {
 		if len(g.variants) >= queryVariantsCap {
 			vs := make([]queryVariant, 0, len(g.variants))
 			g.variants = append(vs, g.variants[1:]...)
 		}
 		g.variants = append(g.variants, v)
-		gs[gi] = g
+		changed = true
 	}
-	sh.m[qdig] = gs
+	if changed {
+		gs := append(old[:0:0], old...)
+		gs[gi] = &g
+		sh.m[qdig] = gs
+	}
+}
+
+func hasVariant(vs []queryVariant, key uint64) bool {
+	for _, v := range vs {
+		if v.key == key {
+			return true
+		}
+	}
+	return false
 }
 
 func slicesEqual(a, b []string) bool {
@@ -439,8 +451,7 @@ func (e *Evaluator) cachedQueryCost(slot int, st *depState) (float64, *sqlast.Qu
 	var shapeQ *sqlast.Query
 	var shapeDeps []string
 	var shapeKey depKey
-	for gi := range groups {
-		g := &groups[gi]
+	for _, g := range groups {
 		key := st.keyOf(g.deps)
 		for vi := range g.variants {
 			v := &g.variants[vi]

@@ -1,9 +1,8 @@
 // Package faults provides failpoints: named sites in the evaluation
 // pipeline (relational mapping, workload translation, optimizer costing,
-// statistics annotation, memo validation) and the serving path (block
-// execution, document shredding, request dispatch) where tests can
-// inject errors or panics to exercise the search's and the server's
-// fault isolation.
+// memo validation) and the serving path (block execution, document
+// shredding, request dispatch) where tests can inject errors or panics
+// to exercise the search's and the server's fault isolation.
 //
 // Production code never arms a site — the package is inert unless a test
 // calls Enable, and the disarmed fast path is a single atomic load, so
@@ -30,9 +29,6 @@ const (
 	// SiteQueryCost fires in optimizer.QueryCost, before a translated
 	// query is costed.
 	SiteQueryCost = "optimizer.querycost"
-	// SiteAnnotate fires in xstats.AnnotateDelta, before an incremental
-	// re-annotation.
-	SiteAnnotate = "xstats.annotate"
 	// SiteMemo fires in the evaluator's incremental path; arming it makes
 	// incremental evaluation report an inconsistent memo state, forcing
 	// the graceful fallback to full evaluation.

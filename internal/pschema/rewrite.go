@@ -245,8 +245,11 @@ func CanInline(s *xschema.Schema, loc Loc) error {
 
 // Inline replaces the type reference at loc with the referenced type's
 // body. If the target type is referenced only once it is removed (the
-// usual case); shared targets are copied, which preserves semantics but
-// duplicates structure (used by the repetition-split rewriting).
+// usual case); shared targets are kept, which preserves semantics but
+// duplicates structure (used by the repetition-split rewriting). Either
+// way the host receives a copy of the body, so Inline writes no
+// definition in place but loc.Type's — the target's may be shared with
+// another schema (see xschema.Schema.ShallowClone).
 func Inline(s *xschema.Schema, loc Loc) (InlineMode, error) {
 	if err := CanInline(s, loc); err != nil {
 		return 0, err
@@ -254,14 +257,11 @@ func Inline(s *xschema.Schema, loc Loc) (InlineMode, error) {
 	node, _ := Resolve(s, loc)
 	ref := node.(*xschema.Ref)
 	def, _ := s.Lookup(ref.Name)
-	refs := s.RefCounts()[ref.Name]
 	mode := InlineMoved
-	body := def
-	if refs > 1 {
+	if s.RefCounts()[ref.Name] > 1 {
 		mode = InlineCopied
-		body = xschema.Clone(def)
 	}
-	if err := ReplaceAt(s, loc, body); err != nil {
+	if err := ReplaceAt(s, loc, xschema.Clone(def)); err != nil {
 		return 0, err
 	}
 	if mode == InlineMoved {

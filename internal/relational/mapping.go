@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -50,17 +51,72 @@ func MapWith(s *xschema.Schema, opts Options) (*Catalog, error) {
 // reuses every other, recomputing only the global parts (cardinalities,
 // FK columns, row counts).
 //
-// Memoized columns are shared by pointer between catalogs; all mapping
-// consumers treat built catalogs as immutable. A Mapper is safe for
-// concurrent use.
+// A whole table is memoized as well, keyed by everything buildTable
+// reads: the definition's digest, the type name, the table's
+// cardinality, and its incoming edges with their fan-outs and parent
+// cardinalities. A candidate's rewrite moves the inputs of the rewritten
+// table and of the tables whose cardinalities it changes; every other
+// table of the candidate's catalog is the base catalog's table.
+//
+// Memoized tables and columns are shared by pointer between catalogs;
+// all mapping consumers treat built catalogs as immutable (see
+// Catalog.Clone). A Mapper is safe for concurrent use.
 type Mapper struct {
 	opts Options
 	// mu is an RWMutex because the memo is read-mostly: in the search's
 	// steady state every worker re-maps candidates whose definitions are
 	// almost all unchanged, so lookups dominate stores and must not
 	// serialize the worker pool.
-	mu   sync.RWMutex
-	cols map[xschema.Fingerprint]colTemplate
+	mu     sync.RWMutex
+	cols   map[xschema.Fingerprint]colTemplate
+	tables map[uint64]*tableEntry
+}
+
+// tableEntry is one memoized table with the incoming edges it was
+// built from (its other inputs are the table's own TypeDigest,
+// TypeName and Rows).
+type tableEntry struct {
+	in    []inEdge
+	table *Table
+}
+
+// inEdge is one incoming edge of a table as buildTable reads it: the
+// parent type, the fan-out, and the parent's cardinality.
+type inEdge struct {
+	parent    string
+	avg, card float64
+}
+
+// matches reports whether the entry was built from exactly these inputs
+// (floats compared bit for bit).
+func (e *tableEntry) matches(dig xschema.Fingerprint, name string, rows float64, in []inEdge) bool {
+	t := e.table
+	if t.TypeDigest != dig || t.TypeName != name || math.Float64bits(t.Rows) != math.Float64bits(rows) || len(e.in) != len(in) {
+		return false
+	}
+	for i, x := range in {
+		y := e.in[i]
+		if x.parent != y.parent || math.Float64bits(x.avg) != math.Float64bits(y.avg) || math.Float64bits(x.card) != math.Float64bits(y.card) {
+			return false
+		}
+	}
+	return true
+}
+
+// tableKey hashes a table's mapping inputs into its memo slot.
+func tableKey(dig xschema.Fingerprint, name string, rows float64, in []inEdge) uint64 {
+	h := tblFNVOffset
+	for _, b := range dig {
+		h = tblHashByte(h, b)
+	}
+	h = tblHashStr(h, name)
+	h = tblHashFloat(h, rows)
+	for _, e := range in {
+		h = tblHashStr(h, e.parent)
+		h = tblHashFloat(h, e.avg)
+		h = tblHashFloat(h, e.card)
+	}
+	return h
 }
 
 // colTemplate is one memoized column set with its content hash
@@ -69,14 +125,15 @@ type colTemplate struct {
 	cols []*Column
 }
 
-// mapperMemoCap bounds the template memo; on overflow the memo resets
-// (deterministic: the memo affects sharing and speed, never values).
+// mapperMemoCap bounds the template memo and the table memo; on
+// overflow a memo resets (deterministic: the memos affect sharing and
+// speed, never values).
 const mapperMemoCap = 4096
 
 // NewMapper returns a Mapper with the given options.
 func NewMapper(opts Options) *Mapper {
 	opts.setDefaults()
-	return &Mapper{opts: opts, cols: make(map[xschema.Fingerprint]colTemplate)}
+	return &Mapper{opts: opts, cols: make(map[xschema.Fingerprint]colTemplate), tables: make(map[uint64]*tableEntry)}
 }
 
 // Map builds the catalog for one p-schema. digests are the schema's
@@ -102,19 +159,57 @@ func (mp *Mapper) Map(s *xschema.Schema, digests map[string]xschema.Fingerprint)
 		return nil, err
 	}
 	cards := m.cardinalities(edges)
-	cat := NewCatalog()
+	cat := &Catalog{
+		Tables:  make(map[string]*Table, len(s.Names)),
+		Order:   make([]string, 0, len(s.Names)),
+		TableOf: make(map[string]string, len(s.Names)),
+	}
+	var in []inEdge
 	for _, name := range s.Names {
 		if m.alias[name] {
 			cat.TableOf[name] = ""
 			continue
 		}
-		t, err := m.buildTable(name, cards[name], edges, cards)
+		in = in[:0]
+		for _, e := range edges {
+			if e.child == name {
+				in = append(in, inEdge{parent: e.parent, avg: e.avg, card: cards[e.parent]})
+			}
+		}
+		t, err := m.table(name, cards[name], in)
 		if err != nil {
 			return nil, err
 		}
 		cat.Add(t)
 	}
 	return cat, nil
+}
+
+// table returns the memoized table built from these inputs, building
+// and memoizing it on a miss. On a race the first stored table wins.
+func (m *mapper) table(name string, rows float64, in []inEdge) (*Table, error) {
+	mp, dig := m.mp, m.digests[name]
+	key := tableKey(dig, name, rows, in)
+	mp.mu.RLock()
+	e := mp.tables[key]
+	mp.mu.RUnlock()
+	if e != nil && e.matches(dig, name, rows, in) {
+		return e.table, nil
+	}
+	t, err := m.buildTable(name, rows, in)
+	if err != nil {
+		return nil, err
+	}
+	mp.mu.Lock()
+	defer mp.mu.Unlock()
+	if e := mp.tables[key]; e != nil && e.matches(dig, name, rows, in) {
+		return e.table, nil
+	}
+	if len(mp.tables) >= mapperMemoCap {
+		mp.tables = make(map[uint64]*tableEntry)
+	}
+	mp.tables[key] = &tableEntry{in: append([]inEdge(nil), in...), table: t}
+	return t, nil
 }
 
 // template returns the memoized column set for a definition digest.
@@ -282,17 +377,15 @@ func (m *mapper) cardinalities(edges []refEdge) map[string]float64 {
 	return cards
 }
 
-// buildTable constructs the relation for one non-alias type. The inline
-// columns (everything except the key and FK columns, which depend on
-// global cardinalities and names) come from the Mapper's per-digest
-// template memo: a definition unchanged since the last Map call reuses
-// its column objects outright.
-func (m *mapper) buildTable(name string, rows float64, edges []refEdge, cards map[string]float64) (*Table, error) {
+// buildTable constructs the relation for one non-alias type from its
+// cardinality and its incoming edges. The inline columns (everything
+// except the key and FK columns, which depend on global cardinalities
+// and names) come from the Mapper's per-digest template memo: a
+// definition unchanged since the last Map call reuses its column
+// objects outright.
+func (m *mapper) buildTable(name string, rows float64, in []inEdge) (*Table, error) {
 	dig := m.digests[name]
 	t := &Table{Name: sanitize(name), TypeName: name, Rows: rows, TypeDigest: dig}
-	t.Columns = append(t.Columns, &Column{
-		Name: t.Key(), Type: IntCol, Size: 4, Key: true, Distinct: rows,
-	})
 	tmpl, ok := m.mp.template(dig)
 	if !ok {
 		cols, err := m.rootColumns(m.schema.Types[name])
@@ -301,31 +394,33 @@ func (m *mapper) buildTable(name string, rows float64, edges []refEdge, cards ma
 		}
 		tmpl = m.mp.storeTemplate(dig, colTemplate{cols: dedupe(cols)})
 	}
+	t.Columns = make([]*Column, 0, 1+len(tmpl.cols)+len(in))
+	t.Columns = append(t.Columns, &Column{
+		Name: t.Key(), Type: IntCol, Size: 4, Key: true, Distinct: rows,
+	})
 	t.Columns = append(t.Columns, tmpl.cols...)
 	// Each FK column is NULL on rows that belong to a different parent
 	// type (e.g. Aka rows under Show_Part2 have a NULL parent_Show_Part1
 	// after union distribution); record the share so join estimates stay
 	// accurate.
 	totalIn := 0.0
-	for _, e := range edges {
-		if e.child == name {
-			totalIn += cards[e.parent] * e.avg
-		}
+	for _, e := range in {
+		totalIn += e.card * e.avg
 	}
-	for _, e := range edges {
-		if e.child != name {
-			continue
-		}
+	if len(in) > 0 {
+		t.Parents = make([]*Edge, 0, len(in))
+	}
+	for _, e := range in {
 		parentTable := sanitize(e.parent)
 		share := 1.0
 		if totalIn > 0 {
-			share = cards[e.parent] * e.avg / totalIn
+			share = e.card * e.avg / totalIn
 		}
 		fk := &Column{
 			Name:         "parent_" + parentTable,
 			Type:         IntCol,
 			Size:         4,
-			Distinct:     cards[e.parent],
+			Distinct:     e.card,
 			FKRef:        parentTable,
 			Nullable:     share < 0.9999,
 			NullFraction: 1 - share,

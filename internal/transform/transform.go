@@ -85,10 +85,19 @@ func (t Transformation) String() string {
 	return fmt.Sprintf("%s(%s)", t.Kind, t.Loc)
 }
 
-// Apply clones the schema, applies the transformation, and verifies the
-// result is still a physical schema. The input is never modified.
+// Apply applies the transformation to a copy of the schema and verifies
+// the result is still a physical schema. The input is never modified.
+// The result shares unchanged definitions with s; neither may be
+// written afterwards. Only the definition at tr.Loc.Type is copied:
+// it is the only one a rewrite writes in place, and whatever a rewrite
+// splices into it from elsewhere is a fresh copy.
 func Apply(s *xschema.Schema, tr Transformation) (*xschema.Schema, error) {
-	out := s.Clone()
+	return rewrite(s.ShallowClone(), tr)
+}
+
+// rewrite applies the transformation to out in place.
+func rewrite(out *xschema.Schema, tr Transformation) (*xschema.Schema, error) {
+	out.Own(tr.Loc.Type)
 	var err error
 	switch tr.Kind {
 	case KindInline:

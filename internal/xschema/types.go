@@ -349,6 +349,29 @@ func (s *Schema) Clone() *Schema {
 	return cp
 }
 
+// ShallowClone returns a copy of the schema that shares its definitions
+// with s: Root, Names and the Types map are copied, the type trees are
+// not. Defining, removing and replacing definitions in either schema
+// leaves the other intact, but a shared definition must not be written
+// in place by either — Own it first.
+func (s *Schema) ShallowClone() *Schema {
+	// The map has room for the definitions a rewrite adds.
+	cp := &Schema{Root: s.Root, Names: append([]string(nil), s.Names...), Types: make(map[string]Type, len(s.Types)+2)}
+	for name, t := range s.Types {
+		cp.Types[name] = t
+	}
+	return cp
+}
+
+// Own replaces the named definition in this schema by a deep copy, which
+// no other schema shares and which may therefore be written in place.
+// An undefined name is left undefined.
+func (s *Schema) Own(name string) {
+	if t, ok := s.Types[name]; ok {
+		s.Types[name] = Clone(t)
+	}
+}
+
 // String renders the schema in the algebra notation, one type per
 // definition, in definition order.
 func (s *Schema) String() string {
@@ -441,36 +464,39 @@ func Visit(t Type, fn func(Type)) {
 	}
 }
 
-// Reachable returns the set of type names reachable from the root via
-// Ref nodes (including the root itself).
-func (s *Schema) Reachable() map[string]bool {
-	seen := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		t, ok := s.Types[name]
-		if !ok {
-			return
-		}
-		Visit(t, func(t Type) {
-			if r, ok := t.(*Ref); ok {
-				visit(r.Name)
-			}
-		})
-	}
-	visit(s.Root)
-	return seen
-}
-
-// GarbageCollect removes definitions not reachable from the root.
+// GarbageCollect removes definitions not reachable from the root via
+// Ref nodes. Names is left as it is when every definition is reachable.
 func (s *Schema) GarbageCollect() {
-	reach := s.Reachable()
-	var names []string
+	reach := make(map[string]struct{}, len(s.Types))
+	reach[s.Root] = struct{}{}
+	stack := append(make([]string, 0, len(s.Types)), s.Root)
+	push := func(t Type) {
+		if r, ok := t.(*Ref); ok {
+			if _, seen := reach[r.Name]; !seen {
+				reach[r.Name] = struct{}{}
+				stack = append(stack, r.Name)
+			}
+		}
+	}
+	for len(stack) > 0 {
+		name := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if t, ok := s.Types[name]; ok {
+			Visit(t, push)
+		}
+	}
+	live := 0
 	for _, n := range s.Names {
-		if reach[n] {
+		if _, ok := reach[n]; ok {
+			live++
+		}
+	}
+	if live == len(s.Names) {
+		return
+	}
+	names := make([]string, 0, live)
+	for _, n := range s.Names {
+		if _, ok := reach[n]; ok {
 			names = append(names, n)
 		} else {
 			delete(s.Types, n)
