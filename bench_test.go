@@ -8,12 +8,15 @@ package legodb
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"legodb/internal/core"
 	"legodb/internal/engine"
 	"legodb/internal/experiments"
+	"legodb/internal/faults"
 	"legodb/internal/imdb"
 	"legodb/internal/pschema"
 	"legodb/internal/relational"
@@ -41,23 +44,18 @@ func benchExperiment(b *testing.B, name string) {
 func BenchmarkFig6StorageMaps(b *testing.B) { benchExperiment(b, "fig6") }
 
 // benchGreedy runs the Figure 10 searches (both workloads) per
-// iteration, either against one cost cache shared across the whole
-// benchmark or fully uncached, and reports the evaluator traffic:
-// evals/op counts full cost-pipeline runs, hits/op the candidate
-// costings answered from memory, translations/op the per-query
-// translate+cost runs the incremental layer could not avoid.
-func benchGreedy(b *testing.B, strategy core.Strategy, cache *core.CostCache, incremental bool) {
+// iteration against one cost cache shared across the whole benchmark,
+// and reports the evaluator traffic: evals/op counts cost-pipeline runs,
+// hits/op the candidate costings answered from memory, translations/op
+// the per-query translate+cost runs the incremental layer could not
+// avoid.
+func benchGreedy(b *testing.B, strategy core.Strategy) {
 	b.Helper()
+	cache := core.NewCostCache(0)
 	var evals, hits, translations, qhits, qmisses uint64
 	for i := 0; i < b.N; i++ {
 		for _, wl := range []*xquery.Workload{imdb.LookupWorkload(), imdb.PublishWorkload()} {
-			opts := core.Options{Strategy: strategy, DisableIncremental: !incremental}
-			if cache != nil {
-				opts.Cache = cache
-			} else {
-				opts.DisableCache = true
-			}
-			res, err := core.GreedySearch(context.Background(), imdb.Schema(), wl, imdb.Stats(), opts)
+			res, err := core.GreedySearch(context.Background(), imdb.Schema(), wl, imdb.Stats(), core.Options{Strategy: strategy, Cache: cache})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -84,57 +82,24 @@ func benchGreedy(b *testing.B, strategy core.Strategy, cache *core.CostCache, in
 // with the cost cache shared across iterations — after the first search
 // warms it, later runs pay only the per-iteration winner
 // materializations.
-func BenchmarkFig10GreedySO(b *testing.B) {
-	benchGreedy(b, core.GreedySO, core.NewCostCache(0), true)
-}
-
-// BenchmarkFig10GreedySOFullEval turns the incremental layers off (every
-// evaluation re-translates the whole workload) but keeps the cost cache.
-func BenchmarkFig10GreedySOFullEval(b *testing.B) {
-	benchGreedy(b, core.GreedySO, core.NewCostCache(0), false)
-}
-
-// BenchmarkFig10GreedySOUncached is the memoization-off baseline: every
-// candidate pays a full evaluator pipeline run, as the paper's prototype
-// did.
-func BenchmarkFig10GreedySOUncached(b *testing.B) { benchGreedy(b, core.GreedySO, nil, false) }
+func BenchmarkFig10GreedySO(b *testing.B) { benchGreedy(b, core.GreedySO) }
 
 // BenchmarkFig10GreedySI regenerates the greedy-si convergence series of
-// Figure 10 (cached; see the SO variants for the cache setup).
-func BenchmarkFig10GreedySI(b *testing.B) {
-	benchGreedy(b, core.GreedySI, core.NewCostCache(0), true)
-}
+// Figure 10 (see BenchmarkFig10GreedySO for the cache setup).
+func BenchmarkFig10GreedySI(b *testing.B) { benchGreedy(b, core.GreedySI) }
 
-// BenchmarkFig10GreedySIFullEval is greedy-si with the incremental
-// layers off.
-func BenchmarkFig10GreedySIFullEval(b *testing.B) {
-	benchGreedy(b, core.GreedySI, core.NewCostCache(0), false)
-}
-
-// BenchmarkFig10GreedySIUncached is greedy-si with memoization off.
-func BenchmarkFig10GreedySIUncached(b *testing.B) { benchGreedy(b, core.GreedySI, nil, false) }
-
-// benchFig11 regenerates the Figure 11 sweep with the experiments
-// package's shared cache on or off, reporting its hit/miss traffic.
-func benchFig11(b *testing.B, cached bool) {
-	b.Helper()
-	experiments.EnableCache(cached)
-	defer experiments.EnableCache(true)
+// BenchmarkFig11Sensitivity regenerates Figure 11: the workload-mix
+// sensitivity sweep with C[0.25]/C[0.50]/C[0.75], ALL-INLINED and OPT.
+// The sweep's 15 searches overlap heavily, so the experiments package's
+// shared cache absorbs most of the cost; hits/op and misses/op report
+// its traffic.
+func BenchmarkFig11Sensitivity(b *testing.B) {
 	start := experiments.CacheStats()
 	benchExperiment(b, "fig11")
 	st := experiments.CacheStats().Sub(start)
 	b.ReportMetric(float64(st.Hits)/float64(b.N), "hits/op")
 	b.ReportMetric(float64(st.Misses)/float64(b.N), "misses/op")
 }
-
-// BenchmarkFig11Sensitivity regenerates Figure 11: the workload-mix
-// sensitivity sweep with C[0.25]/C[0.50]/C[0.75], ALL-INLINED and OPT.
-// The sweep's 15 searches overlap heavily, so the shared cache absorbs
-// most of the cost.
-func BenchmarkFig11Sensitivity(b *testing.B) { benchFig11(b, true) }
-
-// BenchmarkFig11SensitivityUncached is the sweep with memoization off.
-func BenchmarkFig11SensitivityUncached(b *testing.B) { benchFig11(b, false) }
 
 // BenchmarkFig13UnionDistribution regenerates Figure 13: the
 // union-transformed configuration against all-inlined on Figure 12's
@@ -225,6 +190,38 @@ func BenchmarkAdviseBundle(b *testing.B) {
 				b.Fatalf("warm re-advise cost %g differs from cold %g", warm.Cost(), cold.Cost())
 			}
 		}
+	}
+}
+
+// oracleRTT is BenchmarkSearchWorkers' simulated round trip per
+// optimizer costing: the SiteQueryCost fault hook sleeps this long,
+// modelling a cost oracle out of process (the paper's optimizer was a
+// separate server). On a CPU-bound search worker scaling is invisible on
+// a small machine; latency-bound costing is what the worker pool hides.
+const oracleRTT = 2 * time.Millisecond
+
+// BenchmarkSearchWorkers sweeps the candidate-evaluation worker pool
+// over one greedy-so lookup search per op, on a fresh cache, with every
+// costing paying oracleRTT. ns/op across the sub-benchmarks is the
+// pool's scaling; evaluations/op (candidate costings, cache hits
+// included) must not move with the worker count.
+func BenchmarkSearchWorkers(b *testing.B) {
+	restore := faults.EnableHook(faults.SiteQueryCost, -1, func() { time.Sleep(oracleRTT) })
+	defer restore()
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var evaluated int64
+			for i := 0; i < b.N; i++ {
+				res, err := core.GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), core.Options{
+					Strategy: core.GreedySO, Workers: workers, Cache: core.NewCostCache(0),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				evaluated += res.Report.Evaluated
+			}
+			b.ReportMetric(float64(evaluated)/float64(b.N), "evaluations/op")
+		})
 	}
 }
 

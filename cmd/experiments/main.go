@@ -44,9 +44,6 @@ func main() {
 func run() int {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	format := flag.String("format", "text", "output format: text, csv, markdown")
-	nocache := flag.Bool("nocache", false, "disable the shared cost cache (every configuration pays a full evaluation)")
-	noincremental := flag.Bool("noincremental", false, "disable incremental candidate evaluation (delta re-mapping, per-query cost reuse, catalog caching)")
-	noshare := flag.Bool("noshare", false, "disable shared subplan costing (every SPJ block is costed by the optimizer directly); output is byte-identical either way")
 	maxiter := flag.Int("maxiter", 0, "bound search iterations per experiment (0 = until convergence); for smoke runs")
 	workers := flag.Int("workers", 0, "bound the candidate-evaluation worker pool per search (0 = GOMAXPROCS, 1 = sequential); results are byte-identical at any bound")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); expired searches report their anytime best-so-far")
@@ -73,9 +70,6 @@ func run() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	experiments.EnableCache(!*nocache)
-	experiments.EnableIncremental(!*noincremental)
-	experiments.EnableSharing(!*noshare)
 	experiments.SetWorkers(*workers)
 	experiments.EnableRegistry(*registry)
 	experiments.MaxIterations = *maxiter

@@ -37,7 +37,7 @@ func TestCancelMidSearchReturnsBestSoFar(t *testing.T) {
 	})
 	defer restore()
 	res, err := GreedySearch(ctx, imdb.Schema(), wkld, imdb.Stats(), Options{
-		Strategy: GreedySO, Workers: 8, Cache: cache, DisableIncremental: true,
+		Strategy: GreedySO, Workers: 8, Cache: cache,
 	})
 	if err != nil {
 		t.Fatalf("cancelled search returned error instead of best-so-far: %v", err)
@@ -78,7 +78,7 @@ func TestBudgetIsAnytimeAndMonotone(t *testing.T) {
 	prev := -1.0
 	for i, b := range budgets {
 		res, err := GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), Options{
-			Strategy: GreedySO, Workers: 1, Budget: b, DisableCache: true,
+			Strategy: GreedySO, Workers: 1, Budget: b,
 		})
 		if err != nil {
 			t.Fatalf("budget %d: %v", b, err)
@@ -120,7 +120,7 @@ func TestDeadlineStopsSearch(t *testing.T) {
 	defer restore()
 	res, err := GreedySearch(context.Background(), imdb.Schema(), wkld, imdb.Stats(), Options{
 		Strategy: GreedySO, Workers: 4, Deadline: 50 * time.Millisecond,
-		Cache: cache, DisableIncremental: true,
+		Cache: cache,
 	})
 	if err != nil {
 		t.Fatalf("deadline-bounded search returned error instead of best-so-far: %v", err)
@@ -142,7 +142,7 @@ func TestExpiredContextBeforeInitialEvaluationIsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := GreedySearch(ctx, imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), Options{
-		Strategy: GreedySO, DisableCache: true,
+		Strategy: GreedySO,
 	})
 	if err == nil {
 		t.Fatal("search with a pre-cancelled context succeeded")
@@ -156,7 +156,7 @@ func TestExpiredContextBeforeInitialEvaluationIsError(t *testing.T) {
 // machinery as the greedy loop.
 func TestBeamSearchBudgetIsAnytime(t *testing.T) {
 	res, err := BeamSearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), BeamOptions{
-		Options: Options{Strategy: GreedySO, Workers: 2, Budget: 8, DisableCache: true},
+		Options: Options{Strategy: GreedySO, Workers: 2, Budget: 8},
 		Width:   2,
 	})
 	if err != nil {

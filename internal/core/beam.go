@@ -74,8 +74,7 @@ func BeamSearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Worklo
 		rootCount = 1
 	}
 	cache := opts.searchCache()
-	eval := &Evaluator{Workload: wkld, RootCount: rootCount, Model: opts.Model, Cache: cache,
-		DisableIncremental: opts.DisableIncremental, DisableSharing: opts.DisableSharing}
+	eval := &Evaluator{Workload: wkld, RootCount: rootCount, Model: opts.Model, Cache: cache}
 	cacheStart := cache.Stats()
 	initial, _, err := eval.EvaluateCached(ctx, ps)
 	if err != nil {
@@ -167,11 +166,10 @@ func BeamSearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Worklo
 		}
 		beam = candidates
 	}
-	// Cache hits carry only schema and cost; derive the winning catalog,
-	// detached from the (possibly expired) search context.
-	result.Best, err = eval.Materialize(context.Background(), best)
+	// Cache hits carry only schema and cost; derive the winning catalog.
+	result.Best, err = materializeBest(eval, best)
 	if err != nil {
-		return nil, fmt.Errorf("core: materialize best: %w", err)
+		return nil, err
 	}
 	result.Report = st.report(stop, len(result.Trace), eval, time.Since(started))
 	result.Cache = cache.Stats().Sub(cacheStart)

@@ -104,34 +104,12 @@ type Options struct {
 	// configurations within the run); pass a shared cache to also reuse
 	// costs across the greedy/beam strategy variants and repeated runs.
 	Cache *CostCache
-	// DisableCache turns memoization off entirely (every candidate pays a
-	// full evaluator pipeline run, as the paper's prototype did); it is
-	// ignored when Cache is non-nil.
-	DisableCache bool
-	// DisableIncremental turns off the evaluator's incremental layers
-	// (delta re-mapping, per-query cost reuse, materialized-configuration
-	// reuse): every evaluation then re-maps the schema and re-translates
-	// and re-costs the whole workload. Results are byte-identical either
-	// way; the flag exists for benchmarking and differential testing.
-	DisableIncremental bool
-	// DisableSharing turns off the logical-plan layer (internal/plan):
-	// every translated SPJ block is then costed by the optimizer
-	// directly, instead of structurally identical blocks sharing one
-	// costing across union branches, queries and sibling candidates.
-	// Costs are bit-identical either way (the plan memo keys on
-	// everything block costing reads); the flag exists for benchmarking
-	// and differential testing. Implied by DisableIncremental, which
-	// bypasses the per-query pipeline the plan layer lives in.
-	DisableSharing bool
 }
 
-// searchCache resolves the cache the search should use (possibly nil).
+// searchCache resolves the cache the search should use.
 func (o *Options) searchCache() *CostCache {
 	if o.Cache != nil {
 		return o.Cache
-	}
-	if o.DisableCache {
-		return nil
 	}
 	return NewCostCache(0)
 }
@@ -202,19 +180,17 @@ type Result struct {
 	// translation + optimizer costing) performed by this search.
 	Evals uint64
 	// Translations counts per-query translate+cost pipeline runs (one
-	// per workload slot that missed the per-query cost cache; with
-	// incremental evaluation disabled, one per slot per evaluation).
+	// per workload slot that missed the per-query cost cache).
 	Translations uint64
 	// QueryCacheHits and QueryCacheMisses count the per-query cost
-	// cache's traffic during this search (both zero when incremental
-	// evaluation is disabled).
+	// cache's traffic during this search.
 	QueryCacheHits   uint64
 	QueryCacheMisses uint64
 	// BlocksRequested counts the SPJ block costings translated queries
 	// asked the logical-plan layer for during this search;
 	// BlocksCosted counts the subset that ran the optimizer — the gap is
 	// work absorbed by structural sharing across union branches, queries
-	// and candidates. Both zero when sharing is disabled.
+	// and candidates.
 	BlocksRequested uint64
 	BlocksCosted    uint64
 }
@@ -228,16 +204,6 @@ type Evaluator struct {
 	// Cache, when non-nil, memoizes workload costs keyed by the schema's
 	// canonical fingerprint (plus workload and cost-model digests).
 	Cache *CostCache
-	// DisableIncremental turns off the incremental reuse layers (delta
-	// re-mapping, per-query cost cache, materialized-configuration
-	// cache); every Evaluate then pays the full pipeline. Costs, queries
-	// and catalogs are byte-identical either way.
-	DisableIncremental bool
-	// DisableSharing turns off the logical-plan layer: translated
-	// queries are costed block by block through optimizer.QueryCost
-	// instead of through a plan.Space that dedups structurally identical
-	// blocks. Bit-identical costs either way.
-	DisableSharing bool
 
 	keyOnce    sync.Once
 	workloadID uint64
@@ -247,7 +213,6 @@ type Evaluator struct {
 	// Incremental-layer state (see incremental.go).
 	translations   atomic.Uint64
 	qhits, qmisses atomic.Uint64
-	memoFalls      atomic.Uint64
 	// Plan-layer counters (see incremental.go): block costings the plan
 	// spaces were asked for, and the subset that missed every memo and
 	// ran the optimizer.
@@ -282,19 +247,15 @@ func (e *Evaluator) Evals() uint64 { return e.evals.Load() }
 func (e *Evaluator) Translations() uint64 { return e.translations.Load() }
 
 // QueryCacheStats returns the per-query cost cache's hit and miss
-// counts (zero when incremental evaluation is disabled).
+// counts.
 func (e *Evaluator) QueryCacheStats() (hits, misses uint64) {
 	return e.qhits.Load(), e.qmisses.Load()
 }
 
-// MemoFallbacks returns how many incremental evaluations detected an
-// inconsistent memo state and fell back to the full pipeline.
-func (e *Evaluator) MemoFallbacks() uint64 { return e.memoFalls.Load() }
-
 // BlockStats returns the logical-plan layer's traffic: block costings
 // requested by translated queries, and the subset that actually ran the
 // optimizer (the rest replayed a structurally identical block's memoized
-// costing). Both zero when sharing or incremental evaluation is off.
+// costing).
 func (e *Evaluator) BlockStats() (requested, costed uint64) {
 	return e.blocksReq.Load(), e.blocksCosted.Load()
 }
@@ -318,81 +279,13 @@ func (e *Evaluator) cacheKey(ps *xschema.Schema) CacheKey {
 
 // Evaluate maps the p-schema to relations, translates the workload and
 // returns the weighted-average estimated cost together with the derived
-// configuration. By default the incremental layers reuse unchanged
-// per-definition column templates and per-query costs from earlier
-// evaluations of this evaluator (byte-identical outcome, see
-// incremental.go); DisableIncremental selects the full pipeline. An
-// incremental evaluation that detects an inconsistent memo state falls
-// back to the full pipeline instead of trusting it (counted by
-// MemoFallbacks). Cancelling ctx aborts between pipeline stages.
+// configuration. The incremental layers reuse unchanged per-definition
+// column templates and per-query costs from earlier evaluations of this
+// evaluator (byte-identical outcome, see incremental.go). Cancelling ctx
+// aborts between pipeline stages.
 func (e *Evaluator) Evaluate(ctx context.Context, ps *xschema.Schema) (Config, error) {
 	e.evals.Add(1)
-	if e.DisableIncremental {
-		return e.evaluateFull(ctx, ps)
-	}
-	cfg, err := e.evaluateIncremental(ctx, ps, false)
-	if errors.Is(err, errMemoInconsistent) {
-		e.memoFalls.Add(1)
-		return e.evaluateFull(ctx, ps)
-	}
-	return cfg, err
-}
-
-// evaluateFull is the non-incremental pipeline: re-map, re-translate
-// and re-cost everything.
-func (e *Evaluator) evaluateFull(ctx context.Context, ps *xschema.Schema) (Config, error) {
-	if err := ctx.Err(); err != nil {
-		return Config{}, err
-	}
-	cat, err := relational.MapWith(ps, relational.Options{RootCount: e.RootCount})
-	if err != nil {
-		return Config{}, err
-	}
-	opt := optimizer.New(cat)
-	if e.Model != nil {
-		opt.Model = *e.Model
-	}
-	queries := make([]*sqlast.Query, len(e.Workload.Entries))
-	weights := make([]float64, len(e.Workload.Entries))
-	for i, entry := range e.Workload.Entries {
-		if err := ctx.Err(); err != nil {
-			return Config{}, err
-		}
-		sq, err := xquery.Translate(entry.Query, ps, cat)
-		if err != nil {
-			return Config{}, err
-		}
-		queries[i] = sq
-		weights[i] = entry.Weight
-	}
-	// Weighted average over queries and update operations together.
-	total, wsum := 0.0, 0.0
-	for i, q := range queries {
-		est, err := opt.QueryCost(q)
-		if err != nil {
-			return Config{}, err
-		}
-		e.translations.Add(1)
-		total += est.Cost * weights[i]
-		wsum += weights[i]
-	}
-	for _, ue := range e.Workload.Updates {
-		targets, err := xquery.ResolveUpdate(ue.Update, ps, cat)
-		if err != nil {
-			return Config{}, err
-		}
-		c, err := opt.UpdateCost(ue.Update, targets)
-		if err != nil {
-			return Config{}, err
-		}
-		e.translations.Add(1)
-		total += c * ue.Weight
-		wsum += ue.Weight
-	}
-	if wsum == 0 {
-		return Config{}, fmt.Errorf("core: workload has zero total weight")
-	}
-	return Config{Schema: ps, Catalog: cat, Queries: queries, Cost: total / wsum}, nil
+	return e.evaluateIncremental(ctx, ps, false)
 }
 
 // EvaluateCached costs a p-schema through the evaluator's cache. On a
@@ -486,15 +379,12 @@ func (e *Evaluator) evaluateAsLeader(ctx context.Context, ps *xschema.Schema, ke
 var errLeaderAbandoned = errors.New("core: in-flight evaluation abandoned")
 
 // Materialize completes a configuration whose catalog and translated
-// queries were skipped by a cache hit. With incremental evaluation on,
-// configurations this evaluator fully evaluated before are returned
-// from the materialization cache without re-running the pipeline.
+// queries were skipped by a cache hit. Configurations this evaluator
+// fully evaluated before are returned from the materialization cache
+// without re-running the pipeline.
 func (e *Evaluator) Materialize(ctx context.Context, cfg Config) (Config, error) {
 	if cfg.Catalog != nil {
 		return cfg, nil
-	}
-	if e.DisableIncremental {
-		return e.Evaluate(ctx, cfg.Schema)
 	}
 	if hit := e.lookupConfig(cfg.Schema); hit != nil {
 		return *hit, nil
@@ -503,12 +393,7 @@ func (e *Evaluator) Materialize(ctx context.Context, cfg Config) (Config, error)
 	// longer retained re-translate (their cached costs stand), so the
 	// result always carries the complete catalog and query set.
 	e.evals.Add(1)
-	out, err := e.evaluateIncremental(ctx, cfg.Schema, true)
-	if errors.Is(err, errMemoInconsistent) {
-		e.memoFalls.Add(1)
-		return e.evaluateFull(ctx, cfg.Schema)
-	}
-	return out, err
+	return e.evaluateIncremental(ctx, cfg.Schema, true)
 }
 
 // GetPSchemaCost returns just the estimated workload cost of a p-schema.
@@ -569,8 +454,7 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 		rootCount = 1
 	}
 	cache := opts.searchCache()
-	eval := &Evaluator{Workload: wkld, RootCount: rootCount, Model: opts.Model, Cache: cache,
-		DisableIncremental: opts.DisableIncremental, DisableSharing: opts.DisableSharing}
+	eval := &Evaluator{Workload: wkld, RootCount: rootCount, Model: opts.Model, Cache: cache}
 	cacheStart := cache.Stats()
 	// The initial configuration is evaluated before anytime semantics
 	// kick in: without it there is no best-so-far to return. (A context
@@ -600,14 +484,33 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 		start := time.Now()
 		cands := transform.Candidates(best.Schema, tropts)
 		results, hits, misses := evaluateCandidates(st, best.Schema, cands, eval, opts.Workers)
+		// Adopt the cheapest improving candidate (ties break on candidate
+		// order). Its catalog may have been skipped by a cache hit, so it
+		// is derived now — one pipeline run instead of one per candidate.
+		// A winner whose materialization fails is dropped for the
+		// next-cheapest; an interrupted one keeps the previous best (its
+		// catalog is already derived or re-derivable) — anytime semantics
+		// over a half-applied winner.
 		var bestCand Config
-		bestCand.Cost = best.Cost
 		applied := ""
-		for i, cfg := range results {
-			if cfg != nil && cfg.Cost < bestCand.Cost {
-				bestCand = *cfg
-				applied = cands[i].String()
+		for {
+			pick := -1
+			for i, cfg := range results {
+				if cfg != nil && cfg.Cost < best.Cost && (pick < 0 || cfg.Cost < results[pick].Cost) {
+					pick = i
+				}
 			}
+			if pick < 0 {
+				break
+			}
+			if cfg, ok := materializeCandidate(st, eval, cands[pick].String(), *results[pick]); ok {
+				bestCand, applied = cfg, cands[pick].String()
+				break
+			}
+			if ctx.Err() != nil {
+				break
+			}
+			results[pick] = nil
 		}
 		if applied == "" {
 			// No improving candidate. If the iteration was cut short the
@@ -619,20 +522,6 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 			case st.exhausted():
 				stop = StopBudget
 			}
-			break
-		}
-		// The winner's catalog may have been skipped by a cache hit;
-		// derive it now (one pipeline run instead of one per candidate).
-		// An interrupted materialization keeps the previous best (its
-		// catalog is already derived or re-derivable) — anytime
-		// semantics over a half-applied winner.
-		bestCand, err = eval.Materialize(ctx, bestCand)
-		if err != nil {
-			if ctx.Err() != nil {
-				stop = st.stopFor(ctx.Err())
-				break
-			}
-			st.recordError(applied, "materialize", err)
 			break
 		}
 		improvement := (best.Cost - bestCand.Cost) / best.Cost
@@ -652,12 +541,9 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 	}
 	// The best configuration's catalog may still be missing when the
 	// initial evaluation hit the cache and no iteration improved on it.
-	// Materialize detached from the search context: an expired deadline
-	// must not cost the caller the configuration the search already
-	// earned.
-	result.Best, err = eval.Materialize(context.Background(), best)
+	result.Best, err = materializeBest(eval, best)
 	if err != nil {
-		return nil, fmt.Errorf("core: materialize best: %w", err)
+		return nil, err
 	}
 	result.Report = st.report(stop, len(result.Trace), eval, time.Since(started))
 	result.Cache = cache.Stats().Sub(cacheStart)
@@ -667,6 +553,45 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 	result.QueryCacheHits, result.QueryCacheMisses = eval.QueryCacheStats()
 	result.BlocksRequested, result.BlocksCosted = eval.BlockStats()
 	return result, nil
+}
+
+// materializeCandidate derives an improving candidate's catalog under
+// the same fault isolation as evaluateOne: an error or panic is recorded
+// as a CandidateError at stage "materialize" and reported as !ok, and
+// the caller moves on to the next-cheapest candidate. An interrupted
+// materialization is a skip, not a failure.
+func materializeCandidate(st *searchState, eval *Evaluator, label string, cfg Config) (out Config, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			st.recordPanic(label, "materialize", r, debug.Stack())
+			out, ok = Config{}, false
+		}
+	}()
+	out, err := eval.Materialize(st.ctx, cfg)
+	if err != nil {
+		if st.ctx.Err() == nil {
+			st.recordError(label, "materialize", err)
+		}
+		return Config{}, false
+	}
+	return out, true
+}
+
+// materializeBest derives the returned configuration's catalog, detached
+// from the search context: an expired deadline must not cost the caller
+// the configuration the search already earned. There is nothing cheaper
+// to fall back on, so a failure — a recovered panic included — is the
+// search's error.
+func materializeBest(eval *Evaluator, best Config) (cfg Config, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cfg, err = Config{}, fmt.Errorf("core: materialize best: panic: %v", r)
+		}
+	}()
+	if cfg, err = eval.Materialize(context.Background(), best); err != nil {
+		return Config{}, fmt.Errorf("core: materialize best: %w", err)
+	}
+	return cfg, nil
 }
 
 // evaluateCandidates applies and costs every candidate transformation of

@@ -32,32 +32,23 @@ func resultSignature(res *Result) string {
 type searchVariant struct {
 	name    string
 	workers int
-	cache   bool
 }
 
 func determinismVariants() []searchVariant {
 	return []searchVariant{
-		{"workers1-cache", 1, true},
-		{"workers8-cache", 8, true},
-		{"workers1-nocache", 1, false},
-		{"workers8-nocache", 8, false},
+		{"workers1", 1},
+		{"workers8", 8},
 	}
 }
 
 func variantOptions(v searchVariant, strategy Strategy) Options {
-	opts := Options{Strategy: strategy, Workers: v.workers}
-	if v.cache {
-		opts.Cache = NewCostCache(0) // fresh cache per run
-	} else {
-		opts.DisableCache = true
-	}
-	return opts
+	return Options{Strategy: strategy, Workers: v.workers, Cache: NewCostCache(0)} // fresh cache per run
 }
 
 // TestGreedyDeterministicAcrossWorkersAndCache: greedy search must pick
 // the same transformations, costs and DDL whether candidates are costed
-// sequentially or by 8 workers, and whether the memoization layer is on
-// or off.
+// sequentially or by 8 workers, each on a fresh cache (the agreement
+// with memo-free evaluation is TestSearchMatchesReference).
 func TestGreedyDeterministicAcrossWorkersAndCache(t *testing.T) {
 	for _, strategy := range []Strategy{GreedySO, GreedySI} {
 		for _, wl := range []struct {

@@ -42,7 +42,7 @@ func finalSignature(res *Result) string {
 // worker pool settles, and the winner matches the fault-free run.
 func TestInjectedPanicIsIsolatedFromSearch(t *testing.T) {
 	opts := func(cache *CostCache) Options {
-		return Options{Strategy: GreedySO, Workers: 1, Cache: cache, DisableIncremental: true}
+		return Options{Strategy: GreedySO, Workers: 1, Cache: cache}
 	}
 	baseline, err := GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), opts(NewCostCache(0)))
 	if err != nil {
@@ -78,7 +78,7 @@ func TestInjectedPanicIsIsolatedFromSearch(t *testing.T) {
 // winner as the fault-free baseline.
 func TestTransientFaultsConvergeToFaultFreeWinner(t *testing.T) {
 	opts := func(cache *CostCache) Options {
-		return Options{Strategy: GreedySO, Workers: 1, Cache: cache, DisableIncremental: true}
+		return Options{Strategy: GreedySO, Workers: 1, Cache: cache}
 	}
 	baseline, err := GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), opts(NewCostCache(0)))
 	if err != nil {
@@ -109,29 +109,56 @@ func TestTransientFaultsConvergeToFaultFreeWinner(t *testing.T) {
 	}
 }
 
-// TestMemoInconsistencyFallsBackToFullEvaluation: an inconsistent
-// incremental memo state (forced via the core.memo failpoint) makes
-// every evaluation fall back to the full pipeline — counted in the
-// report, byte-identical outcome.
-func TestMemoInconsistencyFallsBackToFullEvaluation(t *testing.T) {
-	opts := Options{Strategy: GreedySO, Workers: 1, DisableCache: true}
-	baseline, err := GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), opts)
+// TestMaterializeFailureSkipsWinner: on a warm cache every costing is a
+// hit, so the first relational mapping of a search is the one that
+// materializes the first iteration's winner. A fault there — error or
+// panic — must be recorded as one "materialize" failure, the winner
+// dropped for the next-cheapest improving candidate, and the search
+// must carry on to the fault-free winner instead of stopping as
+// converged or letting the panic escape.
+func TestMaterializeFailureSkipsWinner(t *testing.T) {
+	baseline, err := GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), Options{
+		Strategy: GreedySO, Workers: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := faults.Enable(faults.SiteMemo, -1, false)
-	defer restore()
-	res, err := GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), opts)
-	if err != nil {
-		t.Fatalf("search with a poisoned memo returned error: %v", err)
-	}
-	if res.Report.MemoFallbacks == 0 {
-		t.Fatal("no memo fallbacks counted")
-	}
-	if res.Report.Failed != 0 {
-		t.Fatalf("fallbacks must not count as failures: Failed = %d", res.Report.Failed)
-	}
-	if got, want := resultSignature(res), resultSignature(baseline); got != want {
-		t.Fatalf("fallback evaluation diverged from the incremental baseline:\n got %s\nwant %s", got, want)
+	for _, panicMode := range []bool{false, true} {
+		t.Run(fmt.Sprintf("panic=%v", panicMode), func(t *testing.T) {
+			cache := NewCostCache(0)
+			opts := Options{Strategy: GreedySO, Workers: 1, Cache: cache}
+			if _, err := GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), opts); err != nil {
+				t.Fatal(err)
+			}
+			restore := faults.Enable(faults.SiteMap, 1, panicMode)
+			defer restore()
+			var res *Result
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("materialization panic escaped the search: %v", r)
+					}
+				}()
+				res, err = GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), opts)
+			}()
+			if err != nil {
+				t.Fatalf("search with a failing materialization returned error: %v", err)
+			}
+			if hits := faults.Hits(faults.SiteMap); hits != 1 {
+				t.Fatalf("failpoint fired %d times, want 1", hits)
+			}
+			if res.Report.Failed != 1 {
+				t.Fatalf("report.Failed = %d, want 1 (errors %v)", res.Report.Failed, res.Report.Errors)
+			}
+			if ce := res.Report.Errors[0]; ce.Stage != "materialize" || ce.Panic != panicMode {
+				t.Fatalf("candidate error does not describe the materialization fault: %+v", ce)
+			}
+			if res.Report.Stop != StopConverged || len(res.Trace) == 0 {
+				t.Fatalf("stop = %s after %d iterations", res.Report.Stop, len(res.Trace))
+			}
+			if got, want := finalSignature(res), finalSignature(baseline); got != want {
+				t.Fatalf("search diverged from the fault-free winner:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
 
-	"legodb/internal/faults"
 	"legodb/internal/optimizer"
 	"legodb/internal/plan"
 	"legodb/internal/relational"
@@ -18,7 +16,7 @@ import (
 
 // Incremental evaluation (the per-evaluator reuse layers).
 //
-// A greedy move rewrites exactly one named type, yet the baseline
+// A greedy move rewrites exactly one named type, yet the paper's plain
 // pipeline re-maps the whole p-schema and re-translates and re-costs the
 // whole workload per candidate. The layers here exploit the locality:
 //
@@ -35,12 +33,14 @@ import (
 //     cost-cache hit that wins an iteration no longer pays a
 //     re-evaluation just to recover its catalog and DDL.
 //
-// Hard invariant: incremental and full evaluation produce bit-identical
-// costs (cached floats are the stored outputs of an identical
-// computation, and the weighted summation order never changes),
-// byte-identical traces and byte-identical DDL (the materialization
-// cache keys on a name-sensitive schema digest, which pins type and
-// table names).
+// Hard invariant: a search over these layers returns what plain
+// Algorithm 4.1 over the plain pipeline returns — bit-identical costs
+// (cached floats are the stored outputs of an identical computation,
+// and the weighted summation order never changes), byte-identical
+// traces and byte-identical DDL (the materialization cache keys on a
+// name-sensitive schema digest, which pins type and table names). The
+// reference tests (reference_test.go) check it against a memo-free
+// re-implementation.
 
 const (
 	// queryVariantsCap bounds the memoized outcomes per dependency group
@@ -546,17 +546,10 @@ func (e *Evaluator) lookupConfig(ps *xschema.Schema) *Config {
 	return e.matCache[key]
 }
 
-// errMemoInconsistent reports an incremental evaluation that found its
-// memoized state out of step with the schema in hand (e.g. a cached
-// per-query variant without its translated query). The evaluator treats
-// it as a signal to fall back to the full pipeline for this candidate —
-// a counted graceful degradation, never a trusted-but-wrong cost.
-var errMemoInconsistent = errors.New("core: inconsistent memo state")
-
-// evaluateIncremental is the incremental counterpart of evaluateFull:
-// same pipeline, same summation order, but each workload slot first
-// consults its per-query cost cache and only re-translates and re-costs
-// on a dependency-state change.
+// evaluateIncremental is the evaluator's pipeline: the paper's
+// map-translate-cost in the plain pipeline's summation order, but each
+// workload slot first consults its per-query cost cache and only
+// re-translates and re-costs on a dependency-state change.
 //
 // materialize selects what a hit without a retained translation does:
 // during the search (false) the slot's cached cost is used as-is and
@@ -565,9 +558,6 @@ var errMemoInconsistent = errors.New("core: inconsistent memo state")
 // materializing a winner (true) such slots re-translate so the returned
 // Config carries the complete catalog and query set.
 func (e *Evaluator) evaluateIncremental(ctx context.Context, ps *xschema.Schema, materialize bool) (Config, error) {
-	if err := faults.Inject(faults.SiteMemo); err != nil {
-		return Config{}, errMemoInconsistent
-	}
 	digests := e.acquireDigests(ps)
 	defer e.releaseDigests(digests)
 	cat, err := e.sharedMapper().Map(ps, digests)
@@ -642,17 +632,9 @@ func (e *Evaluator) evaluateIncremental(ctx context.Context, ps *xschema.Schema,
 			// On a shape hit the stored AST is what re-translation would
 			// produce (translation reads only the structure the shape key
 			// covers), so only the costing below is paid.
-			if e.DisableSharing {
-				est, err := getOpt().QueryCost(sq)
-				if err != nil {
-					return Config{}, err
-				}
-				cost = est.Cost
-			} else {
-				cost, err = getSpace().QueryCost(sq)
-				if err != nil {
-					return Config{}, err
-				}
+			cost, err = getSpace().QueryCost(sq)
+			if err != nil {
+				return Config{}, err
 			}
 			e.storeQueryCost(i, key, deps, cost, sq)
 		}

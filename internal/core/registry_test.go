@@ -89,8 +89,7 @@ func TestSingleflightLeaderErrorReleasesWaiters(t *testing.T) {
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		e := &Evaluator{Workload: imdb.LookupWorkload(), RootCount: 1, Cache: cache,
-			DisableIncremental: true}
+		e := &Evaluator{Workload: imdb.LookupWorkload(), RootCount: 1, Cache: cache}
 		wg.Add(1)
 		go func(i int, e *Evaluator) {
 			defer wg.Done()
@@ -125,8 +124,7 @@ func TestSingleflightLeaderPanicReleasesWaiters(t *testing.T) {
 	outcomes := make([]string, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		e := &Evaluator{Workload: imdb.LookupWorkload(), RootCount: 1, Cache: cache,
-			DisableIncremental: true}
+		e := &Evaluator{Workload: imdb.LookupWorkload(), RootCount: 1, Cache: cache}
 		wg.Add(1)
 		go func(i int, e *Evaluator) {
 			defer wg.Done()

@@ -110,9 +110,6 @@ type SearchReport struct {
 	Failed int64
 	// Errors details the failed candidates, in arrival order (capped).
 	Errors []CandidateError
-	// MemoFallbacks counts incremental evaluations that detected an
-	// inconsistent memo state and gracefully re-ran the full pipeline.
-	MemoFallbacks uint64
 	// BlocksRequested and BlocksCosted mirror Result: SPJ block costings
 	// asked of the logical-plan layer versus actually run — the gap is
 	// the sharing the plan layer delivered during this search.
@@ -215,7 +212,6 @@ func (st *searchState) report(stop StopReason, iterations int, eval *Evaluator, 
 		Skipped:         st.skipped.Load(),
 		Failed:          st.failed.Load(),
 		Errors:          errs,
-		MemoFallbacks:   eval.MemoFallbacks(),
 		BlocksRequested: req,
 		BlocksCosted:    costed,
 		Elapsed:         elapsed,

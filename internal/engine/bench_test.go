@@ -12,9 +12,9 @@ import (
 // (filtered scan, index nested-loop through a key, hash join on data
 // columns between two large relations, and the same join probed by a
 // single tuple), each under both implementations, so the
-// vectorization speedup is measured rather than asserted. cmd/bench's
-// engine-exec scenario reports the same comparison on the IMDB workload
-// shapes into BENCH_search.json.
+// vectorization speedup is measured rather than asserted.
+// BenchmarkExecuteIMDBJoin makes the same comparison on the IMDB
+// workload's Q12/Q13 joins.
 
 // benchDB builds R (nR rows) with children A (nA rows) and B (nB rows);
 // A.x and B.y cycle through `values` distinct integers, A.parent_R

@@ -77,7 +77,7 @@ func AblationUpdates(ctx context.Context) (*Table, error) {
 		// Estimate the share of the weighted cost coming from updates by
 		// re-costing the queries alone on the chosen schema.
 		queriesOnly := imdb.LookupWorkload()
-		qCost, err := core.GetPSchemaCostWith(res.Best.Schema, queriesOnly, 1, nil, costCache())
+		qCost, err := core.GetPSchemaCostWith(res.Best.Schema, queriesOnly, 1, nil, sharedCache)
 		if err != nil {
 			return nil, err
 		}

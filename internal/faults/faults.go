@@ -1,8 +1,8 @@
 // Package faults provides failpoints: named sites in the evaluation
-// pipeline (relational mapping, workload translation, optimizer costing,
-// memo validation) and the serving path (block execution, document
-// shredding, request dispatch) where tests can inject errors or panics
-// to exercise the search's and the server's fault isolation.
+// pipeline (relational mapping, workload translation, optimizer costing)
+// and the serving path (block execution, document shredding, request
+// dispatch) where tests can inject errors or panics to exercise the
+// search's and the server's fault isolation.
 //
 // Production code never arms a site — the package is inert unless a test
 // calls Enable, and the disarmed fast path is a single atomic load, so
@@ -29,10 +29,6 @@ const (
 	// SiteQueryCost fires in optimizer.QueryCost, before a translated
 	// query is costed.
 	SiteQueryCost = "optimizer.querycost"
-	// SiteMemo fires in the evaluator's incremental path; arming it makes
-	// incremental evaluation report an inconsistent memo state, forcing
-	// the graceful fallback to full evaluation.
-	SiteMemo = "core.memo"
 	// SiteExec fires in engine.Database execution before each SPJ block
 	// runs — the serving path's executor seam. Hook mode doubles as a
 	// deterministic way to make a served query slow or gated.

@@ -13,8 +13,8 @@
 //     reads an alias string) but order-dependent in the low bits (float
 //     selectivities multiply in filter order; greedy ties break by FROM
 //     position), so the cost memo keys on ShapeKey and replayed costs are
-//     bit-identical to recomputation — sharing on and off produce the
-//     same bytes.
+//     bit-identical to recomputation — a search through the plan layer
+//     returns the same bytes as one costing every block afresh.
 //   - Fingerprint is additionally order-invariant (signature refinement
 //     over the join graph), the right identity for structural dedup
 //     statistics and for asking "is this the same logical block". A
