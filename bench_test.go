@@ -47,8 +47,7 @@ func BenchmarkFig6StorageMaps(b *testing.B) { benchExperiment(b, "fig6") }
 // iteration against one cost cache shared across the whole benchmark,
 // and reports the evaluator traffic: evals/op counts cost-pipeline runs,
 // hits/op the candidate costings answered from memory, translations/op
-// the per-query translate+cost runs the incremental layer could not
-// avoid.
+// the per-slot translate+cost runs slot reuse could not avoid.
 func benchGreedy(b *testing.B, strategy core.Strategy) {
 	b.Helper()
 	cache := core.NewCostCache(0)
@@ -223,6 +222,39 @@ func BenchmarkSearchWorkers(b *testing.B) {
 			b.ReportMetric(float64(evaluated)/float64(b.N), "evaluations/op")
 		})
 	}
+}
+
+// BenchmarkReadviseRefreshedStats times a re-advise under refreshed
+// statistics: per op, one cost cache is warmed (untimed) by greedy-so and
+// greedy-si lookup searches, then the same two searches run on it with
+// RootCount 2. Every table's cardinality has moved, so no configuration
+// cost carries over; only block costings of unchanged tables and the
+// search's own slot reuse can. translations/op counts the per-slot
+// translate+cost runs of the timed searches.
+func BenchmarkReadviseRefreshedStats(b *testing.B) {
+	strategies := []core.Strategy{core.GreedySO, core.GreedySI}
+	search := func(cache *core.CostCache, strategy core.Strategy, rootCount float64) *core.Result {
+		res, err := core.GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), core.Options{
+			Strategy: strategy, RootCount: rootCount, Workers: 1, Cache: cache,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	var translations uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache := core.NewCostCache(0)
+		for _, s := range strategies {
+			search(cache, s, 1)
+		}
+		b.StartTimer()
+		for _, s := range strategies {
+			translations += search(cache, s, 2).Translations
+		}
+	}
+	b.ReportMetric(float64(translations)/float64(b.N), "translations/op")
 }
 
 // --- component micro-benchmarks ---

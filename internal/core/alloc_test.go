@@ -39,39 +39,61 @@ func TestAllocsCostCacheHit(t *testing.T) {
 	})
 }
 
-// TestAllocsQueryStoreSnapshot: reading a per-query dependency group
-// snapshot must not allocate (it runs once per workload slot per
-// candidate evaluation).
+// TestAllocsQueryStoreSnapshot: reading a complete Config's stored
+// per-slot records (which replaced the per-query store the test is
+// named for) must not allocate. A base evaluated under RootCount 1 is
+// checked slot by slot against the catalog of RootCount 2, where every
+// table differs, so each check walks its record to the first miss —
+// the path every candidate evaluation takes for a slot it recomputes.
 func TestAllocsQueryStoreSnapshot(t *testing.T) {
-	var qs queryStore
-	qs.put(99, []string{"A", "B"}, queryVariant{key: 1, cost: 2}, nil)
-	assertAllocs(t, "queryStore.snapshot", 0, func() {
-		if gs := qs.snapshot(99); len(gs) != 1 {
-			t.Fatal("expected one group")
+	ctx := context.Background()
+	ps, err := InitialSchema(annotatedIMDB(t), GreedySO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := imdb.LookupWorkload()
+	base, err := (&Evaluator{Workload: w, RootCount: 1}).Evaluate(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := (&Evaluator{Workload: w, RootCount: 2}).Evaluate(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.slots) == 0 {
+		t.Fatal("base recorded no slots")
+	}
+	assertAllocs(t, "slot records snapshot", 0, func() {
+		for i := range base.slots {
+			if base.slots[i].reusable(ps, other.Catalog) {
+				t.Fatalf("slot %d reusable although every table changed", i)
+			}
 		}
 	})
 }
 
-// TestAllocsDepKeyChain: hashing a dependency list against a memoized
-// dependency state must not allocate once every name is memoized — it
-// is the per-group cost of every per-query cache lookup.
+// TestAllocsDepKeyChain: checking a slot's recorded dependency chain
+// against a configuration must not allocate — it runs once per workload
+// slot per candidate evaluation. Checked on the hit path, where the
+// whole chain is walked.
 func TestAllocsDepKeyChain(t *testing.T) {
 	ps, err := InitialSchema(annotatedIMDB(t), GreedySO)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := &Evaluator{Workload: imdb.LookupWorkload(), RootCount: 1}
-	digests := ps.TypeDigests()
-	cat, err := e.sharedMapper().Map(ps, digests)
+	base, err := e.Evaluate(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deps := ps.Names[:4:4]
-	st := e.acquireDepState(ps, cat, digests)
-	defer e.releaseDepState(st)
-	st.keyOf(deps) // memoize the names once
-	assertAllocs(t, "depState.keyOf", 0, func() {
-		st.keyOf(deps)
+	rec := &base.slots[0]
+	if len(rec.deps) == 0 {
+		t.Fatal("slot recorded no dependencies")
+	}
+	assertAllocs(t, "slotRecord.reusable", 0, func() {
+		if !rec.reusable(ps, base.Catalog) {
+			t.Fatal("a slot must be reusable in its own configuration")
+		}
 	})
 }
 

@@ -101,23 +101,23 @@ func BeamSearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Worklo
 		start := time.Now()
 		// Expand the beam: apply every transformation, deduplicate by
 		// canonical fingerprint, then cost the distinct schemas in
-		// parallel. A panicking transformation skips that expansion only.
-		var nextSchemas []*xschema.Schema
-		var nextFPs []xschema.Fingerprint
-		for _, cfg := range beam {
-			for _, tr := range transform.Candidates(cfg.Schema, tropts) {
-				if next := expandOne(st, cfg.Schema, tr); next != nil {
-					fp := next.Fingerprint()
+		// parallel, each from the beam member it expands. A panicking
+		// transformation skips that expansion only.
+		var next []expansion
+		for bi := range beam {
+			parent := &beam[bi]
+			for _, tr := range transform.Candidates(parent.Schema, tropts) {
+				if ps := expandOne(st, parent.Schema, tr); ps != nil {
+					fp := ps.Fingerprint()
 					if seen[fp] {
 						continue
 					}
 					seen[fp] = true
-					nextSchemas = append(nextSchemas, next)
-					nextFPs = append(nextFPs, fp)
+					next = append(next, expansion{ps, fp, parent})
 				}
 			}
 		}
-		results, hits, misses := evaluateSchemas(st, nextSchemas, nextFPs, eval, opts.Workers)
+		results, hits, misses := evaluateSchemas(st, next, eval, opts.Workers)
 		var candidates []Config
 		for _, cfg := range results {
 			if cfg != nil {
@@ -199,17 +199,24 @@ func expandOne(st *searchState, base *xschema.Schema, tr transform.Transformatio
 	return next
 }
 
-// evaluateSchemas costs a batch of already-applied schemas, fanning out
-// across workers like evaluateCandidates. fps carries the schemas'
-// fingerprints, already computed by the dedup pass, so the cache-key
-// path need not fingerprint again. Unanswerable schemas are nil in the
+// expansion is one applied beam expansion: its schema, the fingerprint
+// the dedup pass computed (so the cache-key path need not fingerprint
+// again), and the beam member it expands.
+type expansion struct {
+	schema *xschema.Schema
+	fp     xschema.Fingerprint
+	parent *Config
+}
+
+// evaluateSchemas costs a batch of beam expansions, fanning out across
+// workers like evaluateCandidates. Unanswerable schemas are nil in the
 // indexed result slice; a panicking evaluation is recorded and skipped
 // without wedging the pool.
-func evaluateSchemas(st *searchState, schemas []*xschema.Schema, fps []xschema.Fingerprint, eval *Evaluator, workers int) ([]*Config, int, int) {
+func evaluateSchemas(st *searchState, schemas []expansion, eval *Evaluator, workers int) ([]*Config, int, int) {
 	results := make([]*Config, len(schemas))
 	var hits, misses atomic.Int64
 	evalAt := func(i int) {
-		results[i] = evaluateSchema(st, schemas[i], fps[i], eval, &hits, &misses)
+		results[i] = evaluateSchema(st, schemas[i], eval, &hits, &misses)
 	}
 	if workers == 1 || len(schemas) <= 1 {
 		for i := range schemas {
@@ -245,9 +252,9 @@ func evaluateSchemas(st *searchState, schemas []*xschema.Schema, fps []xschema.F
 	return results, int(hits.Load()), int(misses.Load())
 }
 
-// evaluateSchema costs one already-applied schema under the search
-// state's budget and panic isolation.
-func evaluateSchema(st *searchState, ps *xschema.Schema, fp xschema.Fingerprint, eval *Evaluator, hits, misses *atomic.Int64) (out *Config) {
+// evaluateSchema costs one beam expansion from its parent under the
+// search state's budget and panic isolation.
+func evaluateSchema(st *searchState, x expansion, eval *Evaluator, hits, misses *atomic.Int64) (out *Config) {
 	if !st.take() {
 		return nil
 	}
@@ -257,7 +264,7 @@ func evaluateSchema(st *searchState, ps *xschema.Schema, fp xschema.Fingerprint,
 			out = nil
 		}
 	}()
-	cfg, hit, err := eval.evaluateCachedFP(st.ctx, ps, fp)
+	cfg, hit, err := eval.evaluateCachedKey(st.ctx, x.schema, eval.cacheKeyFor(x.fp), x.parent)
 	if err != nil {
 		if st.ctx.Err() == nil {
 			st.recordError("beam expansion", "evaluate", err)

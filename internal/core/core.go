@@ -140,12 +140,17 @@ func (o *Options) kinds() []transform.Kind {
 	}
 }
 
-// Config is one evaluated storage configuration.
+// Config is one evaluated storage configuration. A complete Config
+// (Catalog non-nil) also records what each workload slot's translation
+// read, so candidates derived from it reuse the slots their move did not
+// reach (see incremental.go).
 type Config struct {
 	Schema  *xschema.Schema
 	Catalog *relational.Catalog
 	Queries []*sqlast.Query
 	Cost    float64
+
+	slots []slotRecord
 }
 
 // Iteration records one step of the greedy loop, for the Figure 10
@@ -179,11 +184,12 @@ type Result struct {
 	// Evals counts full evaluator pipeline runs (relational mapping +
 	// translation + optimizer costing) performed by this search.
 	Evals uint64
-	// Translations counts per-query translate+cost pipeline runs (one
-	// per workload slot that missed the per-query cost cache).
+	// Translations counts per-slot translate+cost runs: one per
+	// workload slot an evaluation could not reuse from its base.
 	Translations uint64
-	// QueryCacheHits and QueryCacheMisses count the per-query cost
-	// cache's traffic during this search.
+	// QueryCacheHits counts the workload slots evaluations reused from
+	// their base configuration, QueryCacheMisses the slots they
+	// translated and costed afresh.
 	QueryCacheHits   uint64
 	QueryCacheMisses uint64
 	// BlocksRequested counts the SPJ block costings translated queries
@@ -210,7 +216,8 @@ type Evaluator struct {
 	modelID    uint64
 	evals      atomic.Uint64
 
-	// Incremental-layer state (see incremental.go).
+	// Slot-reuse counters (see incremental.go): translations paid, and
+	// slots reused from a base versus recomputed.
 	translations   atomic.Uint64
 	qhits, qmisses atomic.Uint64
 	// Plan-layer counters (see incremental.go): block costings the plan
@@ -221,33 +228,20 @@ type Evaluator struct {
 	localBlocks  plan.Store
 	mapperOnce   sync.Once
 	mapper       *relational.Mapper
-	qdigOnce     sync.Once
-	qdigests     []uint64
-	localQueries queryStore
-	matMu        sync.Mutex
-	matCache     map[xschema.Fingerprint]*Config
-	matOrder     []xschema.Fingerprint
-	// matBest is the cheapest cost remembered so far; rememberConfig
-	// drops configurations above it (only iteration winners — cheapest-
-	// so-far by construction — are ever materialized).
-	matBest float64
-	// depPool and digPool recycle per-evaluation scratch (the
-	// dependency-state hash memo and the shallow-digest map) across
-	// candidates, so the incremental hot path allocates per evaluation
-	// only what it returns.
-	depPool sync.Pool
+	// digPool recycles the per-evaluation shallow-digest map the mapper
+	// reads.
 	digPool sync.Pool
 }
 
 // Evals returns how many full (uncached) evaluations this evaluator ran.
 func (e *Evaluator) Evals() uint64 { return e.evals.Load() }
 
-// Translations returns how many per-query translate+cost pipeline runs
-// this evaluator paid (per-query cache hits skip them).
+// Translations returns how many per-slot translate+cost runs this
+// evaluator paid (slots reused from a base skip them).
 func (e *Evaluator) Translations() uint64 { return e.translations.Load() }
 
-// QueryCacheStats returns the per-query cost cache's hit and miss
-// counts.
+// QueryCacheStats returns how many workload slots this evaluator's
+// evaluations reused from their base (hits) and recomputed (misses).
 func (e *Evaluator) QueryCacheStats() (hits, misses uint64) {
 	return e.qhits.Load(), e.qmisses.Load()
 }
@@ -278,14 +272,14 @@ func (e *Evaluator) cacheKey(ps *xschema.Schema) CacheKey {
 }
 
 // Evaluate maps the p-schema to relations, translates the workload and
-// returns the weighted-average estimated cost together with the derived
-// configuration. The incremental layers reuse unchanged per-definition
-// column templates and per-query costs from earlier evaluations of this
-// evaluator (byte-identical outcome, see incremental.go). Cancelling ctx
-// aborts between pipeline stages.
+// returns the weighted-average estimated cost together with the complete
+// derived configuration. The evaluator's mapper reuses unchanged tables
+// and column templates from its earlier evaluations, and block costings
+// come through plan.Store; with no base configuration every workload
+// slot is translated and costed. Cancelling ctx aborts between pipeline
+// stages.
 func (e *Evaluator) Evaluate(ctx context.Context, ps *xschema.Schema) (Config, error) {
-	e.evals.Add(1)
-	return e.evaluateIncremental(ctx, ps, false)
+	return e.evaluate(ctx, ps, nil)
 }
 
 // EvaluateCached costs a p-schema through the evaluator's cache. On a
@@ -310,20 +304,12 @@ func (e *Evaluator) EvaluateCached(ctx context.Context, ps *xschema.Schema) (Con
 		cfg, err := e.Evaluate(ctx, ps)
 		return cfg, false, err
 	}
-	return e.evaluateCachedKey(ctx, ps, e.cacheKey(ps))
+	return e.evaluateCachedKey(ctx, ps, e.cacheKey(ps), nil)
 }
 
-// evaluateCachedFP is EvaluateCached for callers that already computed
-// the schema's fingerprint.
-func (e *Evaluator) evaluateCachedFP(ctx context.Context, ps *xschema.Schema, fp xschema.Fingerprint) (Config, bool, error) {
-	if e.Cache == nil {
-		cfg, err := e.Evaluate(ctx, ps)
-		return cfg, false, err
-	}
-	return e.evaluateCachedKey(ctx, ps, e.cacheKeyFor(fp))
-}
-
-func (e *Evaluator) evaluateCachedKey(ctx context.Context, ps *xschema.Schema, key CacheKey) (Config, bool, error) {
+// evaluateCachedKey is EvaluateCached under an already-built cache key,
+// evaluating a miss from base (see evaluate).
+func (e *Evaluator) evaluateCachedKey(ctx context.Context, ps *xschema.Schema, key CacheKey, base *Config) (Config, bool, error) {
 	if cost, ok := e.Cache.Get(key); ok {
 		return Config{Schema: ps, Cost: cost}, true, nil
 	}
@@ -339,14 +325,14 @@ func (e *Evaluator) evaluateCachedKey(ctx context.Context, ps *xschema.Schema, k
 			return Config{}, false, ctx.Err()
 		}
 		// The leader failed; evaluate independently under our context.
-		cfg, err := e.Evaluate(ctx, ps)
+		cfg, err := e.evaluate(ctx, ps, base)
 		if err != nil {
 			return Config{}, false, err
 		}
 		e.Cache.Put(key, cfg.Cost)
 		return cfg, false, nil
 	}
-	cfg, err := e.evaluateAsLeader(ctx, ps, key, call)
+	cfg, err := e.evaluateAsLeader(ctx, ps, key, call, base)
 	if err != nil {
 		return Config{}, false, err
 	}
@@ -358,14 +344,14 @@ func (e *Evaluator) evaluateCachedKey(ctx context.Context, ps *xschema.Schema, k
 // deferred finish also fires when the evaluation panics — the search's
 // per-candidate isolation recovers the panic above us, and the waiters
 // must be released to evaluate for themselves rather than block forever.
-func (e *Evaluator) evaluateAsLeader(ctx context.Context, ps *xschema.Schema, key CacheKey, call *flightCall) (cfg Config, err error) {
+func (e *Evaluator) evaluateAsLeader(ctx context.Context, ps *xschema.Schema, key CacheKey, call *flightCall, base *Config) (cfg Config, err error) {
 	published := false
 	defer func() {
 		if !published {
 			e.Cache.finish(key, call, 0, errLeaderAbandoned)
 		}
 	}()
-	cfg, err = e.Evaluate(ctx, ps)
+	cfg, err = e.evaluate(ctx, ps, base)
 	if err == nil {
 		e.Cache.Put(key, cfg.Cost)
 	}
@@ -379,21 +365,18 @@ func (e *Evaluator) evaluateAsLeader(ctx context.Context, ps *xschema.Schema, ke
 var errLeaderAbandoned = errors.New("core: in-flight evaluation abandoned")
 
 // Materialize completes a configuration whose catalog and translated
-// queries were skipped by a cache hit. Configurations this evaluator
-// fully evaluated before are returned from the materialization cache
-// without re-running the pipeline.
+// queries were skipped by a cost-cache hit by evaluating its schema. A
+// complete configuration is returned as is.
 func (e *Evaluator) Materialize(ctx context.Context, cfg Config) (Config, error) {
+	return e.materialize(ctx, cfg, nil)
+}
+
+// materialize is Materialize evaluating from base (see evaluate).
+func (e *Evaluator) materialize(ctx context.Context, cfg Config, base *Config) (Config, error) {
 	if cfg.Catalog != nil {
 		return cfg, nil
 	}
-	if hit := e.lookupConfig(cfg.Schema); hit != nil {
-		return *hit, nil
-	}
-	// Evaluate in materialize mode: hit slots whose translation is no
-	// longer retained re-translate (their cached costs stand), so the
-	// result always carries the complete catalog and query set.
-	e.evals.Add(1)
-	return e.evaluateIncremental(ctx, cfg.Schema, true)
+	return e.evaluate(ctx, cfg.Schema, base)
 }
 
 // GetPSchemaCost returns just the estimated workload cost of a p-schema.
@@ -483,12 +466,12 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 		}
 		start := time.Now()
 		cands := transform.Candidates(best.Schema, tropts)
-		results, hits, misses := evaluateCandidates(st, best.Schema, cands, eval, opts.Workers)
+		results, hits, misses := evaluateCandidates(st, &best, cands, eval, opts.Workers)
 		// Adopt the cheapest improving candidate (ties break on candidate
-		// order). Its catalog may have been skipped by a cache hit, so it
-		// is derived now — one pipeline run instead of one per candidate.
-		// A winner whose materialization fails is dropped for the
-		// next-cheapest; an interrupted one keeps the previous best (its
+		// order). A cost-cache hit carries no catalog, so a winning hit is
+		// derived now from the current best — one pipeline run instead of
+		// one per candidate. A winner whose materialization fails is
+		// dropped for the next-cheapest; an interrupted one keeps the previous best (its
 		// catalog is already derived or re-derivable) — anytime semantics
 		// over a half-applied winner.
 		var bestCand Config
@@ -503,7 +486,7 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 			if pick < 0 {
 				break
 			}
-			if cfg, ok := materializeCandidate(st, eval, cands[pick].String(), *results[pick]); ok {
+			if cfg, ok := materializeCandidate(st, eval, cands[pick].String(), *results[pick], &best); ok {
 				bestCand, applied = cfg, cands[pick].String()
 				break
 			}
@@ -555,19 +538,19 @@ func GreedySearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Work
 	return result, nil
 }
 
-// materializeCandidate derives an improving candidate's catalog under
-// the same fault isolation as evaluateOne: an error or panic is recorded
-// as a CandidateError at stage "materialize" and reported as !ok, and
-// the caller moves on to the next-cheapest candidate. An interrupted
-// materialization is a skip, not a failure.
-func materializeCandidate(st *searchState, eval *Evaluator, label string, cfg Config) (out Config, ok bool) {
+// materializeCandidate derives an improving candidate's catalog from
+// base under the same fault isolation as evaluateOne: an error or panic
+// is recorded as a CandidateError at stage "materialize" and reported as
+// !ok, and the caller moves on to the next-cheapest candidate. An
+// interrupted materialization is a skip, not a failure.
+func materializeCandidate(st *searchState, eval *Evaluator, label string, cfg Config, base *Config) (out Config, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			st.recordPanic(label, "materialize", r, debug.Stack())
 			out, ok = Config{}, false
 		}
 	}()
-	out, err := eval.Materialize(st.ctx, cfg)
+	out, err := eval.materialize(st.ctx, cfg, base)
 	if err != nil {
 		if st.ctx.Err() == nil {
 			st.recordError(label, "materialize", err)
@@ -595,13 +578,14 @@ func materializeBest(eval *Evaluator, best Config) (cfg Config, err error) {
 }
 
 // evaluateCandidates applies and costs every candidate transformation of
-// one schema, fanning out across workers. The result slice is indexed
+// base's schema, fanning out across workers; each candidate is evaluated
+// from base. The result slice is indexed
 // like cands; inapplicable or unanswerable candidates are nil (skipped,
 // as the paper's engine does, with failures recorded in the search
 // state). It also reports how many costings were cache hits and misses.
 // Cancellation stops the dispatch loop; workers always drain and the
 // WaitGroup always settles, even when a candidate's evaluation panics.
-func evaluateCandidates(st *searchState, base *xschema.Schema, cands []transform.Transformation, eval *Evaluator, workers int) ([]*Config, int, int) {
+func evaluateCandidates(st *searchState, base *Config, cands []transform.Transformation, eval *Evaluator, workers int) ([]*Config, int, int) {
 	results := make([]*Config, len(cands))
 	var hits, misses atomic.Int64
 	if workers == 1 || len(cands) <= 1 {
@@ -645,7 +629,7 @@ func evaluateCandidates(st *searchState, base *xschema.Schema, cands []transform
 // evaluateOne applies and costs a single candidate. Every failure mode
 // — transformation error, evaluation error, worker panic — converts to a nil result plus a CandidateError in the search
 // state; nothing escapes to the worker goroutine.
-func evaluateOne(st *searchState, base *xschema.Schema, tr transform.Transformation, eval *Evaluator, hits, misses *atomic.Int64) (out *Config) {
+func evaluateOne(st *searchState, base *Config, tr transform.Transformation, eval *Evaluator, hits, misses *atomic.Int64) (out *Config) {
 	if !st.take() {
 		return nil
 	}
@@ -655,12 +639,12 @@ func evaluateOne(st *searchState, base *xschema.Schema, tr transform.Transformat
 			out = nil
 		}
 	}()
-	nextSchema, err := transform.Apply(base, tr)
+	nextSchema, err := transform.Apply(base.Schema, tr)
 	if err != nil {
 		st.recordError(tr.String(), "apply", err)
 		return nil
 	}
-	cfg, hit, err := eval.EvaluateCached(st.ctx, nextSchema)
+	cfg, hit, err := eval.evaluateCachedKey(st.ctx, nextSchema, eval.cacheKey(nextSchema), base)
 	if err != nil {
 		// A cancellation mid-evaluation is a skip, not a failure.
 		if st.ctx.Err() == nil {

@@ -92,15 +92,10 @@ type CostCache struct {
 	dedups    atomic.Uint64
 	evictions atomic.Uint64
 	shards    [cacheShards]costShard
-	// queries memoizes per-query translate+cost outcomes so searches
-	// sharing this cache reuse each other's translations (see
-	// incremental.go; not persisted by Save — entries carry live SQL
-	// ASTs).
-	queries queryStore
 	// blocks memoizes per-block costings for the logical-plan layer so
 	// structurally identical SPJ blocks cost once across union branches,
 	// queries, sibling candidates and searches sharing this cache (see
-	// internal/plan; like queries, not persisted by Save).
+	// internal/plan; not persisted by Save).
 	blocks plan.Store
 }
 

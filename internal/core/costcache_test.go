@@ -227,7 +227,8 @@ func TestShardDistributionMixesFullFingerprint(t *testing.T) {
 		var fp xschema.Fingerprint
 		// First word fixed; only the second word varies (hashed so the
 		// bytes are uniform, as real FNV fingerprint output is).
-		h := mixUint64(fnvOffset64, uint64(i))
+		h := uint64(i) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
 		for b := 0; b < 8; b++ {
 			fp[8+b] = byte(h >> (8 * b))
 		}

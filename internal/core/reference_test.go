@@ -2,9 +2,9 @@ package core
 
 // The search's ground truth. Algorithm 4.1 needs one GetPSchemaCost per
 // candidate — map, translate, cost — and nothing else; every memo layer
-// of the evaluator (cost cache, singleflight, per-query cost reuse, plan
-// sharing, the memoizing mapper, the materialization cache) exists only
-// to return the same answer faster. The references below are that plain
+// of the evaluator (cost cache, singleflight, slot reuse from the base
+// configuration, plan sharing, the memoizing mapper) exists only to
+// return the same answer faster. The references below are that plain
 // algorithm, kept in test code so the product has one evaluation path
 // and the tests have something independent to compare it against.
 

@@ -11,7 +11,7 @@ import (
 // spaces, and without sharing each engine re-pays every costing the
 // fleet has already performed. Engines attached to a registry search
 // through a single CostCache — the configuration-cost memo plus the
-// per-query and per-block stores riding inside it — keyed by the same
+// per-block store riding inside it — keyed by the same
 // (schema fingerprint, workload digest, model digest) CacheKey as
 // engine-private caches, so identical candidates across tenants hit for
 // free and entries can never be confused between tenants whose schemas,

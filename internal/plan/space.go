@@ -49,8 +49,8 @@ const DefaultStoreCap = 1 << 16
 // Store is a bounded, thread-safe memo of block costings, shared by every
 // Space of a search (and, through core.CostCache, across searches over
 // the same statistics). The zero value is ready to use with the default
-// capacity. Eviction is FIFO; like the per-query cost cache, entries are
-// pure functions of their key, so losing one costs recomputation, never
+// capacity. Eviction is FIFO; like the configuration cost cache, entries
+// are pure functions of their key, so losing one costs recomputation, never
 // correctness — and snapshots (CostCache.Save) deliberately exclude it.
 type Store struct {
 	mu        sync.Mutex

@@ -129,16 +129,8 @@ type Table struct {
 	// Digest hashes the table's complete content — name, cardinality,
 	// every column field the translator or optimizer reads, and the
 	// parent edges. Two tables with equal digests translate and cost
-	// identically; the per-query cost cache keys on it.
+	// identically; plan.Store keys block costings on it.
 	Digest uint64
-	// ShapeDigest hashes only what the query translator reads: the table
-	// and column names, column types, key/FK structure and XML paths —
-	// no cardinalities, sizes or null fractions. Two tables with equal
-	// shape digests translate identically even when their statistics
-	// differ, so the per-query cache can reuse a stored translation and
-	// pay only re-costing when a transformation elsewhere in the schema
-	// shifted this table's row estimates.
-	ShapeDigest uint64
 }
 
 // Edge is a parent-child relationship: rows of Child carry a foreign key
@@ -186,21 +178,15 @@ func tblHashBool(h uint64, b bool) uint64 {
 	return tblHashByte(h, 0)
 }
 
-// computeDigest fills t.Digest and t.ShapeDigest from the table's
-// content in one pass. Digest covers every field a downstream consumer
-// (query translator, optimizer, DDL renderer) reads: if two tables
-// digest equal, substituting one for the other must be unobservable.
-// ShapeDigest covers only the translator's read set — names, column
-// types, key/FK structure and XML paths — so it is invariant under
-// statistics-only changes (row counts, sizes, null fractions,
-// histograms).
+// computeDigest fills t.Digest from the table's content. It covers
+// every field a downstream consumer (query translator, optimizer, DDL
+// renderer) reads: if two tables digest equal, substituting one for the
+// other must be unobservable.
 func (t *Table) computeDigest() {
-	full, shape := tblFNVOffset, tblFNVOffset
+	full := tblFNVOffset
 	full = tblHashStr(full, t.Name)
 	full = tblHashStr(full, t.TypeName)
 	full = tblHashFloat(full, t.Rows)
-	shape = tblHashStr(shape, t.Name)
-	shape = tblHashStr(shape, t.TypeName)
 	for _, c := range t.Columns {
 		full = tblHashStr(full, c.Name)
 		full = tblHashFloat(full, float64(c.Type))
@@ -224,28 +210,14 @@ func (t *Table) computeDigest() {
 			full = tblHashStr(full, "idx")
 		}
 		full = tblHashStr(full, "|")
-
-		shape = tblHashStr(shape, c.Name)
-		shape = tblHashFloat(shape, float64(c.Type))
-		shape = tblHashBool(shape, c.Key)
-		shape = tblHashStr(shape, c.FKRef)
-		for _, p := range c.XMLPath {
-			shape = tblHashStr(shape, p)
-		}
-		shape = tblHashStr(shape, "|")
 	}
 	for _, e := range t.Parents {
 		full = tblHashStr(full, e.Child)
 		full = tblHashStr(full, e.Parent)
 		full = tblHashStr(full, e.FKColumn)
 		full = tblHashFloat(full, e.AvgPerParent)
-
-		shape = tblHashStr(shape, e.Child)
-		shape = tblHashStr(shape, e.Parent)
-		shape = tblHashStr(shape, e.FKColumn)
 	}
 	t.Digest = full
-	t.ShapeDigest = shape
 }
 
 // Column returns the named column, or nil.

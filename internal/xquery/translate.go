@@ -32,8 +32,8 @@ func Translate(q *Query, s *xschema.Schema, cat *relational.Catalog) (*sqlast.Qu
 // order. The translation is a deterministic function of the root name,
 // the examined definitions and those types' catalog tables: if all of
 // them are unchanged between two schemas, re-translating yields an
-// identical query with an identical cost. The per-query cost cache in
-// core builds its keys from exactly this dependency list.
+// identical query with an identical cost. The search's slot reuse in
+// core records exactly this dependency list.
 func TranslateDeps(q *Query, s *xschema.Schema, cat *relational.Catalog) (*sqlast.Query, []string, error) {
 	return translateTracked(q, s, cat, true)
 }

@@ -618,12 +618,13 @@ func (a *Advice) CacheStats() CacheStats { return a.result.Cache }
 func (a *Advice) EvaluatorCalls() uint64 { return a.result.Evals }
 
 // Translations is the number of query (or update) translate+cost runs
-// the search performed; workload slots whose dependencies a move left
-// untouched are served from the per-query cost cache instead.
+// the search performed; a workload slot whose dependencies a move left
+// untouched reuses the cost its base configuration recorded instead.
 func (a *Advice) Translations() uint64 { return a.result.Translations }
 
-// QueryCacheStats reports the per-query cost-cache activity of this
-// search (hits avoided a translate+cost run for one workload slot).
+// QueryCacheStats reports this search's slot reuse: hits count workload
+// slots an evaluation reused from its base configuration (no
+// translate+cost run), misses the slots it translated and costed.
 func (a *Advice) QueryCacheStats() (hits, misses uint64) {
 	return a.result.QueryCacheHits, a.result.QueryCacheMisses
 }
