@@ -217,16 +217,23 @@ func (e *batchExec) filterChunk(t *Table, cf []compiledFilter, sel []int32) ([]i
 
 // stepINL probes the new relation's index on the join column once per
 // intermediate tuple, collecting (source tuple, matched position) pairs.
+// Each match that passes the relation's filters must also meet the
+// tuple on every equality the step fuses, under satisfies as the hash
+// step's key meets it, so pairs the cross filters would reject are never
+// formed (applyCross still re-checks them).
 func (e *batchExec) stepINL(st *planStep) error {
-	// The new side's column index is unused (the plan holds the index) but
-	// is still resolved for error parity with the reference executor.
-	_, oldCi, err := e.p.resolveJoinCols(st)
+	newCi, oldCi, err := e.p.resolveJoinCols(st)
 	if err != nil {
 		return err
 	}
 	newTable := e.p.tables[st.alias]
 	oldTable := e.p.tables[st.oldAlias]
 	cf := compileFilters(newTable, st.filters, e.params)
+	var newKey, oldKey joinKey
+	if len(st.fused) > 0 {
+		newKey, oldKey = e.joinKeys(st, newCi, oldCi)
+	}
+	heapBytes := newTable.Def.RowBytes()
 	oldPos := e.cols[e.p.slot[st.oldAlias]]
 	src := make([]int32, 0, e.n)
 	newPos := make([]int32, 0, e.n)
@@ -243,12 +250,12 @@ func (e *batchExec) stepINL(st *planStep) error {
 		}
 		for _, pos := range newTable.lookup(st.index, v) {
 			e.stats.TuplesRead++
-			e.stats.BytesRead += newTable.probeRowBytes(pos)
+			e.stats.BytesRead += newTable.probeRowBytes(pos, heapBytes)
 			ok, err := passesCompiledAt(newTable, pos, cf)
 			if err != nil {
 				return err
 			}
-			if !ok {
+			if !ok || !fusedMeet(newKey, oldKey, pos, i) {
 				continue
 			}
 			src = append(src, int32(i))
@@ -257,6 +264,25 @@ func (e *batchExec) stepINL(st *planStep) error {
 	}
 	e.rebind(st.alias, src, newPos)
 	return nil
+}
+
+// fusedMeet reports whether the new relation's row at pos and
+// intermediate tuple i satisfy every fused part of a step's key (parts
+// 1 on; part 0 is the join edge the probe matched).
+func fusedMeet(newKey, oldKey joinKey, pos, i int) bool {
+	for k := 1; k < len(newKey); k++ {
+		n, o := &newKey[k], &oldKey[k]
+		a, b := n.t.Cell(pos, n.ci), o.t.Cell(int(o.at[i]), o.ci)
+		if a.Kind == b.Kind && a.Kind != NullValue {
+			// Equal kinds: satisfies' = is plain equality.
+			if a != b {
+				return false
+			}
+		} else if !satisfies(a, sqlast.OpEq, b) {
+			return false
+		}
+	}
+	return true
 }
 
 // stepHash scans the new relation once and joins it to the intermediate
@@ -291,7 +317,7 @@ func (e *batchExec) stepHash(st *planStep) error {
 			for j, h := range hs {
 				at := int32(base + j)
 				exact := ht.exact(h, ints)
-				for i := ht.first(h); i != 0; i = ht.next[i-1] {
+				for i := ht.first(h); i != 0; i = ht.after(i, h) {
 					if !exact && oldKey.primary(i-1) != newKey.primary(at) {
 						continue
 					}
@@ -330,7 +356,7 @@ func (e *batchExec) stepHash(st *planStep) error {
 			for j, h := range hs {
 				i := int32(base + j)
 				exact := ht.exact(h, ints)
-				for k := ht.first(h); k != 0; k = ht.next[k-1] {
+				for k := ht.first(h); k != 0; k = ht.after(k, h) {
 					if !exact && newKey.primary(k-1) != oldKey.primary(i) {
 						continue
 					}
@@ -346,12 +372,13 @@ func (e *batchExec) stepHash(st *planStep) error {
 	return nil
 }
 
-// joinKeys resolves a hash step's key on both sides: the join edge, then
+// joinKeys resolves a join step's key on both sides: the join edge, then
 // each fused equality whose columns resolve (one that does not is left to
 // its cross filter, which reports the error after the join, exactly as
 // if nothing were fused). The new side reads the new relation at the
-// positions it is pointed at (joinKey.on); the old side reads the bound
-// aliases' position columns, tuple by tuple.
+// positions it is pointed at (joinKey.on) or, in an index step, at each
+// match; the old side reads the bound aliases' position columns, tuple
+// by tuple.
 func (e *batchExec) joinKeys(st *planStep, newCi, oldCi int) (newKey, oldKey joinKey) {
 	newTable := e.p.tables[st.alias]
 	m := 1 + len(st.fused)

@@ -7,12 +7,14 @@ import (
 
 // Columnar base storage: a Table can carry a frozen, column-chunked base
 // image — the decoded form of a colfile snapshot — underneath its mutable
-// heap rows. Row positions are global: positions [0, base.Rows()) live in
-// the chunks, positions from base.Rows() up index t.Rows. Scans gather
-// chunk storage straight into Vectors (no Row materialization), inserts
-// append to the heap tail exactly as before, and tombstones work on
-// global positions. A table with no base behaves byte-for-byte as the
-// pure heap table did.
+// heap tail. Row positions are global: positions [0, base.Rows()) live in
+// the chunks, positions from base.Rows() up in the tail. Both halves are
+// column-major — the base as typed chunks, the tail as one []Value per
+// column — so a cell read indexes one column slice and no row is ever
+// materialized on the read path. Scans gather chunk storage straight
+// into Vectors, inserts append to each column of the tail, and
+// tombstones work on global positions. A table with no base behaves
+// byte-for-byte as the pure heap table does.
 //
 // The base also carries its encoded size, so the IO counters charge what
 // a scan of the persistent image actually reads — encoded chunk bytes —
@@ -201,14 +203,17 @@ func (b *ColumnBase) value(pos, ci int) Value {
 // (no heap rows, no tombstones) and rebuilds the table's hash indexes
 // over the base rows. A nil base clears back to pure heap storage.
 func (t *Table) SetColumnBase(b *ColumnBase) error {
-	if len(t.Rows) != 0 || len(t.dead) != 0 {
+	if t.heapN != 0 || len(t.dead) != 0 {
 		return fmt.Errorf("engine: %s: column base requires an empty table", t.Def.Name)
 	}
 	if b != nil && len(b.cols) != len(t.Def.Columns) {
 		return fmt.Errorf("engine: %s: base has %d columns, table has %d",
 			t.Def.Name, len(b.cols), len(t.Def.Columns))
 	}
-	t.base = b
+	t.base, t.baseN = b, 0
+	if b != nil {
+		t.baseN = b.rows
+	}
 	for _, ix := range t.indexes {
 		ix.rebuild(t)
 	}
@@ -219,49 +224,34 @@ func (t *Table) SetColumnBase(b *ColumnBase) error {
 // tables.
 func (t *Table) ColumnBase() *ColumnBase { return t.base }
 
-// baseRows is the number of rows stored in the frozen base (0 without
-// one); global position p maps to heap row t.Rows[p-baseRows()] when
-// p >= baseRows().
-func (t *Table) baseRows() int {
-	if t.base == nil {
-		return 0
-	}
-	return t.base.rows
-}
-
 // NumRows returns the total row count, tombstoned included: frozen base
 // rows plus heap tail.
-func (t *Table) NumRows() int { return t.baseRows() + len(t.Rows) }
+func (t *Table) NumRows() int { return t.baseN + t.heapN }
 
 // Cell reads one cell by global position without materializing the row.
 func (t *Table) Cell(pos, ci int) Value {
-	if br := t.baseRows(); pos < br {
+	if pos < t.baseN {
 		return t.base.value(pos, ci)
-	} else {
-		return t.Rows[pos-br][ci]
 	}
+	return t.heap[ci][pos-t.baseN]
 }
 
-// Row returns the tuple at a global position. Heap rows are returned
-// without copying; base rows are materialized (use Cell when only one
-// column is needed).
+// Row returns a fresh copy of the tuple at a global position; writing to
+// it leaves the table unchanged (use Cell when only one column is
+// needed).
 func (t *Table) Row(pos int) Row {
-	br := t.baseRows()
-	if pos >= br {
-		return t.Rows[pos-br]
-	}
 	r := make(Row, len(t.Def.Columns))
 	for ci := range r {
-		r[ci] = t.base.value(pos, ci)
+		r[ci] = t.Cell(pos, ci)
 	}
 	return r
 }
 
 // scanBytes is the IO a full scan reads: the base's encoded image plus
 // the heap tail at the catalog's estimated row width. Without a base
-// this is exactly the historical len(Rows)*RowBytes().
+// this is exactly the historical heap rows × RowBytes().
 func (t *Table) scanBytes() float64 {
-	heap := float64(len(t.Rows)) * t.Def.RowBytes()
+	heap := float64(t.heapN) * t.Def.RowBytes()
 	if t.base == nil {
 		return heap
 	}
@@ -269,12 +259,13 @@ func (t *Table) scanBytes() float64 {
 }
 
 // probeRowBytes is the IO one probed row costs: the average encoded row
-// width for base rows, the catalog width for heap rows.
-func (t *Table) probeRowBytes(pos int) float64 {
-	if pos < t.baseRows() {
+// width for base rows, the catalog width heapBytes — t.Def.RowBytes(),
+// summed once by the caller for all the rows it probes — for heap rows.
+func (t *Table) probeRowBytes(pos int, heapBytes float64) float64 {
+	if pos < t.baseN {
 		return t.base.rowBytes
 	}
-	return t.Def.RowBytes()
+	return heapBytes
 }
 
 // SnapshotColumns compacts the table's live rows (tombstones dropped,

@@ -202,7 +202,7 @@ func TestBatchRowDifferentialIMDB(t *testing.T) {
 			// index probes and hash builds.
 			for _, name := range cat.Order {
 				tb := db.Table(name)
-				for pos := 0; pos < len(tb.Rows); pos += 3 {
+				for pos := 0; pos < tb.NumRows(); pos += 3 {
 					tb.MarkDeleted(pos)
 				}
 			}

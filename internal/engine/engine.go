@@ -94,15 +94,19 @@ type Row []Value
 // Table is a heap relation with hash indexes on its key and foreign-key
 // columns and on every column the catalog flags with a secondary index,
 // optionally frozen over a columnar base image (see colstore.go). Row
-// positions are global — base rows first, then the heap tail in Rows —
-// and deletes are tombstones: positions stay stable, dead rows are
-// skipped by scans, probes and snapshots.
+// positions are global — base rows first, then the heap tail — and
+// deletes are tombstones: positions stay stable, dead rows are skipped
+// by scans, probes and snapshots. Executors, the publisher and the
+// snapshot writer read cells through NumRows/Cell, so both storage
+// layouts serve transparently.
 type Table struct {
 	Def *relational.Table
-	// Rows is the mutable heap tail; with a columnar base attached,
-	// Rows[i] is global position baseRows()+i. Executors go through
-	// NumRows/Cell/Row so both storage layouts serve transparently.
-	Rows   []Row
+	// heap is the mutable tail, column-major: heap[ci][i] is column ci of
+	// global position baseN+i, and every column holds heapN values.
+	heap  [][]Value
+	heapN int
+	// baseN is base.Rows(), 0 without a base.
+	baseN  int
 	base   *ColumnBase
 	colIdx map[string]int
 	// indexes holds one hash index per maintained column (see
@@ -133,6 +137,7 @@ func (ix *hashIndex) add(v Value, pos int) {
 func NewTable(def *relational.Table) *Table {
 	t := &Table{
 		Def:    def,
+		heap:   make([][]Value, len(def.Columns)),
 		colIdx: make(map[string]int, len(def.Columns)),
 		nextID: 1,
 	}
@@ -171,15 +176,25 @@ func (t *Table) SetNextID(id int64) {
 	}
 }
 
-// Insert appends a row (len must equal the column count) and maintains
-// indexes.
+// Insert appends a row (len must equal the column count) to each column
+// of the heap tail and maintains indexes. The table keeps no reference
+// to r.
 func (t *Table) Insert(r Row) error {
 	if len(r) != len(t.Def.Columns) {
 		return fmt.Errorf("engine: %s: row has %d values, table has %d columns",
 			t.Def.Name, len(r), len(t.Def.Columns))
 	}
 	pos := t.NumRows()
-	t.Rows = append(t.Rows, r)
+	for ci, v := range r {
+		col := t.heap[ci]
+		if len(col) == cap(col) {
+			// Double: append's growth for large slices (1.25×) would copy
+			// a loaded column several times over.
+			col = append(make([]Value, 0, max(2*cap(col), 16)), col...)
+		}
+		t.heap[ci] = append(col, v)
+	}
+	t.heapN++
 	for _, ix := range t.indexes {
 		ix.add(r[ix.ci], pos)
 	}

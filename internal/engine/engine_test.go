@@ -35,7 +35,7 @@ func TestInsertAndIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(show.Rows); got != 3 {
+	if got := show.NumRows(); got != 3 {
 		t.Fatalf("rows = %d", got)
 	}
 	positions, ok := show.Lookup("Show_id", IntVal(2))
@@ -51,6 +51,50 @@ func TestInsertAndIndexes(t *testing.T) {
 	}
 	if err := show.Insert(Row{IntVal(9)}); err == nil {
 		t.Fatal("short row accepted")
+	}
+}
+
+// TestRowIsACopy: the heap tail is column-major, so Row hands out a
+// fresh tuple, and Insert copies its argument into the columns. Writing
+// to either afterwards leaves the table as it was, for heap positions
+// and for the positions of a frozen columnar base alike.
+func TestRowIsACopy(t *testing.T) {
+	cat := testCatalog(t)
+	fill := func(show *Table, titles ...string) {
+		for _, title := range titles {
+			row := make(Row, len(show.Def.Columns))
+			row[show.ColumnIndex("Show_id")] = IntVal(show.NextID())
+			row[show.ColumnIndex("title")] = StrVal(title)
+			if err := show.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+			row[show.ColumnIndex("title")] = StrVal("inserted row reused")
+		}
+	}
+	src := NewDatabase(cat).Table("Show")
+	fill(src, "a", "b")
+	show := NewDatabase(cat).Table("Show")
+	base, err := NewColumnBase(src.SnapshotColumns(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := show.SetColumnBase(base); err != nil {
+		t.Fatal(err)
+	}
+	fill(show, "c", "d")
+	title := show.ColumnIndex("title")
+	for pos, want := range []string{"a", "b", "c", "d"} {
+		if got := show.Cell(pos, title); got != StrVal(want) {
+			t.Fatalf("position %d holds %v before any write, want %q", pos, got, want)
+		}
+		r := show.Row(pos)
+		r[title] = StrVal("written")
+		if got := show.Cell(pos, title); got != StrVal(want) {
+			t.Fatalf("writing to Row(%d) changed the table: %v, want %q", pos, got, want)
+		}
+		if got := show.Row(pos)[title]; got != StrVal(want) {
+			t.Fatalf("Row(%d) after a write to an earlier copy: %v, want %q", pos, got, want)
+		}
 	}
 }
 

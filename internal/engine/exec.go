@@ -205,8 +205,9 @@ type planStep struct {
 	// are applied here exactly once, under satisfies.
 	cross []sqlast.Filter
 	// fused lists the equalities among cross as column pairs, alias's
-	// column first: a hash step adds them to its hash key, so pairs they
-	// reject are never formed (cross still re-checks them).
+	// column first: a hash step adds them to its hash key and an index
+	// step checks them at each match, so pairs they reject are never
+	// formed (cross still re-checks them).
 	fused [][2]sqlast.ColumnRef
 }
 
@@ -532,9 +533,10 @@ func (p *blockPlan) indexStart(params Params, stats *Counters) (positions []int,
 	}
 	positions = t.lookupEq(p.startIndex, cf[p.startLookup].lit)
 	stats.Probes++
+	heapBytes := t.Def.RowBytes()
 	for _, pos := range positions {
 		stats.TuplesRead++
-		stats.BytesRead += t.probeRowBytes(pos)
+		stats.BytesRead += t.probeRowBytes(pos, heapBytes)
 	}
 	return positions, cf, true
 }
@@ -656,29 +658,10 @@ func filtersFail(cf []compiledFilter) bool {
 	return false
 }
 
-// passesCompiled evaluates compiled filters on one row (the scalar path
-// used for probed rows, where gathering a vector per probe would cost
-// more than it saves).
-func passesCompiled(row Row, cf []compiledFilter) (bool, error) {
-	for i := range cf {
-		f := &cf[i]
-		if f.err != nil {
-			return false, f.err
-		}
-		right := f.lit
-		if f.rightIdx >= 0 {
-			right = row[f.rightIdx]
-		}
-		if !satisfies(row[f.colIdx], f.op, right) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// passesCompiledAt is passesCompiled over a row addressed by global
-// position: only the filtered cells are read, so probed base rows are
-// never materialized.
+// passesCompiledAt evaluates compiled filters on the row at a global
+// position (the scalar path used for probed rows, where gathering a
+// vector per probe would cost more than it saves): only the filtered
+// cells are read, so no row is materialized.
 func passesCompiledAt(t *Table, pos int, cf []compiledFilter) (bool, error) {
 	for i := range cf {
 		f := &cf[i]

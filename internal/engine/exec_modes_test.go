@@ -363,7 +363,7 @@ func TestAllocsLookupProbe(t *testing.T) {
 	// Tombstoning an unrelated position must not cost the hot path its
 	// zero-alloc property either: the dead scan allocates only when a
 	// listed position is actually dead.
-	a.MarkDeleted(len(a.Rows) - 1)
+	a.MarkDeleted(a.NumRows() - 1)
 	key := IntVal(1)
 	if got := testing.AllocsPerRun(200, func() {
 		positions, ok := a.Lookup("A_id", key)

@@ -58,6 +58,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			}
 			newTable := p.tables[st.alias]
 			oldTable := p.tables[st.oldAlias]
+			heapBytes := newTable.Def.RowBytes()
 			// Index nested-loop join: probe the new relation's index on
 			// the join column once per intermediate tuple.
 			var joined []binding
@@ -74,9 +75,8 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 				}
 				for _, pos := range newTable.lookup(st.index, v) {
 					stats.TuplesRead++
-					stats.BytesRead += newTable.probeRowBytes(pos)
-					row := newTable.Row(pos)
-					if ok, err := db.passes(row, newTable, st.filters, params); err != nil {
+					stats.BytesRead += newTable.probeRowBytes(pos, heapBytes)
+					if ok, err := db.passes(newTable, pos, st.filters, params); err != nil {
 						return nil, err
 					} else if !ok {
 						continue
@@ -174,7 +174,7 @@ func (db *Database) startRows(ctx context.Context, p *blockPlan, params Params, 
 				return nil, err
 			}
 		}
-		ok, err := db.passes(t.Row(pos), t, p.startFilters, params)
+		ok, err := db.passes(t, pos, p.startFilters, params)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +202,7 @@ func (db *Database) scanFiltered(ctx context.Context, t *Table, alias string, fi
 		if !t.Alive(pos) {
 			continue
 		}
-		ok, err := db.passes(t.Row(pos), t, filters, params)
+		ok, err := db.passes(t, pos, filters, params)
 		if err != nil {
 			return nil, err
 		}
@@ -213,23 +213,23 @@ func (db *Database) scanFiltered(ctx context.Context, t *Table, alias string, fi
 	return out, nil
 }
 
-// passes evaluates constant (and same-alias) filters on one row,
+// passes evaluates constant (and same-alias) filters on the row at pos,
 // resolving columns and parameters lazily so a bad filter only errors
 // when a row actually reaches it.
-func (db *Database) passes(row Row, t *Table, filters []sqlast.Filter, params Params) (bool, error) {
+func (db *Database) passes(t *Table, pos int, filters []sqlast.Filter, params Params) (bool, error) {
 	for _, f := range filters {
 		li := t.ColumnIndex(f.Col.Column)
 		if li < 0 {
 			return false, fmt.Errorf("no column %s", f.Col.Column)
 		}
-		left := row[li]
+		left := t.Cell(pos, li)
 		var right Value
 		if f.RightCol != nil {
 			ri := t.ColumnIndex(f.RightCol.Column)
 			if ri < 0 {
 				return false, fmt.Errorf("no column %s", f.RightCol.Column)
 			}
-			right = row[ri]
+			right = t.Cell(pos, ri)
 		} else {
 			var err error
 			right, err = literalValue(f.Value, params)

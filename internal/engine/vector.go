@@ -128,23 +128,23 @@ func (v *Vector) value(j int) Value {
 
 // gather fills the vector with column ci of t's rows at the given
 // positions. Base positions read the columnar chunks directly — typed
-// storage to typed storage, no Row in between; heap positions read the
-// row tail as before.
+// storage to typed storage — and heap positions the tail's column slice:
+// no Row in between either way.
 func (v *Vector) gather(t *Table, ci int, positions []int32) {
 	v.reset(len(positions))
+	heap := t.heap[ci]
 	if t.base == nil {
-		rows := t.Rows
 		for j, pos := range positions {
-			v.set(j, rows[pos][ci])
+			v.set(j, heap[pos])
 		}
 		return
 	}
 	col := t.base.cols[ci]
-	br := t.base.rows
+	br := t.baseN
 	for j, pos := range positions {
 		p := int(pos)
 		if p >= br {
-			v.set(j, t.Rows[p-br][ci])
+			v.set(j, heap[p-br])
 			continue
 		}
 		ch := &col[p/BatchSize]
@@ -370,42 +370,78 @@ func (k joinKey) fuse(h uint64, j int) (uint64, bool) {
 }
 
 // hashTable is a hash-join build over the tuples of one side, keyed on
-// their joinKey hashes; entry j stands for tuple j. Entries of equal hash
-// form a chain in ascending entry order: a head map holds the first entry
-// of each hash and next[j] the one after entry j, both stored +1 so that
-// 0 ends a chain — two allocations whatever the number of distinct keys.
-// Tuples with a NULL key part are left out. A chain may hold keys that
-// merely collide, so probes compare join-edge cells (see exact); a fused
-// part that collided is rejected by the cross filter it came from, which
-// the step still applies.
+// their joinKey hashes; entry j stands for tuple j. A power-of-two
+// directory holds, per bucket, the first entry of the bucket's chain and
+// next[j] the one after entry j, both stored +1 so that 0 ends a chain;
+// each entry keeps its hash. Chains are in ascending entry order, and
+// first/after skip the entries of other hashes that share the bucket, so
+// the entries a probe walks are exactly those of its hash, ascending —
+// three allocations whatever the number of distinct keys. Tuples with a
+// NULL key part are left out. A hash may be shared by keys that merely
+// collide, so probes compare join-edge cells (see exact); a fused part
+// that collided is rejected by the cross filter it came from, which the
+// step still applies.
 type hashTable struct {
-	head map[uint64]int32
-	next []int32
-	ints bool // every key built is a lone integer (see joinKey.hashes)
+	dir   []int32
+	next  []int32
+	hash  []uint64
+	shift uint // 64 - log2(len(dir))
+	ints  bool // every key built is a lone integer (see joinKey.hashes)
 }
 
 // buildHash builds the table over the first n tuples of a key, hashing
 // them a chunk at a time through buf (at least BatchSize long).
 func buildHash(k joinKey, n int, buf []uint64) *hashTable {
-	ht := &hashTable{head: make(map[uint64]int32, n), next: make([]int32, n), ints: true}
+	bits := 1
+	for 1<<bits < 2*n {
+		bits++
+	}
+	ht := &hashTable{
+		dir:   make([]int32, 1<<bits),
+		next:  make([]int32, n),
+		hash:  make([]uint64, n),
+		shift: uint(64 - bits),
+		ints:  true,
+	}
 	// Last chunk to first, each last tuple to first, so that pushing on
-	// the head leaves chains ascending.
+	// the bucket's head leaves chains ascending.
 	for base := (n - 1) / BatchSize * BatchSize; n > 0 && base >= 0; base -= BatchSize {
 		hs, ints := k.hashes(base, min(base+BatchSize, n), buf)
 		ht.ints = ht.ints && ints
 		for j := len(hs) - 1; j >= 0; j-- {
 			if h := hs[j]; h != 0 {
-				ht.next[base+j], ht.head[h] = ht.head[h], int32(base+j+1)
+				b := ht.bucket(h)
+				ht.hash[base+j] = h
+				ht.next[base+j], ht.dir[b] = ht.dir[b], int32(base+j+1)
 			}
 		}
 	}
 	return ht
 }
 
+// bucket is h's directory slot: Fibonacci hashing, so that the lone
+// integers that hash to themselves spread over the directory whatever
+// their stride.
+func (ht *hashTable) bucket(h uint64) uint64 { return h * 0x9e3779b97f4a7c15 >> ht.shift }
+
 // first returns the first entry (+1) whose key hashes to h, 0 if none —
-// always for 0, the hash of a key with a NULL part; the rest of the
-// chain follows through next.
-func (ht *hashTable) first(h uint64) int32 { return ht.head[h] }
+// always for 0, the hash of a key with a NULL part, which no entry has;
+// after walks on from there.
+func (ht *hashTable) first(h uint64) int32 {
+	i := ht.dir[ht.bucket(h)]
+	for i != 0 && ht.hash[i-1] != h {
+		i = ht.next[i-1]
+	}
+	return i
+}
+
+// after returns the entry (+1) after entry i-1 whose key hashes to h, 0
+// if none.
+func (ht *hashTable) after(i int32, h uint64) int32 {
+	for i = ht.next[i-1]; i != 0 && ht.hash[i-1] != h; i = ht.next[i-1] {
+	}
+	return i
+}
 
 // exact reports whether an entry found under hash h equals a probe key
 // of lone integers (ints, from joinKey.hashes) without comparing cells:

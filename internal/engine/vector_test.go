@@ -205,7 +205,7 @@ func (ht *hashTable) chain(build joinKey, v Value) []int32 {
 	probe := joinKey{{t: scratchTable([]Value{v}), at: []int32{0}}}
 	hs, ints := probe.hashes(0, 1, make([]uint64, 1))
 	var out []int32
-	for j := ht.first(hs[0]); j != 0; j = ht.next[j-1] {
+	for j := ht.first(hs[0]); j != 0; j = ht.after(j, hs[0]) {
 		if ht.exact(hs[0], ints) || build.primary(j-1) == probe.primary(0) {
 			out = append(out, build[0].at[j-1])
 		}
@@ -274,4 +274,99 @@ func equalI32(a, b []int32) bool {
 		}
 	}
 	return true
+}
+
+// TestHashTableCollisions forces many hashes into one directory bucket —
+// the bucket of 0, the hash of a key with a NULL part — and checks that
+// the chain a probe walks still holds exactly the entries of its own
+// hash, ascending; that exact skips the cell compare only when both
+// sides are lone integers and the hash is not the 1 that 0 and 1 share;
+// and that a 0 probe reaches nothing.
+func TestHashTableCollisions(t *testing.T) {
+	const n = 48
+	buf := make([]uint64, BatchSize)
+	positions := make([]int32, n)
+	for i := range positions {
+		positions[i] = int32(i)
+	}
+	// A build of n NULLs has the directory every n-entry build has.
+	dir := buildHash(joinKey{{t: scratchTable(make([]Value, n)), at: positions}}, n, buf)
+	if dir.first(0) != 0 {
+		t.Fatal("an all-NULL build reaches an entry")
+	}
+	// Integers, and strings, whose hashes land in bucket(0); and 0 and 1,
+	// which share the hash 1 (in another bucket).
+	ints := []Value{IntVal(0), IntVal(1)}
+	for v := int64(2); len(ints) < 6; v++ {
+		if dir.bucket(uint64(v)) == dir.bucket(0) {
+			ints = append(ints, IntVal(v))
+		}
+	}
+	var strs []Value
+	for i := 0; len(strs) < 2; i++ {
+		s := "s" + strconv.Itoa(i)
+		if h, _ := edgeHash(StrVal(s)); dir.bucket(h) == dir.bucket(0) {
+			strs = append(strs, StrVal(s))
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, pool := range [][]Value{ints, append(slices.Clone(ints), strs...)} {
+		vals := make([]Value, n)
+		for i := range vals {
+			if rng.Intn(8) == 0 {
+				vals[i] = Null
+			} else {
+				vals[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		build := joinKey{{t: scratchTable(vals), at: positions}}
+		ht := buildHash(build, n, buf)
+		hs, _ := build.hashes(0, n, make([]uint64, n))
+		for _, h := range hs {
+			if h > 1 && ht.bucket(h) != ht.bucket(0) {
+				t.Fatalf("hash %x left the forced bucket", h)
+			}
+		}
+		if ht.first(0) != 0 {
+			t.Fatal("a 0 probe reaches an entry")
+		}
+		for _, h := range hs {
+			var want, got []int32
+			for j, hj := range hs {
+				if h != 0 && hj == h {
+					want = append(want, int32(j))
+				}
+			}
+			for i := ht.first(h); i != 0; i = ht.after(i, h) {
+				got = append(got, i-1)
+			}
+			if !equalI32(got, want) {
+				t.Fatalf("chain of %x = %v, want the entries of that hash %v", h, got, want)
+			}
+		}
+		for _, p := range append([]Value{Null}, pool...) {
+			var want []int32
+			for j, v := range vals {
+				if !v.IsNull() && v == p {
+					want = append(want, int32(j))
+				}
+			}
+			if got := ht.chain(build, p); !equalI32(got, want) {
+				t.Fatalf("probe %v reaches %v, want %v (build %v)", p, got, want, vals)
+			}
+		}
+		lone := len(pool) == len(ints)
+		if ht.ints != lone {
+			t.Fatalf("ints = %v for a build of %v", ht.ints, pool)
+		}
+		for _, v := range ints[1:] {
+			h, _ := edgeHash(v)
+			if got, want := ht.exact(h, true), lone && h != 1; got != want {
+				t.Fatalf("exact(%v) = %v, want %v", v, got, want)
+			}
+			if ht.exact(h, false) {
+				t.Fatalf("exact(%v) holds for a probe that is not lone integers", v)
+			}
+		}
+	}
 }

@@ -74,6 +74,7 @@ func (sh *Shredder) InsertChild(parentType string, parentID int64, node *xmltree
 		if !ok {
 			continue
 		}
+		sh.cells = sh.cells[:0]
 		rows, err := sh.flatten(img, r, -1, nil)
 		if err != nil {
 			return 0, err

@@ -54,30 +54,29 @@ func (p *Publisher) publishInstance(typeName string, pos int) (*xmltree.Node, er
 	if table == nil {
 		return nil, fmt.Errorf("publish: no table for type %q", typeName)
 	}
-	row := table.Row(pos)
-	id := p.rowID(table, row)
+	id := p.rowID(table, pos)
 	switch b := body.(type) {
 	case *xschema.Element:
 		node := xmltree.NewElement(b.Name)
 		if _, isScalar := b.Content.(*xschema.Scalar); isScalar {
-			node.Text = p.columnValue(table, row, "#text")
+			node.Text = p.columnValue(table, pos, "#text")
 			return node, nil
 		}
-		if err := p.emitContent(b.Content, nil, node, table, row, id); err != nil {
+		if err := p.emitContent(b.Content, nil, node, table, pos, id); err != nil {
 			return nil, err
 		}
 		return node, nil
 	case *xschema.Wildcard:
-		tag := p.columnValue(table, row, "#tag")
+		tag := p.columnValue(table, pos, "#tag")
 		if tag == "" {
 			tag = "anonelem"
 		}
 		node := xmltree.NewElement(tag)
 		if _, isScalar := b.Content.(*xschema.Scalar); isScalar {
-			node.Text = p.columnValue(table, row, "#text")
+			node.Text = p.columnValue(table, pos, "#text")
 			return node, nil
 		}
-		if err := p.emitContent(b.Content, nil, node, table, row, id); err != nil {
+		if err := p.emitContent(b.Content, nil, node, table, pos, id); err != nil {
 			return nil, err
 		}
 		return node, nil
@@ -86,30 +85,31 @@ func (p *Publisher) publishInstance(typeName string, pos int) (*xmltree.Node, er
 	}
 }
 
-// emitContent writes the content of a type body into out, in schema
-// order: columns become attributes and scalar children, named-type
-// expressions fetch child rows via the parent's foreign key.
-func (p *Publisher) emitContent(t xschema.Type, prefix []string, out *xmltree.Node, table *engine.Table, row engine.Row, id int64) error {
+// emitContent writes the content of a type body for the row at pos of
+// table into out, in schema order: columns become attributes and scalar
+// children, named-type expressions fetch child rows via the parent's
+// foreign key.
+func (p *Publisher) emitContent(t xschema.Type, prefix []string, out *xmltree.Node, table *engine.Table, pos int, id int64) error {
 	switch t := t.(type) {
 	case *xschema.Empty:
 		return nil
 	case *xschema.Scalar:
-		out.Text += p.columnValue(table, row, pathKey(prefix, "#text"))
+		out.Text += p.columnValue(table, pos, pathKey(prefix, "#text"))
 		return nil
 	case *xschema.Attribute:
-		if v := p.columnRaw(table, row, pathKey(prefix, "@"+t.Name)); !v.IsNull() {
+		if v := p.columnRaw(table, pos, pathKey(prefix, "@"+t.Name)); !v.IsNull() {
 			out.SetAttr(t.Name, v.String())
 		}
 		return nil
 	case *xschema.Element:
 		if _, isScalar := t.Content.(*xschema.Scalar); isScalar {
-			if v := p.columnRaw(table, row, pathKey(prefix, t.Name)); !v.IsNull() {
+			if v := p.columnRaw(table, pos, pathKey(prefix, t.Name)); !v.IsNull() {
 				out.Append(xmltree.NewText(t.Name, v.String()))
 			}
 			return nil
 		}
 		child := xmltree.NewElement(t.Name)
-		if err := p.emitContent(t.Content, extend(prefix, t.Name), child, table, row, id); err != nil {
+		if err := p.emitContent(t.Content, extend(prefix, t.Name), child, table, pos, id); err != nil {
 			return err
 		}
 		if len(child.Children) > 0 || len(child.Attrs) > 0 || child.Text != "" {
@@ -117,28 +117,28 @@ func (p *Publisher) emitContent(t xschema.Type, prefix []string, out *xmltree.No
 		}
 		return nil
 	case *xschema.Wildcard:
-		tagv := p.columnRaw(table, row, pathKey(extend(prefix, "~"), "#tag"))
+		tagv := p.columnRaw(table, pos, pathKey(extend(prefix, "~"), "#tag"))
 		if tagv.IsNull() {
 			return nil
 		}
 		child := xmltree.NewElement(tagv.String())
 		if _, isScalar := t.Content.(*xschema.Scalar); isScalar {
-			child.Text = p.columnValue(table, row, pathKey(extend(prefix, "~"), "#text"))
-		} else if err := p.emitContent(t.Content, extend(prefix, "~"), child, table, row, id); err != nil {
+			child.Text = p.columnValue(table, pos, pathKey(extend(prefix, "~"), "#text"))
+		} else if err := p.emitContent(t.Content, extend(prefix, "~"), child, table, pos, id); err != nil {
 			return err
 		}
 		out.Append(child)
 		return nil
 	case *xschema.Sequence:
 		for _, it := range t.Items {
-			if err := p.emitContent(it, prefix, out, table, row, id); err != nil {
+			if err := p.emitContent(it, prefix, out, table, pos, id); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *xschema.Repeat:
 		if t.Min == 0 && t.Max == 1 && !pschema.IsNamedExpr(t.Inner) {
-			return p.emitContent(t.Inner, prefix, out, table, row, id)
+			return p.emitContent(t.Inner, prefix, out, table, pos, id)
 		}
 		return p.emitChildren(t.Inner, out, table, id)
 	case *xschema.Choice, *xschema.Ref:
@@ -173,13 +173,12 @@ func (p *Publisher) emitChildren(expr xschema.Type, out *xmltree.Node, parent *e
 				}
 				out.Append(node)
 			case *xschema.Scalar:
-				out.Text += p.columnValue(childTable, childTable.Row(pos), "#text")
+				out.Text += p.columnValue(childTable, pos, "#text")
 			default:
 				// Group type: splice its columns and children into the
 				// current element.
-				row := childTable.Row(pos)
-				gid := p.rowID(childTable, row)
-				if err := p.emitContent(def, nil, out, childTable, row, gid); err != nil {
+				gid := p.rowID(childTable, pos)
+				if err := p.emitContent(def, nil, out, childTable, pos, gid); err != nil {
 					return err
 				}
 			}
@@ -224,22 +223,22 @@ func (p *Publisher) concreteRefs(t xschema.Type, out *[]string, seen map[string]
 	}
 }
 
-func (p *Publisher) rowID(t *engine.Table, row engine.Row) int64 {
+func (p *Publisher) rowID(t *engine.Table, pos int) int64 {
 	if i := t.ColumnIndex(t.Def.Key()); i >= 0 {
-		return row[i].Int
+		return t.Cell(pos, i).Int
 	}
 	return 0
 }
 
-func (p *Publisher) columnRaw(t *engine.Table, row engine.Row, path string) engine.Value {
+func (p *Publisher) columnRaw(t *engine.Table, pos int, path string) engine.Value {
 	if i := columnFor(t.Def, path); i >= 0 {
-		return row[i]
+		return t.Cell(pos, i)
 	}
 	return engine.Null
 }
 
-func (p *Publisher) columnValue(t *engine.Table, row engine.Row, path string) string {
-	v := p.columnRaw(t, row, path)
+func (p *Publisher) columnValue(t *engine.Table, pos int, path string) string {
+	v := p.columnRaw(t, pos, path)
 	if v.IsNull() {
 		return ""
 	}

@@ -28,7 +28,7 @@ type AnyElement = ~[ AnyElement* ]`)
 	if err := New(ps, cat, db).Shred(doc); err != nil {
 		t.Fatalf("Shred: %v", err)
 	}
-	if got := len(db.Table("AnyElement").Rows); got != 6 {
+	if got := db.Table("AnyElement").NumRows(); got != 6 {
 		t.Fatalf("AnyElement rows = %d, want 6", got)
 	}
 	docs, err := NewPublisher(ps, cat, db).PublishAll()
@@ -59,7 +59,7 @@ type Value = String`)
 	if err := New(ps, cat, db).Shred(doc); err != nil {
 		t.Fatalf("Shred: %v", err)
 	}
-	if got := len(db.Table("Value").Rows); got != 1 {
+	if got := db.Table("Value").NumRows(); got != 1 {
 		t.Fatalf("Value rows = %d", got)
 	}
 	docs, err := NewPublisher(ps, cat, db).PublishAll()
@@ -134,8 +134,8 @@ type D = d[ t[ String ], (x[ Integer ], y[ Integer ])? ]`)
 	}
 	tbl := db.Table("D")
 	xi := tbl.ColumnIndex("x")
-	if tbl.Rows[0][xi].IsNull() || !tbl.Rows[1][xi].IsNull() {
-		t.Fatalf("optional column nullness wrong: %v / %v", tbl.Rows[0][xi], tbl.Rows[1][xi])
+	if tbl.Cell(0, xi).IsNull() || !tbl.Cell(1, xi).IsNull() {
+		t.Fatalf("optional column nullness wrong: %v / %v", tbl.Cell(0, xi), tbl.Cell(1, xi))
 	}
 	docs, err := NewPublisher(ps, cat, db).PublishAll()
 	if err != nil {
@@ -166,7 +166,7 @@ type D = d[ l1[ l2[ l3[ v[ String ] ] ] ] ]`)
 	if ci < 0 {
 		t.Fatalf("no deep column; columns: %v", tbl.Def.Columns)
 	}
-	if got := tbl.Rows[0][ci].Str; got != "deep" {
+	if got := tbl.Cell(0, ci).Str; got != "deep" {
 		t.Fatalf("deep value = %q", got)
 	}
 	docs, err := NewPublisher(ps, cat, db).PublishAll()

@@ -29,7 +29,8 @@ import (
 // partial matches capture instead of copying them; only when the whole
 // document has matched are the captures flattened into rows, ids
 // allocated and rows inserted. The accept rule is ValidateDocument's, so
-// a document the schema rejects writes nothing and burns no id.
+// a document the schema rejects writes nothing and burns no id. Like
+// the database it writes, a Shredder serves one caller at a time.
 type Shredder struct {
 	Schema *xschema.Schema
 	Cat    *relational.Catalog
@@ -46,6 +47,10 @@ type Shredder struct {
 
 	images map[string]*image // every named type, compiled
 	root   *pattern          // a reference to the root type
+	// cells backs the rows one flatten builds: Insert copies a row into
+	// its table's columns, so the next shred carves its rows from the
+	// same memory (it keeps the largest shred's worth of cells).
+	cells []engine.Value
 }
 
 // New builds a shredder over schema, catalog and database (all three must
@@ -75,6 +80,7 @@ func (sh *Shredder) Shred(doc *xmltree.Node) error {
 		}
 		return fmt.Errorf("shred: <%s> does not instantiate type %s", doc.Name, sh.Schema.Root)
 	}
+	sh.cells = sh.cells[:0]
 	rows, err := sh.flatten(top.img, top.sub, -1, nil)
 	if err != nil {
 		return err
@@ -503,7 +509,7 @@ func (sh *Shredder) flatten(img *image, r *rope, parent int, rows []pending) ([]
 	}
 	cols := img.table.Def.Columns
 	self := len(rows)
-	row := make(engine.Row, len(cols))
+	row := sh.newRow(len(cols))
 	rows = append(rows, pending{img: img, row: row, parent: parent})
 	var children []*rope
 	stack := []*rope{r}
@@ -533,6 +539,18 @@ func (sh *Shredder) flatten(img *image, r *rope, parent int, rows []pending) ([]
 		}
 	}
 	return rows, nil
+}
+
+// newRow carves an all-NULL row of n cells from sh.cells.
+func (sh *Shredder) newRow(n int) engine.Row {
+	c := sh.cells
+	if cap(c)-len(c) < n {
+		c = make([]engine.Value, 0, max(2*cap(c), 64*n))
+	}
+	sh.cells = c[:len(c)+n]
+	row := engine.Row(c[len(c) : len(c)+n : len(c)+n])
+	clear(row)
+	return row
 }
 
 // insert allocates ids in order and inserts the rows; the top row's

@@ -79,7 +79,7 @@ func TestShredCounts(t *testing.T) {
 		"Movie": 1, "TV": 1, "Episode": 2,
 	}
 	for table, n := range want {
-		if got := len(db.Table(table).Rows); got != n {
+		if got := db.Table(table).NumRows(); got != n {
 			t.Errorf("%s rows = %d, want %d\n%s", table, got, n, db)
 		}
 	}
@@ -92,36 +92,36 @@ func TestShredColumnValues(t *testing.T) {
 	title := show.ColumnIndex("title")
 	year := show.ColumnIndex("year")
 	typ := show.ColumnIndex("type")
-	if got := show.Rows[0][title].Str; got != "Fugitive, The" {
+	if got := show.Cell(0, title).Str; got != "Fugitive, The" {
 		t.Errorf("title = %q", got)
 	}
-	if got := show.Rows[0][year].Int; got != 1993 {
+	if got := show.Cell(0, year).Int; got != 1993 {
 		t.Errorf("year = %d", got)
 	}
-	if got := show.Rows[1][typ].Str; got != "TVseries" {
+	if got := show.Cell(1, typ).Str; got != "TVseries" {
 		t.Errorf("type = %q", got)
 	}
 	review := db.Table("Review")
 	tilde := review.ColumnIndex("tilde")
 	data := review.ColumnIndex("data")
-	if got := review.Rows[1][tilde].Str; got != "nyt" {
+	if got := review.Cell(1, tilde).Str; got != "nyt" {
 		t.Errorf("tilde = %q", got)
 	}
-	if got := review.Rows[0][data].Str; got != "Two thumbs up!" {
+	if got := review.Cell(0, data).Str; got != "Two thumbs up!" {
 		t.Errorf("review text = %q", got)
 	}
 	movie := db.Table("Movie")
 	bo := movie.ColumnIndex("box_office")
-	if got := movie.Rows[0][bo].Int; got != 183752965 {
+	if got := movie.Cell(0, bo).Int; got != 183752965 {
 		t.Errorf("box_office = %d", got)
 	}
 	fk := movie.ColumnIndex("parent_Show")
-	if got := movie.Rows[0][fk].Int; got != 1 {
+	if got := movie.Cell(0, fk).Int; got != 1 {
 		t.Errorf("movie parent = %d", got)
 	}
 	episode := db.Table("Episode")
 	efk := episode.ColumnIndex("parent_TV")
-	if got := episode.Rows[0][efk].Int; got != 1 {
+	if got := episode.Cell(0, efk).Int; got != 1 {
 		t.Errorf("episode parent TV id = %d", got)
 	}
 }
@@ -232,10 +232,10 @@ func TestShredMultipleDocuments(t *testing.T) {
 	d1 := sampleDoc(t)
 	d2 := sampleDoc(t)
 	cat, db := build(t, ps, d1, d2)
-	if got := len(db.Table("IMDB").Rows); got != 2 {
+	if got := db.Table("IMDB").NumRows(); got != 2 {
 		t.Fatalf("IMDB rows = %d", got)
 	}
-	if got := len(db.Table("Show").Rows); got != 4 {
+	if got := db.Table("Show").NumRows(); got != 4 {
 		t.Fatalf("Show rows = %d", got)
 	}
 	pub := NewPublisher(ps, cat, db)
@@ -261,7 +261,7 @@ func TestShredIMDBGeneratedData(t *testing.T) {
 	}
 	doc := imdb.Generate(imdb.GenOptions{Shows: 30, Seed: 9})
 	cat, db := build(t, ps, doc)
-	if got := len(db.Table("Show").Rows); got != 30 {
+	if got := db.Table("Show").NumRows(); got != 30 {
 		t.Fatalf("Show rows = %d", got)
 	}
 	pub := NewPublisher(ps, cat, db)
@@ -307,10 +307,10 @@ type Aka = aka[ String ]`)
 	if akaCol < 0 {
 		t.Fatalf("no aka column: %v", show.Def.Columns)
 	}
-	if got := show.Rows[0][akaCol].Str; got != "a1" {
+	if got := show.Cell(0, akaCol).Str; got != "a1" {
 		t.Errorf("inlined aka = %q, want a1", got)
 	}
-	if got := len(db.Table("Aka").Rows); got != 2 {
+	if got := db.Table("Aka").NumRows(); got != 2 {
 		t.Errorf("Aka rows = %d, want 2", got)
 	}
 	// Round trip restores all three akas.

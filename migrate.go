@@ -218,7 +218,13 @@ func shredGroup(ps *xschema.Schema, cat *relational.Catalog, docs []*xmltree.Nod
 	for _, name := range group {
 		st := staging.Table(name)
 		t := dst.Table(name)
-		for _, row := range st.Rows {
+		// Insert copies the row into t's columns, so one buffer carries
+		// every position across.
+		row := make(engine.Row, len(t.Def.Columns))
+		for pos, n := 0, st.NumRows(); pos < n; pos++ {
+			for ci := range row {
+				row[ci] = st.Cell(pos, ci)
+			}
 			if err := t.Insert(row); err != nil {
 				return fmt.Errorf("legodb: migrate merge %s: %w", name, err)
 			}
