@@ -24,8 +24,6 @@ type batchExec struct {
 	stats  *Counters
 	p      *blockPlan
 	params Params
-	// width is the capacity of every result row (see Plan.width).
-	width int
 	// cols[slot] is the position vector for the alias at that slot, nil
 	// while unbound. All non-nil columns have length n.
 	cols [][]int32
@@ -36,19 +34,18 @@ type batchExec struct {
 	hashBuf   []uint64 // a chunk of join-key hashes
 }
 
-func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params Params, stats *Counters, width int) (*ResultSet, error) {
+func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params Params, stats *Counters, out *emitter) error {
 	e := &batchExec{
 		db:     db,
 		ctx:    ctx,
 		stats:  stats,
 		p:      p,
 		params: params,
-		width:  width,
 		cols:   make([][]int32, len(p.order)),
 	}
 	start, err := e.startPositions()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.cols[p.slot[p.start]] = start
 	e.n = len(start)
@@ -64,14 +61,14 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 			err = e.stepHash(st)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := e.applyCross(st.cross); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	e.inFromOrder()
-	return e.project()
+	return out.project(ctx, p, e.cols, e.n)
 }
 
 // inFromOrder puts the tuples in lexicographic order of their row
@@ -503,37 +500,4 @@ func (e *batchExec) applyCross(filters []sqlast.Filter) error {
 		}
 	}
 	return nil
-}
-
-// project materializes the projected columns into result rows. Rows are
-// carved from one backing array, each with capacity e.width, so the union
-// padding in ExecutePlan extends a row in place without reaching a
-// neighbour.
-func (e *batchExec) project() (*ResultSet, error) {
-	rs := &ResultSet{Columns: slices.Clone(e.p.columns)}
-	projs := e.p.projs
-	if e.n == 0 {
-		// Column resolution is skipped on empty results, matching the
-		// reference executor's per-row resolution.
-		return rs, nil
-	}
-	w, c := len(projs), e.width
-	cells := make([]Value, e.n*c)
-	rows := make([]Row, e.n)
-	for i := range rows {
-		rows[i] = cells[i*c : i*c+w : (i+1)*c]
-	}
-	for k, pr := range projs {
-		t := e.p.tables[pr.Alias]
-		ci := t.ColumnIndex(pr.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("no column %s.%s", pr.Alias, pr.Column)
-		}
-		col := e.cols[e.p.slot[pr.Alias]]
-		for i := 0; i < e.n; i++ {
-			rows[i][k] = t.Cell(int(col[i]), ci)
-		}
-	}
-	rs.Rows = rows
-	return rs, nil
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"legodb/internal/faults"
 	"legodb/internal/sqlast"
@@ -20,6 +22,53 @@ type Params map[string]Value
 type ResultSet struct {
 	Columns []string
 	Rows    []Row
+}
+
+// RowSink receives an answer as the executor projects it, block by
+// block in chunks of up to BatchSize rows, so a caller that encodes the
+// answer never holds it as a ResultSet. Start comes first, once; then,
+// for each block with rows, Block and that block's chunks. On an error
+// the execution stops and what the sink received is not an answer.
+type RowSink interface {
+	// Start announces the answer's column list: the widest block's.
+	Start(columns []string)
+	// Block announces that the next n rows come from one block.
+	Block(n int)
+	// Rows takes the next chunk of rows. Each has its block's width,
+	// which may be narrower than the column list: the sink pads it with
+	// NULL. Rows and cells are the executor's reused buffer, valid only
+	// until Rows returns.
+	Rows(rows []Row)
+}
+
+// Collector is the RowSink that materializes an answer as a ResultSet:
+// every row padded to the column list, each block's rows carved from one
+// backing array.
+type Collector struct {
+	rs   ResultSet
+	free []Value // the current block's cells not yet handed to a row
+}
+
+// Result returns the collected answer.
+func (c *Collector) Result() *ResultSet { return &c.rs }
+
+func (c *Collector) Start(columns []string) { c.rs.Columns = slices.Clone(columns) }
+
+func (c *Collector) Block(n int) {
+	c.free = make([]Value, n*len(c.rs.Columns))
+	c.rs.Rows = slices.Grow(c.rs.Rows, n)
+}
+
+func (c *Collector) Rows(rows []Row) {
+	w := len(c.rs.Columns)
+	for _, r := range rows {
+		row := c.free[:w:w]
+		for j, v := range r {
+			row[j] = v
+		}
+		c.free = c.free[w:]
+		c.rs.Rows = append(c.rs.Rows, row)
+	}
 }
 
 // Execute runs all blocks of a query and unions their results, counting
@@ -52,10 +101,8 @@ type Plan struct {
 	design uint64
 	name   string
 	blocks []*blockPlan
-	// width is the widest block's projection: every result row is carved
-	// with that capacity, so the union in ExecutePlan pads a narrower row
-	// in place.
-	width int
+	// columns is the answer's column list: the widest block's.
+	columns []string
 }
 
 // ErrStalePlan reports a plan run against a database, or a physical
@@ -72,7 +119,9 @@ func (db *Database) Plan(q *sqlast.Query) (*Plan, error) {
 			return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
 		}
 		p.blocks[i] = bp
-		p.width = max(p.width, len(bp.projs))
+		if len(bp.columns) > len(p.columns) {
+			p.columns = bp.columns
+		}
 	}
 	return p, nil
 }
@@ -85,39 +134,41 @@ func (p *Plan) Current(db *Database) bool { return p.db == db && p.design == db.
 // blockPlan.String).
 func (p *Plan) ExplainBlock(i int) string { return p.blocks[i].String() }
 
-// ExecutePlan runs every block of a plan and unions their results.
-// Counters accrue into an execution-local accumulator and are folded
-// into db.Stats once at the end (partial work included on error), so
-// concurrent executions never race on the shared counters. A plan that
-// is not Current for db is refused with ErrStalePlan: a plan runs only
-// under the physical design it was planned for.
+// ExecutePlan runs every block of a plan and unions their results: it
+// is ExecutePlanTo with a Collector.
 func (db *Database) ExecutePlan(ctx context.Context, p *Plan, params Params) (*ResultSet, error) {
+	var c Collector
+	if err := db.ExecutePlanTo(ctx, p, params, &c); err != nil {
+		return nil, err
+	}
+	return c.Result(), nil
+}
+
+// ExecutePlanTo runs every block of a plan and hands the union of their
+// rows to sink as each block projects them. Counters accrue into an
+// execution-local accumulator and are folded into db.Stats once at the
+// end (partial work included on error), so concurrent executions never
+// race on the shared counters. A plan that is not Current for db is
+// refused with ErrStalePlan: a plan runs only under the physical design
+// it was planned for. The sink reads the tables' cells: the caller keeps
+// them from changing (no Insert, Delete or SetIndexes) until it returns.
+func (db *Database) ExecutePlanTo(ctx context.Context, p *Plan, params Params, sink RowSink) error {
 	if !p.Current(db) {
-		return nil, fmt.Errorf("engine: %s: %w", p.name, ErrStalePlan)
+		return fmt.Errorf("engine: %s: %w", p.name, ErrStalePlan)
 	}
 	var stats Counters
-	out := &ResultSet{}
+	out := emitter{sink: sink}
+	defer out.release()
+	sink.Start(p.columns)
 	for _, bp := range p.blocks {
-		rs, err := db.executeBlock(ctx, bp, params, &stats, p.width)
-		if err != nil {
+		if err := db.executeBlock(ctx, bp, params, &stats, &out); err != nil {
 			db.addStats(stats)
-			return nil, fmt.Errorf("engine: %s: %w", p.name, err)
+			return fmt.Errorf("engine: %s: %w", p.name, err)
 		}
-		if len(rs.Columns) > len(out.Columns) {
-			out.Columns = rs.Columns
-		}
-		out.Rows = append(out.Rows, rs.Rows...)
 	}
-	// Union blocks can differ in width (a publishing query's outer-union
-	// skeleton); pad narrower blocks' rows with NULL so every row matches
-	// the widest block's column list. Every row was carved with room for
-	// the widest block and the cells past its own are zero, which is NULL.
-	for i, r := range out.Rows {
-		out.Rows[i] = r[:len(out.Columns)]
-	}
-	stats.TuplesOut += int64(len(out.Rows))
+	stats.TuplesOut += out.n
 	db.addStats(stats)
-	return out, nil
+	return nil
 }
 
 // ExecuteBlock runs one SPJ block with a background context.
@@ -137,27 +188,107 @@ func (db *Database) ExecuteBlockContext(ctx context.Context, b *sqlast.Block, pa
 		return nil, err
 	}
 	var stats Counters
-	rs, err := db.executeBlock(ctx, p, params, &stats, len(p.projs))
+	var c Collector
+	c.Start(p.columns)
+	out := emitter{sink: &c}
+	err = db.executeBlock(ctx, p, params, &stats, &out)
+	out.release()
 	db.addStats(stats)
-	return rs, err
+	if err != nil {
+		return nil, err
+	}
+	return c.Result(), nil
 }
 
-// executeBlock runs one planned block, carving its rows with capacity
-// width.
-func (db *Database) executeBlock(ctx context.Context, p *blockPlan, params Params, stats *Counters, width int) (*ResultSet, error) {
+// executeBlock runs one planned block, projecting its rows into out.
+func (db *Database) executeBlock(ctx context.Context, p *blockPlan, params Params, stats *Counters, out *emitter) error {
 	// SiteExec is the serving path's fault seam: tests arm it to prove an
 	// injected executor failure surfaces as a structured error without
 	// wedging or crashing the caller.
 	if err := faults.Inject(faults.SiteExec); err != nil {
-		return nil, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if db.Exec.RowAtATime {
-		return db.executeBlockRows(ctx, p, params, stats, width)
+		return db.executeBlockRows(ctx, p, params, stats, out)
 	}
-	return db.executeBlockBatch(ctx, p, params, stats, width)
+	return db.executeBlockBatch(ctx, p, params, stats, out)
+}
+
+// emitter is one execution's way out: its sink, the chunk buffer every
+// block projects into, and the rows handed over so far.
+type emitter struct {
+	sink RowSink
+	buf  *chunkBuf
+	n    int64
+}
+
+// chunkBuf is a projection buffer: a chunk's cells and the rows carved
+// from them.
+type chunkBuf struct {
+	cells []Value
+	rows  []Row
+}
+
+// chunkPool recycles projection buffers across executions. A buffer's
+// stale cells keep their strings reachable until the buffer is reused or
+// the pool is swept: at most a chunk's worth per buffer.
+var chunkPool = sync.Pool{New: func() any { return new(chunkBuf) }}
+
+// release returns the emitter's buffer, if it took one, to chunkPool.
+func (out *emitter) release() {
+	if out.buf != nil {
+		chunkPool.Put(out.buf)
+		out.buf = nil
+	}
+}
+
+// project hands the projected cells of n tuples to the sink, in chunks
+// of up to BatchSize rows gathered into the emitter's buffer. cols[slot]
+// holds the row positions of the alias at that slot, tuple by tuple.
+// Column resolution is skipped when there are no tuples, matching the
+// reference executor's per-row resolution.
+func (out *emitter) project(ctx context.Context, p *blockPlan, cols [][]int32, n int) error {
+	if n == 0 {
+		return nil
+	}
+	for k, ci := range p.projCols {
+		if ci < 0 {
+			return fmt.Errorf("no column %s.%s", p.projs[k].Alias, p.projs[k].Column)
+		}
+	}
+	if out.buf == nil {
+		out.buf = chunkPool.Get().(*chunkBuf)
+	}
+	buf, w, m := out.buf, len(p.projs), min(n, BatchSize)
+	if cap(buf.cells) < m*w {
+		buf.cells = make([]Value, m*w)
+	}
+	if cap(buf.rows) < m {
+		buf.rows = make([]Row, m)
+	}
+	rows := buf.rows[:m]
+	for i := range rows {
+		rows[i] = buf.cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	out.sink.Block(n)
+	for base := 0; base < n; base += BatchSize {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(base+BatchSize, n)
+		for k, pr := range p.projs {
+			t, ci := p.tables[pr.Alias], p.projCols[k]
+			for i, pos := range cols[p.slot[pr.Alias]][base:end] {
+				rows[i][k] = t.Cell(int(pos), ci)
+			}
+		}
+		out.sink.Rows(rows[:end-base])
+	}
+	out.n += int64(n)
+	return nil
 }
 
 // ctxCheckMask bounds how often the executors' inner loops poll for
@@ -229,6 +360,9 @@ type blockPlan struct {
 	startLookup int
 	steps       []planStep
 	projs       []sqlast.ColumnRef
+	// projCols are the projected columns' indices in their tables, -1
+	// for one that does not resolve.
+	projCols []int
 	// columns names the projected columns, alias.column.
 	columns []string
 }
@@ -375,8 +509,13 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 		p.projs = []sqlast.ColumnRef{{Alias: p.order[0], Column: p.tables[p.order[0]].Def.Key()}}
 	}
 	p.columns = make([]string, len(p.projs))
+	p.projCols = make([]int, len(p.projs))
 	for i, pr := range p.projs {
 		p.columns[i] = pr.Alias + "." + pr.Column
+		p.projCols[i] = -1
+		if t := p.tables[pr.Alias]; t != nil {
+			p.projCols[i] = t.ColumnIndex(pr.Column)
+		}
 	}
 	return p, nil
 }

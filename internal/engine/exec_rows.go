@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"legodb/internal/sqlast"
@@ -18,10 +17,10 @@ import (
 // binding is one intermediate tuple: row positions per bound alias.
 type binding map[string]int
 
-func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params Params, stats *Counters, width int) (*ResultSet, error) {
+func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params Params, stats *Counters, out *emitter) error {
 	current, err := db.startRows(ctx, p, params, stats)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	for i := range p.steps {
@@ -30,7 +29,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 		case st.kind == stepCartesian:
 			rows, err := db.scanFiltered(ctx, p.tables[st.alias], st.alias, st.filters, params, stats)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var merged []binding
 			for _, l := range current {
@@ -39,7 +38,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 					// clone thousands of inner ones.
 					if len(merged)&ctxCheckMask == 0 {
 						if err := ctx.Err(); err != nil {
-							return nil, err
+							return err
 						}
 					}
 					m := cloneBinding(l)
@@ -54,7 +53,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			// index) but is still resolved for error parity.
 			_, oldCi, err := p.resolveJoinCols(st)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			newTable := p.tables[st.alias]
 			oldTable := p.tables[st.oldAlias]
@@ -65,7 +64,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			for li, l := range current {
 				if li&ctxCheckMask == 0 {
 					if err := ctx.Err(); err != nil {
-						return nil, err
+						return err
 					}
 				}
 				stats.Probes++
@@ -77,7 +76,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 					stats.TuplesRead++
 					stats.BytesRead += newTable.probeRowBytes(pos, heapBytes)
 					if ok, err := db.passes(newTable, pos, st.filters, params); err != nil {
-						return nil, err
+						return err
 					} else if !ok {
 						continue
 					}
@@ -91,14 +90,14 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 		default:
 			newCi, oldCi, err := p.resolveJoinCols(st)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			newTable := p.tables[st.alias]
 			oldTable := p.tables[st.oldAlias]
 			// Hash join: scan + build the new relation, probe current.
 			rows, err := db.scanFiltered(ctx, newTable, st.alias, st.filters, params, stats)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			hash := make(map[Value][]int, len(rows))
 			for _, r := range rows {
@@ -113,7 +112,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			for li, l := range current {
 				if li&ctxCheckMask == 0 {
 					if err := ctx.Err(); err != nil {
-						return nil, err
+						return err
 					}
 				}
 				v := oldTable.Cell(l[st.oldAlias], oldCi)
@@ -128,7 +127,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 
 		current, err = db.applyCrossFilters(current, p.tables, st.cross)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -142,21 +141,16 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 		return false
 	})
 
-	// Projection.
-	rs := &ResultSet{Columns: slices.Clone(p.columns)}
-	for _, l := range current {
-		row := make(Row, len(p.projs), width)
-		for i, pr := range p.projs {
-			t := p.tables[pr.Alias]
-			ci := t.ColumnIndex(pr.Column)
-			if ci < 0 {
-				return nil, fmt.Errorf("no column %s.%s", pr.Alias, pr.Column)
-			}
-			row[i] = t.Cell(l[pr.Alias], ci)
+	// Projection, through the batch executor's: one position column per
+	// alias.
+	cols := make([][]int32, len(p.order))
+	for s, a := range p.order {
+		cols[s] = make([]int32, len(current))
+		for i, b := range current {
+			cols[s][i] = int32(b[a])
 		}
-		rs.Rows = append(rs.Rows, row)
 	}
-	return rs, nil
+	return out.project(ctx, p, cols, len(current))
 }
 
 // startRows binds the start relation: an index lookup when the plan has

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
 
 	"legodb/internal/engine"
@@ -37,6 +38,19 @@ func referenceBody(t *testing.T, rs *engine.ResultSet, elapsedMs float64) []byte
 	return b.Bytes()
 }
 
+// appendQueryResponse appends the /query body for a materialized answer
+// through the handler's encoder: the whole answer as one block and one
+// chunk.
+func appendQueryResponse(b []byte, rs *engine.ResultSet, elapsedMs float64) []byte {
+	enc := queryEncoder{b: b}
+	enc.Start(rs.Columns)
+	if len(rs.Rows) > 0 {
+		enc.Block(len(rs.Rows))
+		enc.Rows(rs.Rows)
+	}
+	return enc.finish(elapsedMs)
+}
+
 // FuzzQueryResponseJSON: the streamed /query body is byte-identical to
 // json.Encoder's rendering of the stringified answer, for any strings —
 // HTML metacharacters, control bytes, invalid UTF-8, U+2028/U+2029 —
@@ -68,4 +82,18 @@ func FuzzQueryResponseJSON(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAppendIntMatchesStrconv: the digit-pair formatter writes what
+// strconv does at every digit-count boundary and at the extremes.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	ns := []int64{0, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= math.MaxInt64/10; p *= 10 {
+		ns = append(ns, p-1, p, p+1, 10*p-1, -p, -p-1, -p+1)
+	}
+	for _, n := range ns {
+		if got, want := string(appendInt([]byte("x"), n)), "x"+strconv.FormatInt(n, 10); got != want {
+			t.Errorf("appendInt(%d) = %q, want %q", n, got, want)
+		}
+	}
 }

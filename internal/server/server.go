@@ -177,6 +177,9 @@ type Server struct {
 	rejected atomic.Int64
 	panics   atomic.Int64
 	timeouts atomic.Int64
+	// bodiesHeld counts the /query buffers taken from bodyPool and not
+	// yet released: every way through the handler gives its buffer back.
+	bodiesHeld atomic.Int64
 
 	tmu     sync.RWMutex
 	tenants map[string]*tenant
@@ -753,15 +756,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, tn *tenant)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestDeadline(req.TimeoutMs))
 	defer cancel()
+	// The answer is encoded into a pooled buffer as the engine projects
+	// it, and only a whole body is written: an error or a deadline
+	// mid-answer still becomes a clean status.
 	start := time.Now()
-	rs, err := pq.RunValues(ctx, legodb.Params(req.Params))
-	if err != nil {
+	bp := s.takeBody()
+	enc := queryEncoder{b: *bp}
+	defer func() { s.releaseBody(bp, enc.b) }()
+	if err := pq.RunTo(ctx, legodb.Params(req.Params), &enc); err != nil {
 		s.writeExecError(w, r, err)
 		return
 	}
 	tn.served.Add(1)
 	s.served.Add(1)
-	writeQueryResponse(w, rs, float64(time.Since(start).Microseconds())/1000)
+	b := enc.finish(float64(time.Since(start).Microseconds()) / 1000)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 type mutateRequest struct {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,8 +235,41 @@ func TestInjectedExecFaultRecovers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered query = %d: %s", resp.StatusCode, b)
 	}
+
+	// A fault on Q15's second block, after the first block's rows are
+	// encoded: the client still gets the structured 500 alone, and the
+	// half-built body's buffer goes back to the pool.
+	restore = faults.EnableHook(faults.SiteExec, 1, func() {
+		faults.Enable(faults.SiteExec, 1, false)
+	})
+	defer restore()
+	resp, b = postQuery(t, ts.URL, imdb.Query("Q15").String(), nil, 0)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("Q15 faulted on its second block = %d: %s", resp.StatusCode, b)
+	}
+	wantErrorBodyOnly(t, b, "injected")
+	waitFor(t, "every response buffer back in the pool", func() bool { return s.bodiesHeld.Load() == 0 })
+	resp, b = postQuery(t, ts.URL, imdb.Query("Q15").String(), nil, 0)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("recovered Q15 = %d: %s", resp.StatusCode, b)
+	}
 	if p := s.StatsSnapshot().Panics; p != 0 {
 		t.Fatalf("panics = %d, want 0", p)
+	}
+}
+
+// wantErrorBodyOnly checks a failed /query answered with an error body
+// naming want and nothing of the answer: no partial body.
+func wantErrorBodyOnly(t *testing.T, b []byte, want string) {
+	t.Helper()
+	var eb errBody
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&eb); err != nil || !strings.Contains(eb.Error, want) || dec.More() {
+		t.Fatalf("error body = %q, want only an error naming %q", b, want)
+	}
+	if bytes.Contains(b, []byte(`"columns"`)) {
+		t.Fatalf("error body carries part of the answer: %q", b)
 	}
 }
 
@@ -268,7 +302,9 @@ func TestInjectedShredFaultOnLoad(t *testing.T) {
 }
 
 // TestPanicIsolation injects a panic into the executor: the request
-// gets a 500, the panic counter bumps, and the next request serves.
+// gets a 500, the panic counter bumps, the next request serves, the
+// store's read lock is released (a write still completes) and the
+// response buffer goes back to the pool.
 func TestPanicIsolation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -287,6 +323,20 @@ func TestPanicIsolation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after panic = %d: %s", resp.StatusCode, b)
 	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.TenantStore("imdb").DeleteWhere(`FOR $s IN imdb/show WHERE $s/year = c1 RETURN $s`, legodb.Params{"c1": "1999"})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("delete after panic: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write after the panic is still waiting for the store's lock")
+	}
+	waitFor(t, "every response buffer back in the pool", func() bool { return s.bodiesHeld.Load() == 0 })
 }
 
 // TestSaturationSheds holds the single slot with a gated request and
@@ -431,6 +481,25 @@ func TestRequestDeadline504(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after timeout = %d: %s", resp.StatusCode, b)
 	}
+
+	// The deadline passes while Q15's second block waits, its first
+	// block already encoded: still a 504 with no partial body.
+	var hits atomic.Int32
+	restore = faults.EnableHook(faults.SiteExec, 2, func() {
+		if hits.Add(1) == 2 {
+			time.Sleep(150 * time.Millisecond)
+		}
+	})
+	defer restore()
+	resp, b = postQuery(t, ts.URL, imdb.Query("Q15").String(), nil, 30)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("Q15 past its deadline mid-answer = %d: %s", resp.StatusCode, b)
+	}
+	wantErrorBodyOnly(t, b, "deadline")
+	if n := s.StatsSnapshot().Timeouts; n != 2 {
+		t.Fatalf("timeouts = %d, want 2", n)
+	}
+	waitFor(t, "every response buffer back in the pool", func() bool { return s.bodiesHeld.Load() == 0 })
 }
 
 // TestClientCancellationReleasesSlot cancels the client mid-execution

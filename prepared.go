@@ -170,21 +170,27 @@ func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result,
 }
 
 // RunValues is RunContext without rendering the rows as strings: the
-// engine's result set, every cell a typed engine.Value. A caller that
-// encodes the answer itself (the /query handler) skips a pass and a
-// [][]string the size of the answer.
+// engine's result set, every cell a typed engine.Value. It is RunTo
+// with a collecting sink.
 func (p *PreparedQuery) RunValues(ctx context.Context, params Params) (*engine.ResultSet, error) {
-	s := p.store
-	s.mu.RLock()
-	pp, err := p.currentLocked()
-	if err != nil {
-		s.mu.RUnlock()
+	var c engine.Collector
+	if err := p.RunTo(ctx, params, &c); err != nil {
 		return nil, err
 	}
-	rs, err := s.db.ExecutePlan(ctx, pp.plan, params.bind(pp.sites))
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, err
+	return c.Result(), nil
+}
+
+// RunTo executes the prepared query and hands its answer to sink as the
+// engine projects it (see engine.RowSink): a caller that encodes the
+// answer itself (the /query handler) never holds it as rows. The sink
+// runs under the store's read lock, because an Insert may reallocate
+// the columns its cells are read from: it must not keep a row past the
+// call it got it in, nor call back into the store. On an error what
+// the sink received is no answer.
+func (p *PreparedQuery) RunTo(ctx context.Context, params Params, sink engine.RowSink) error {
+	s := p.store
+	if err := p.runLocked(ctx, params, sink); err != nil {
+		return err
 	}
 	// Record the observation outside the serving lock: a successful
 	// execution is one vote for this query shape in the observed
@@ -193,7 +199,21 @@ func (p *PreparedQuery) RunValues(ctx context.Context, params Params) (*engine.R
 	if s.obs.observeQuery(p.shape, p.key) {
 		s.retuneIndexes()
 	}
-	return rs, nil
+	return nil
+}
+
+// runLocked executes the prepared query into sink under the store's
+// read lock, released however the execution ends: a panic in the
+// executor or in the sink must not leave writers locked out.
+func (p *PreparedQuery) runLocked(ctx context.Context, params Params, sink engine.RowSink) error {
+	s := p.store
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	pp, err := p.currentLocked()
+	if err != nil {
+		return err
+	}
+	return s.db.ExecutePlanTo(ctx, pp.plan, params.bind(pp.sites), sink)
 }
 
 // ExplainQuery prepares an XQuery and returns its SQL together with the
