@@ -28,6 +28,9 @@ type batchExec struct {
 	// while unbound. All non-nil columns have length n.
 	cols [][]int32
 	n    int
+	// mem holds every position and hash vector the block drops by its
+	// end, e.cols included.
+	mem *arena
 	// Scratch buffers reused across chunks.
 	vec, vec2 Vector
 	selBuf    []int32
@@ -42,7 +45,9 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 		p:      p,
 		params: params,
 		cols:   make([][]int32, len(p.order)),
+		mem:    arenaPool.Get().(*arena),
 	}
+	defer e.mem.release()
 	start, err := e.startPositions()
 	if err != nil {
 		return err
@@ -98,7 +103,7 @@ func (e *batchExec) inFromOrder() {
 	if int(i) >= e.n {
 		return
 	}
-	perm := make([]int32, e.n)
+	perm := e.mem.i32.take(e.n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -115,7 +120,7 @@ func (e *batchExec) startPositions() ([]int32, error) {
 	if !ok {
 		return e.scanPositions(t, e.p.startFilters)
 	}
-	out := make([]int32, 0, len(matched))
+	out := e.mem.i32.take(len(matched))[:0]
 	for base := 0; base < len(matched); base += BatchSize {
 		if err := e.ctx.Err(); err != nil {
 			return nil, err
@@ -139,7 +144,7 @@ func (e *batchExec) startPositions() ([]int32, error) {
 // pay for a full batch.
 func (e *batchExec) selection(n int) []int32 {
 	if cap(e.selBuf) < n {
-		e.selBuf = make([]int32, 0, n)
+		e.selBuf = e.mem.i32.take(n)
 	}
 	return e.selBuf[:0]
 }
@@ -183,7 +188,7 @@ func (e *batchExec) scanChunks(t *Table, filters []sqlast.Filter, emit func(sel 
 
 // scanPositions materializes a scanChunks scan as one position list.
 func (e *batchExec) scanPositions(t *Table, filters []sqlast.Filter) ([]int32, error) {
-	out := make([]int32, 0, t.NumRows())
+	out := e.mem.i32.take(t.NumRows())[:0]
 	err := e.scanChunks(t, filters, func(sel []int32) { out = append(out, sel...) })
 	return out, err
 }
@@ -232,8 +237,7 @@ func (e *batchExec) stepINL(st *planStep) error {
 	}
 	heapBytes := newTable.Def.RowBytes()
 	oldPos := e.cols[e.p.slot[st.oldAlias]]
-	src := make([]int32, 0, e.n)
-	newPos := make([]int32, 0, e.n)
+	src, newPos := e.pairs(e.n)
 	for i := 0; i < e.n; i++ {
 		if i&ctxCheckMask == 0 {
 			if err := e.ctx.Err(); err != nil {
@@ -255,6 +259,7 @@ func (e *batchExec) stepINL(st *planStep) error {
 			if !ok || !fusedMeet(newKey, oldKey, pos, i) {
 				continue
 			}
+			src, newPos = e.growPairs(src, newPos)
 			src = append(src, int32(i))
 			newPos = append(newPos, int32(pos))
 		}
@@ -299,13 +304,12 @@ func (e *batchExec) stepHash(st *planStep) error {
 	}
 	newTable := e.p.tables[st.alias]
 	newKey, oldKey := e.joinKeys(st, newCi, oldCi)
-	src := make([]int32, 0, e.n)
-	newPos := make([]int32, 0, e.n)
-	held := make([]int32, 0, min(e.n, newTable.NumRows()))
+	src, newPos := e.pairs(e.n)
+	held := e.mem.i32.take(min(e.n, newTable.NumRows()))[:0]
 	var ht *hashTable // over the intermediate, once the scan outnumbers it
 	ordered := true   // src is still non-decreasing
 	if e.hashBuf == nil {
-		e.hashBuf = make([]uint64, BatchSize)
+		e.hashBuf = e.mem.u64.take(BatchSize)
 	}
 	probe := func(sel []int32) {
 		newKey.on(sel)
@@ -319,6 +323,7 @@ func (e *batchExec) stepHash(st *planStep) error {
 						continue
 					}
 					ordered = ordered && (len(src) == 0 || src[len(src)-1] < i)
+					src, newPos = e.growPairs(src, newPos)
 					src = append(src, i-1)
 					newPos = append(newPos, sel[at])
 				}
@@ -334,7 +339,7 @@ func (e *batchExec) stepHash(st *planStep) error {
 				held = append(held, sel...)
 				return
 			}
-			ht = buildHash(oldKey, e.n, e.hashBuf)
+			ht = buildHash(oldKey, e.n, e.hashBuf, e.mem)
 			probe(held)
 		}
 		probe(sel)
@@ -344,7 +349,7 @@ func (e *batchExec) stepHash(st *planStep) error {
 	}
 	switch {
 	case ht == nil:
-		ht = buildHash(newKey.on(held), len(held), e.hashBuf)
+		ht = buildHash(newKey.on(held), len(held), e.hashBuf, e.mem)
 		for base := 0; base < e.n; base += BatchSize {
 			if err := e.ctx.Err(); err != nil {
 				return err
@@ -357,13 +362,14 @@ func (e *batchExec) stepHash(st *planStep) error {
 					if !exact && newKey.primary(k-1) != oldKey.primary(i) {
 						continue
 					}
+					src, newPos = e.growPairs(src, newPos)
 					src = append(src, i)
 					newPos = append(newPos, held[k-1])
 				}
 			}
 		}
 	case !ordered:
-		src, newPos = sortBySource(src, newPos, e.n)
+		src, newPos = sortBySource(src, newPos, e.n, &e.mem.i32)
 	}
 	e.rebind(st.alias, src, newPos)
 	return nil
@@ -403,19 +409,33 @@ func (k joinKey) on(positions []int32) joinKey {
 	return k
 }
 
+// pairs returns the empty (source tuple, new position) columns of a join
+// step, with room for n pairs.
+func (e *batchExec) pairs(n int) (src, newPos []int32) {
+	return e.mem.i32.take(n)[:0], e.mem.i32.take(n)[:0]
+}
+
+// growPairs makes room for one more pair.
+func (e *batchExec) growPairs(src, newPos []int32) ([]int32, []int32) {
+	if len(src) < cap(src) {
+		return src, newPos
+	}
+	return e.mem.i32.grow(src), e.mem.i32.grow(newPos)
+}
+
 // sortBySource reorders join pairs emitted in (scan position, source
 // tuple) order into (source tuple, scan position) order: a stable
-// counting sort on src over n source tuples.
-func sortBySource(src, newPos []int32, n int) ([]int32, []int32) {
-	at := make([]int32, n+1)
+// counting sort on src over n source tuples, in mem.
+func sortBySource(src, newPos []int32, n int, mem *slab[int32]) ([]int32, []int32) {
+	at := mem.take(n + 1)
+	clear(at)
 	for _, s := range src {
 		at[s+1]++
 	}
 	for i := 0; i < n; i++ {
 		at[i+1] += at[i]
 	}
-	osrc := make([]int32, len(src))
-	opos := make([]int32, len(src))
+	osrc, opos := mem.take(len(src)), mem.take(len(src))
 	for k, s := range src {
 		osrc[at[s]], opos[at[s]] = s, newPos[k]
 		at[s]++
@@ -430,8 +450,7 @@ func (e *batchExec) stepCartesian(st *planStep) error {
 	if err != nil {
 		return err
 	}
-	src := make([]int32, 0, e.n*len(rows))
-	newPos := make([]int32, 0, e.n*len(rows))
+	src, newPos := e.pairs(e.n * len(rows))
 	for i := 0; i < e.n; i++ {
 		if i&ctxCheckMask == 0 {
 			if err := e.ctx.Err(); err != nil {
@@ -461,7 +480,7 @@ func (e *batchExec) keep(src []int32) {
 		if c == nil {
 			continue
 		}
-		nc := make([]int32, len(src))
+		nc := e.mem.i32.take(len(src))
 		for k, i := range src {
 			nc[k] = c[i]
 		}
@@ -481,7 +500,7 @@ func (e *batchExec) applyCross(filters []sqlast.Filter) error {
 		}
 		lcol := e.cols[e.p.slot[f.Col.Alias]]
 		rcol := e.cols[e.p.slot[f.RightCol.Alias]]
-		var kept []int32
+		kept := e.mem.i32.take(e.n)[:0]
 		for base := 0; base < e.n; base += BatchSize {
 			if err := e.ctx.Err(); err != nil {
 				return err

@@ -116,6 +116,11 @@ func buildChunk(vals []Value) ColumnChunk {
 type ColumnBase struct {
 	rows int
 	cols [][]ColumnChunk
+	// hashes[ci][pos] is the key hash of the base's cell at (pos, ci) when
+	// it is a string (see Table.keyCell), 0 otherwise; nil for a column
+	// with no string. It is computed here, per process, and never
+	// persisted: the colfile image holds the cells alone.
+	hashes [][]uint64
 	// encodedBytes is the on-disk size of the chunk payloads this base
 	// was decoded from; scans charge it as BytesRead.
 	encodedBytes float64
@@ -155,7 +160,10 @@ func NewColumnBase(cols [][]ColumnChunk, encodedBytes float64) (*ColumnBase, err
 	if rows < 0 {
 		rows = 0
 	}
-	b := &ColumnBase{rows: rows, cols: cols, encodedBytes: encodedBytes}
+	b := &ColumnBase{rows: rows, cols: cols, hashes: make([][]uint64, len(cols)), encodedBytes: encodedBytes}
+	for ci, chunks := range cols {
+		b.hashes[ci] = chunkHashes(chunks, rows)
+	}
 	if rows > 0 {
 		// Whole bytes per row: integer-valued charges keep counter
 		// accumulation exact, so the batch and row executors stay
@@ -163,6 +171,24 @@ func NewColumnBase(cols [][]ColumnChunk, encodedBytes float64) (*ColumnBase, err
 		b.rowBytes = math.Round(encodedBytes / float64(rows))
 	}
 	return b, nil
+}
+
+// chunkHashes returns the key hashes of a column's string cells, at
+// their positions among its rows, or nil when the column holds none.
+func chunkHashes(chunks []ColumnChunk, rows int) []uint64 {
+	var hs []uint64
+	for k := range chunks {
+		c := &chunks[k]
+		for i := 0; i < c.N; i++ {
+			if v := c.Value(i); v.Kind == StrValue {
+				if hs == nil {
+					hs = make([]uint64, rows)
+				}
+				hs[k*BatchSize+i] = strHash(v.Str)
+			}
+		}
+	}
+	return hs
 }
 
 func checkChunkStorage(c *ColumnChunk) error {
@@ -234,6 +260,26 @@ func (t *Table) Cell(pos, ci int) Value {
 		return t.base.value(pos, ci)
 	}
 	return t.heap[ci][pos-t.baseN]
+}
+
+// keyCell reads one cell by global position, as Cell does, together with
+// its stored key hash when it is a string (0 otherwise): the hash a join
+// key's string part takes, computed once when the cell was written, so
+// hashing a key never reads a string's bytes.
+func (t *Table) keyCell(pos, ci int) (Value, uint64) {
+	if pos < t.baseN {
+		v := t.base.value(pos, ci)
+		if v.Kind != StrValue {
+			return v, 0
+		}
+		return v, t.base.hashes[ci][pos]
+	}
+	i := pos - t.baseN
+	v := t.heap[ci][i]
+	if v.Kind != StrValue {
+		return v, 0
+	}
+	return v, t.heapHash[ci][i]
 }
 
 // Row returns a fresh copy of the tuple at a global position; writing to

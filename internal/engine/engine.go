@@ -105,6 +105,10 @@ type Table struct {
 	// global position baseN+i, and every column holds heapN values.
 	heap  [][]Value
 	heapN int
+	// heapHash[ci][i] is the key hash of heap[ci][i] when that cell is a
+	// string (see keyCell), 0 otherwise; nil for a column that has held
+	// no string.
+	heapHash [][]uint64
 	// baseN is base.Rows(), 0 without a base.
 	baseN  int
 	base   *ColumnBase
@@ -137,7 +141,8 @@ func (ix *hashIndex) add(v Value, pos int) {
 func NewTable(def *relational.Table) *Table {
 	t := &Table{
 		Def:    def,
-		heap:   make([][]Value, len(def.Columns)),
+		heap:     make([][]Value, len(def.Columns)),
+		heapHash: make([][]uint64, len(def.Columns)),
 		colIdx: make(map[string]int, len(def.Columns)),
 		nextID: 1,
 	}
@@ -177,8 +182,8 @@ func (t *Table) SetNextID(id int64) {
 }
 
 // Insert appends a row (len must equal the column count) to each column
-// of the heap tail and maintains indexes. The table keeps no reference
-// to r.
+// of the heap tail, with the key hash of each string cell beside it, and
+// maintains indexes. The table keeps no reference to r.
 func (t *Table) Insert(r Row) error {
 	if len(r) != len(t.Def.Columns) {
 		return fmt.Errorf("engine: %s: row has %d values, table has %d columns",
@@ -186,19 +191,35 @@ func (t *Table) Insert(r Row) error {
 	}
 	pos := t.NumRows()
 	for ci, v := range r {
-		col := t.heap[ci]
-		if len(col) == cap(col) {
-			// Double: append's growth for large slices (1.25×) would copy
-			// a loaded column several times over.
-			col = append(make([]Value, 0, max(2*cap(col), 16)), col...)
+		t.heap[ci] = appendDoubling(t.heap[ci], v)
+		hs := t.heapHash[ci]
+		if hs == nil && v.Kind != StrValue {
+			continue
 		}
-		t.heap[ci] = append(col, v)
+		if hs == nil {
+			hs = make([]uint64, t.heapN, cap(t.heap[ci]))
+		}
+		var h uint64
+		if v.Kind == StrValue {
+			h = strHash(v.Str)
+		}
+		t.heapHash[ci] = appendDoubling(hs, h)
 	}
 	t.heapN++
 	for _, ix := range t.indexes {
 		ix.add(r[ix.ci], pos)
 	}
 	return nil
+}
+
+// appendDoubling appends v to a heap column, doubling its capacity when
+// full: append's growth for large slices (1.25×) would copy a loaded
+// column several times over.
+func appendDoubling[T any](col []T, v T) []T {
+	if len(col) == cap(col) {
+		col = append(make([]T, 0, max(2*cap(col), 16)), col...)
+	}
+	return append(col, v)
 }
 
 // index returns the hash index on a column, nil if there is none.

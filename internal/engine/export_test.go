@@ -1,0 +1,14 @@
+package engine
+
+// Internals the external test package (engine_test) checks: it imports
+// colfile, which imports engine, so those tests cannot live in package
+// engine itself.
+
+// KeySeed seeds the key hash of a string cell.
+var KeySeed = keySeed
+
+// KeyCell is Table.keyCell: a cell and its stored key hash.
+func KeyCell(t *Table, pos, ci int) (Value, uint64) { return t.keyCell(pos, ci) }
+
+// RaceEnabled reports whether the race detector is compiled in.
+const RaceEnabled = raceEnabled

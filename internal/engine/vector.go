@@ -299,6 +299,11 @@ func (k joinKey) primary(j int32) Value { return k[0].t.Cell(int(k[0].at[j]), k[
 // which entries a probe compares, never a result or its order.
 var keySeed = maphash.MakeSeed()
 
+// strHash is the key hash of a string. Tables store it beside every
+// string cell when the cell is written (see Table.keyCell); only a
+// cell's writer and the formatting of a fused integer call it.
+func strHash(s string) uint64 { return maphash.String(keySeed, s) }
+
 // mix64 is MurmurHash3's 64-bit finalizer, a bijection that spreads
 // every input bit over the output.
 func mix64(x uint64) uint64 {
@@ -312,18 +317,19 @@ func mix64(x uint64) uint64 {
 // hashes writes the key hashes of tuples lo..hi-1 into out[:hi-lo] and
 // returns that slice. A tuple with a NULL part, which can match nothing,
 // hashes to 0; every other key to a non-zero hash, equal for equal keys:
-// the join edge's integer is its own hash (but 0 shares 1 with 1), and a
-// fused integer hashes as the string of its decimal form, so it meets
-// that string as satisfies lets it. ints reports that every key is a
-// lone integer, so equal hashes other than 1 mean equal keys.
+// the join edge's integer is its own hash (but 0 shares 1 with 1), a
+// string part hashes as the table stored it, and a fused integer hashes
+// as the string of its decimal form, so it meets that string as
+// satisfies lets it. ints reports that every key is a lone integer, so
+// equal hashes other than 1 mean equal keys.
 func (k joinKey) hashes(lo, hi int, out []uint64) (hs []uint64, ints bool) {
 	out = out[:hi-lo]
 	t, ci, fused := k[0].t, k[0].ci, len(k) > 1
 	ints = !fused
 	for j, pos := range k[0].at[lo:hi] {
-		v := t.Cell(int(pos), ci)
+		v, sh := t.keyCell(int(pos), ci)
 		ints = ints && v.Kind != StrValue
-		h, ok := edgeHash(v)
+		h, ok := edgeHash(v, sh)
 		if ok && fused {
 			h, ok = k.fuse(h, lo+j)
 		}
@@ -338,13 +344,14 @@ func (k joinKey) hashes(lo, hi int, out []uint64) (hs []uint64, ints bool) {
 	return out, ints
 }
 
-// edgeHash hashes a join edge's cell; ok is false for NULL.
-func edgeHash(v Value) (uint64, bool) {
+// edgeHash hashes a join edge's cell, given its stored hash sh when it
+// is a string; ok is false for NULL.
+func edgeHash(v Value, sh uint64) (uint64, bool) {
 	switch v.Kind {
 	case IntValue:
 		return uint64(v.Int), true
 	case StrValue:
-		return maphash.String(keySeed, v.Str), true
+		return sh, true
 	}
 	return 0, false
 }
@@ -354,15 +361,12 @@ func edgeHash(v Value) (uint64, bool) {
 func (k joinKey) fuse(h uint64, j int) (uint64, bool) {
 	var buf [20]byte
 	for _, c := range k[1:] {
-		v := c.t.Cell(int(c.at[j]), c.ci)
-		var part uint64
+		v, part := c.t.keyCell(int(c.at[j]), c.ci)
 		switch v.Kind {
+		case NullValue:
+			return 0, false
 		case IntValue:
 			part = maphash.Bytes(keySeed, strconv.AppendInt(buf[:0], v.Int, 10))
-		case StrValue:
-			part = maphash.String(keySeed, v.Str)
-		default:
-			return 0, false
 		}
 		h = mix64(h*0x9e3779b97f4a7c15 + part)
 	}
@@ -389,20 +393,21 @@ type hashTable struct {
 	ints  bool // every key built is a lone integer (see joinKey.hashes)
 }
 
-// buildHash builds the table over the first n tuples of a key, hashing
-// them a chunk at a time through buf (at least BatchSize long).
-func buildHash(k joinKey, n int, buf []uint64) *hashTable {
+// buildHash builds the table over the first n tuples of a key in mem,
+// hashing them a chunk at a time through buf (at least BatchSize long).
+func buildHash(k joinKey, n int, buf []uint64, mem *arena) *hashTable {
 	bits := 1
 	for 1<<bits < 2*n {
 		bits++
 	}
 	ht := &hashTable{
-		dir:   make([]int32, 1<<bits),
-		next:  make([]int32, n),
-		hash:  make([]uint64, n),
+		dir:   mem.i32.take(1 << bits),
+		next:  mem.i32.take(n),
+		hash:  mem.u64.take(n),
 		shift: uint(64 - bits),
 		ints:  true,
 	}
+	clear(ht.dir)
 	// Last chunk to first, each last tuple to first, so that pushing on
 	// the bucket's head leaves chains ascending.
 	for base := (n - 1) / BatchSize * BatchSize; n > 0 && base >= 0; base -= BatchSize {

@@ -237,7 +237,7 @@ func TestHashTableMatchesValueMap(t *testing.T) {
 			}
 		}
 		build := joinKey{{t: tb, at: positions}}
-		ht := buildHash(build, n, make([]uint64, BatchSize))
+		ht := buildHash(build, n, make([]uint64, BatchSize), new(arena))
 		probes := append([]Value{Null, IntVal(7), StrVal("7"), StrVal("007")}, vals...)
 		for i := 0; i < 10; i++ {
 			probes = append(probes, randomValue(rng))
@@ -290,7 +290,7 @@ func TestHashTableCollisions(t *testing.T) {
 		positions[i] = int32(i)
 	}
 	// A build of n NULLs has the directory every n-entry build has.
-	dir := buildHash(joinKey{{t: scratchTable(make([]Value, n)), at: positions}}, n, buf)
+	dir := buildHash(joinKey{{t: scratchTable(make([]Value, n)), at: positions}}, n, buf, new(arena))
 	if dir.first(0) != 0 {
 		t.Fatal("an all-NULL build reaches an entry")
 	}
@@ -305,7 +305,7 @@ func TestHashTableCollisions(t *testing.T) {
 	var strs []Value
 	for i := 0; len(strs) < 2; i++ {
 		s := "s" + strconv.Itoa(i)
-		if h, _ := edgeHash(StrVal(s)); dir.bucket(h) == dir.bucket(0) {
+		if h := strHash(s); dir.bucket(h) == dir.bucket(0) {
 			strs = append(strs, StrVal(s))
 		}
 	}
@@ -320,7 +320,7 @@ func TestHashTableCollisions(t *testing.T) {
 			}
 		}
 		build := joinKey{{t: scratchTable(vals), at: positions}}
-		ht := buildHash(build, n, buf)
+		ht := buildHash(build, n, buf, new(arena))
 		hs, _ := build.hashes(0, n, make([]uint64, n))
 		for _, h := range hs {
 			if h > 1 && ht.bucket(h) != ht.bucket(0) {
@@ -360,7 +360,7 @@ func TestHashTableCollisions(t *testing.T) {
 			t.Fatalf("ints = %v for a build of %v", ht.ints, pool)
 		}
 		for _, v := range ints[1:] {
-			h, _ := edgeHash(v)
+			h, _ := edgeHash(v, 0)
 			if got, want := ht.exact(h, true), lone && h != 1; got != want {
 				t.Fatalf("exact(%v) = %v, want %v", v, got, want)
 			}
