@@ -23,7 +23,16 @@ import (
 // pinnedCosts is the SHA-256 of every estimate in the pinned cost corpus
 // (see costDigest): a change to the optimizer or the plan layer that
 // moves any cost or row count by one bit, or any rendered plan, moves it.
-const pinnedCosts = "25bf9bd6088a7117494f4001cf92422f866ebb62032915b36daa4d12f89393a3"
+//
+// Re-pinned once when costDigest began cloning each catalog before
+// setting its indexes. Before, tables of equal definition shared column
+// objects (Year and Year2 share year, Title2 and Title3 share title on
+// the outlined schemas), so a flag set on one table was undone by the
+// pass over its twin: Q3 and F1 were priced as a scan of Year (Q3 760.5
+// on all-outlined) where the index set holds Year.year (Q3
+// index(Year.year) at 212.8), and Q14 under the chosen indexes lost
+// Title2.title. No product caller was affected: they all clone first.
+const pinnedCosts = "314fc7ab38e289b803f6fc5504adb6357b07650ef89735ef1d25af4a28a49cd0"
 
 // costCorpusSchemas returns all-inlined, all-outlined and every
 // first-iteration candidate of both initial p-schemas of the annotated
@@ -76,6 +85,9 @@ func costDigest(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// SetIndexes below writes index flags on the catalog's columns:
+		// give it columns of its own, as every product caller does.
+		cat = cat.Clone()
 		var queries []*sqlast.Query
 		var tw optimizer.TranslatedWorkload
 		var every []relational.IndexRef
