@@ -140,11 +140,11 @@ func (ix *hashIndex) add(v Value, pos int) {
 // NewTable builds an empty heap table for a catalog relation.
 func NewTable(def *relational.Table) *Table {
 	t := &Table{
-		Def:    def,
+		Def:      def,
 		heap:     make([][]Value, len(def.Columns)),
 		heapHash: make([][]uint64, len(def.Columns)),
-		colIdx: make(map[string]int, len(def.Columns)),
-		nextID: 1,
+		colIdx:   make(map[string]int, len(def.Columns)),
+		nextID:   1,
 	}
 	for i, c := range def.Columns {
 		t.colIdx[c.Name] = i
