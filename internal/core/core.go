@@ -274,7 +274,7 @@ func (e *Evaluator) cacheKey(ps *xschema.Schema) CacheKey {
 // Evaluate maps the p-schema to relations, translates the workload and
 // returns the weighted-average estimated cost together with the complete
 // derived configuration. The evaluator's mapper reuses unchanged tables
-// and column templates from its earlier evaluations, and block costings
+// from its earlier evaluations, and block costings
 // come through plan.Store; with no base configuration every workload
 // slot is translated and costed. Cancelling ctx aborts between pipeline
 // stages.

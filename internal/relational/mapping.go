@@ -41,26 +41,17 @@ func MapWith(s *xschema.Schema, opts Options) (*Catalog, error) {
 	return NewMapper(opts).Map(s, nil)
 }
 
-// Mapper maps p-schemas to catalogs, memoizing the inline-column
-// template of each type definition across calls. Column layout depends
-// only on a definition's own body (the walk stops at named-expression
-// boundaries — Refs and Choices contribute FK edges, not columns), so
-// the template is keyed by the definition's shallow digest
-// (xschema.TypeDigests). In the search hot path each candidate rewrites
-// one definition, so a delta re-map rebuilds one column template and
-// reuses every other, recomputing only the global parts (cardinalities,
-// FK columns, row counts).
+// Mapper maps p-schemas to catalogs, memoizing whole tables across
+// calls, keyed by everything buildTable reads: the definition's shallow
+// digest (xschema.TypeDigests), the type name, the table's cardinality,
+// and its incoming edges with their fan-outs and parent cardinalities.
+// A candidate's rewrite moves the inputs of the rewritten table and of
+// the tables whose cardinalities it changes; every other table of the
+// candidate's catalog is the base catalog's table.
 //
-// A whole table is memoized as well, keyed by everything buildTable
-// reads: the definition's digest, the type name, the table's
-// cardinality, and its incoming edges with their fan-outs and parent
-// cardinalities. A candidate's rewrite moves the inputs of the rewritten
-// table and of the tables whose cardinalities it changes; every other
-// table of the candidate's catalog is the base catalog's table.
-//
-// Memoized tables and columns are shared by pointer between catalogs;
-// all mapping consumers treat built catalogs as immutable (see
-// Catalog.Clone). A Mapper is safe for concurrent use.
+// Memoized tables are shared by pointer between catalogs; all mapping
+// consumers treat built catalogs as immutable (see Catalog.Clone). A
+// Mapper is safe for concurrent use.
 type Mapper struct {
 	opts Options
 	// mu is an RWMutex because the memo is read-mostly: in the search's
@@ -68,7 +59,6 @@ type Mapper struct {
 	// almost all unchanged, so lookups dominate stores and must not
 	// serialize the worker pool.
 	mu     sync.RWMutex
-	cols   map[xschema.Fingerprint]colTemplate
 	tables map[uint64]*tableEntry
 }
 
@@ -119,21 +109,14 @@ func tableKey(dig xschema.Fingerprint, name string, rows float64, in []inEdge) u
 	return h
 }
 
-// colTemplate is one memoized column set with its content hash
-// (folded into Table.Digest without rehashing every field).
-type colTemplate struct {
-	cols []*Column
-}
-
-// mapperMemoCap bounds the template memo and the table memo; on
-// overflow a memo resets (deterministic: the memos affect sharing and
-// speed, never values).
+// mapperMemoCap bounds the table memo; on overflow it resets
+// (deterministic: the memo affects sharing and speed, never values).
 const mapperMemoCap = 4096
 
 // NewMapper returns a Mapper with the given options.
 func NewMapper(opts Options) *Mapper {
 	opts.setDefaults()
-	return &Mapper{opts: opts, cols: make(map[xschema.Fingerprint]colTemplate), tables: make(map[uint64]*tableEntry)}
+	return &Mapper{opts: opts, tables: make(map[uint64]*tableEntry)}
 }
 
 // Map builds the catalog for one p-schema. digests are the schema's
@@ -210,29 +193,6 @@ func (m *mapper) table(name string, rows float64, in []inEdge) (*Table, error) {
 	}
 	mp.tables[key] = &tableEntry{in: append([]inEdge(nil), in...), table: t}
 	return t, nil
-}
-
-// template returns the memoized column set for a definition digest.
-func (mp *Mapper) template(dig xschema.Fingerprint) (colTemplate, bool) {
-	mp.mu.RLock()
-	tmpl, ok := mp.cols[dig]
-	mp.mu.RUnlock()
-	return tmpl, ok
-}
-
-// storeTemplate memoizes a column set. On a race the first stored
-// template wins, so all tables of equal digest share one column slice.
-func (mp *Mapper) storeTemplate(dig xschema.Fingerprint, tmpl colTemplate) colTemplate {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	if prev, ok := mp.cols[dig]; ok {
-		return prev
-	}
-	if len(mp.cols) >= mapperMemoCap {
-		mp.cols = make(map[xschema.Fingerprint]colTemplate)
-	}
-	mp.cols[dig] = tmpl
-	return tmpl
 }
 
 type mapper struct {
@@ -378,27 +338,20 @@ func (m *mapper) cardinalities(edges []refEdge) map[string]float64 {
 }
 
 // buildTable constructs the relation for one non-alias type from its
-// cardinality and its incoming edges. The inline columns (everything
-// except the key and FK columns, which depend on global cardinalities
-// and names) come from the Mapper's per-digest template memo: a
-// definition unchanged since the last Map call reuses its column
-// objects outright.
+// cardinality and its incoming edges: the key, the inline columns of the
+// definition's body, and one FK column per incoming edge.
 func (m *mapper) buildTable(name string, rows float64, in []inEdge) (*Table, error) {
-	dig := m.digests[name]
-	t := &Table{Name: sanitize(name), TypeName: name, Rows: rows, TypeDigest: dig}
-	tmpl, ok := m.mp.template(dig)
-	if !ok {
-		cols, err := m.rootColumns(m.schema.Types[name])
-		if err != nil {
-			return nil, fmt.Errorf("relational: type %s: %w", name, err)
-		}
-		tmpl = m.mp.storeTemplate(dig, colTemplate{cols: dedupe(cols)})
+	t := &Table{Name: sanitize(name), TypeName: name, Rows: rows, TypeDigest: m.digests[name]}
+	cols, err := m.rootColumns(m.schema.Types[name])
+	if err != nil {
+		return nil, fmt.Errorf("relational: type %s: %w", name, err)
 	}
-	t.Columns = make([]*Column, 0, 1+len(tmpl.cols)+len(in))
+	cols = dedupe(cols)
+	t.Columns = make([]*Column, 0, 1+len(cols)+len(in))
 	t.Columns = append(t.Columns, &Column{
 		Name: t.Key(), Type: IntCol, Size: 4, Key: true, Distinct: rows,
 	})
-	t.Columns = append(t.Columns, tmpl.cols...)
+	t.Columns = append(t.Columns, cols...)
 	// Each FK column is NULL on rows that belong to a different parent
 	// type (e.g. Aka rows under Show_Part2 have a NULL parent_Show_Part1
 	// after union distribution); record the share so join estimates stay

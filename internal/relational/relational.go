@@ -365,7 +365,7 @@ func (c *Catalog) SetIndexes(refs []IndexRef) {
 }
 
 // Clone returns a catalog that shares nothing mutable with c: tables and
-// columns are copied (the mapper shares column templates between the
+// columns are copied (the mapper shares memoized tables between the
 // catalogs it builds, so flags must never be set on those), statistics
 // slices and parent edges, which nothing mutates, are shared.
 func (c *Catalog) Clone() *Catalog {

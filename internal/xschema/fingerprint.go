@@ -87,7 +87,7 @@ func (s *Schema) Fingerprint() Fingerprint {
 // body — structure or statistics annotations — changes; rewriting one
 // type leaves every other definition's digest intact. This is the
 // invalidation unit of the incremental evaluation pipeline: the
-// relational mapper memoizes column templates and tables per digest.
+// relational mapper memoizes tables per digest.
 // (Subtree digests would be useless there: every query
 // examines the root type, so any rewrite anywhere would invalidate
 // everything.)
