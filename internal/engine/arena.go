@@ -27,8 +27,9 @@ func (a *arena) release() {
 
 // slab is a bump allocator over buf. A request that does not fit is
 // served from the heap instead, and reset grows buf to everything asked
-// for since the last reset, so the next execution of the same block
-// fits: a slab is as large as the largest demand of any block it served.
+// for since the last reset, up to maxSlab, so the next execution of the
+// same block fits: a slab is as large as the largest demand of any block
+// it served.
 type slab[T int32 | uint64] struct {
 	buf  []T
 	off  int // buf[:off] is handed out
@@ -58,9 +59,15 @@ func (s *slab[T]) grow(x []T) []T {
 	return y
 }
 
+// maxSlab bounds the elements a slab keeps between executions, so that
+// one outsized block does not pin its scratch memory for every later
+// one: demand beyond it is served from the heap. The largest block of
+// the IMDB workload asks for about 400 000.
+const maxSlab = 1 << 20
+
 func (s *slab[T]) reset() {
-	if s.need > len(s.buf) {
-		s.buf = make([]T, s.need)
+	if s.need > len(s.buf) && len(s.buf) < maxSlab {
+		s.buf = make([]T, min(s.need, maxSlab))
 	}
 	s.off, s.need = 0, 0
 }
