@@ -192,18 +192,16 @@ func (t *Table) Insert(r Row) error {
 	pos := t.NumRows()
 	for ci, v := range r {
 		t.heap[ci] = appendDoubling(t.heap[ci], v)
-		hs := t.heapHash[ci]
-		if hs == nil && v.Kind != StrValue {
-			continue
+		if v.Kind == StrValue && t.heapHash[ci] == nil {
+			t.heapHash[ci] = make([]uint64, t.heapN, cap(t.heap[ci]))
 		}
-		if hs == nil {
-			hs = make([]uint64, t.heapN, cap(t.heap[ci]))
+		if hs := t.heapHash[ci]; hs != nil {
+			var h uint64
+			if v.Kind == StrValue {
+				h = strHash(v.Str)
+			}
+			t.heapHash[ci] = appendDoubling(hs, h)
 		}
-		var h uint64
-		if v.Kind == StrValue {
-			h = strHash(v.Str)
-		}
-		t.heapHash[ci] = appendDoubling(hs, h)
 	}
 	t.heapN++
 	for _, ix := range t.indexes {

@@ -300,8 +300,9 @@ func (k joinKey) primary(j int32) Value { return k[0].t.Cell(int(k[0].at[j]), k[
 var keySeed = maphash.MakeSeed()
 
 // strHash is the key hash of a string. Tables store it beside every
-// string cell when the cell is written (see Table.keyCell); only a
-// cell's writer and the formatting of a fused integer call it.
+// string cell when the cell is written (see Table.keyCell), so only a
+// cell's writer calls it; a fused integer part hashes its decimal text
+// under the same seed.
 func strHash(s string) uint64 { return maphash.String(keySeed, s) }
 
 // mix64 is MurmurHash3's 64-bit finalizer, a bijection that spreads
