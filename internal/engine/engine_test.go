@@ -165,7 +165,9 @@ func TestExecuteFilterScan(t *testing.T) {
 
 func TestExecuteJoinINLThroughKey(t *testing.T) {
 	// Show is filtered first; IMDB joins through its key column, which is
-	// indexed, so the executor probes instead of scanning.
+	// indexed, so the executor probes instead of scanning. Projecting
+	// i.IMDB_id keeps the join: an IMDB alias named only by its children's
+	// parent key is implied by the tree and never joined.
 	db := NewDatabase(testCatalog(t))
 	loadShows(t, db)
 	b := &sqlast.Block{}
@@ -180,7 +182,7 @@ func TestExecuteJoinINLThroughKey(t *testing.T) {
 		Left:  sqlast.ColumnRef{Alias: "s", Column: "parent_IMDB"},
 		Right: sqlast.ColumnRef{Alias: "i", Column: "IMDB_id"},
 	}}
-	b.Projects = []sqlast.ColumnRef{{Alias: "s", Column: "title"}}
+	b.Projects = []sqlast.ColumnRef{{Alias: "s", Column: "title"}, {Alias: "i", Column: "IMDB_id"}}
 	before := db.Stats
 	rs, err := db.ExecuteBlock(b, nil)
 	if err != nil {
@@ -196,7 +198,8 @@ func TestExecuteJoinINLThroughKey(t *testing.T) {
 
 func TestExecuteJoinFKUsesHash(t *testing.T) {
 	// Joining into Show through its FK column runs as a hash join (scan),
-	// not probes, mirroring the optimizer's plan space.
+	// not probes, mirroring the optimizer's plan space. i.IMDB_id is
+	// projected so the join is not implied away.
 	db := NewDatabase(testCatalog(t))
 	loadShows(t, db)
 	b := &sqlast.Block{}
@@ -206,7 +209,7 @@ func TestExecuteJoinFKUsesHash(t *testing.T) {
 		Left:  sqlast.ColumnRef{Alias: "s", Column: "parent_IMDB"},
 		Right: sqlast.ColumnRef{Alias: "i", Column: "IMDB_id"},
 	}}
-	b.Projects = []sqlast.ColumnRef{{Alias: "s", Column: "title"}}
+	b.Projects = []sqlast.ColumnRef{{Alias: "s", Column: "title"}, {Alias: "i", Column: "IMDB_id"}}
 	before := db.Stats
 	rs, err := db.ExecuteBlock(b, nil)
 	if err != nil {

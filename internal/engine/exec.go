@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"legodb/internal/faults"
+	"legodb/internal/relational"
 	"legodb/internal/sqlast"
 )
 
@@ -365,6 +366,10 @@ type blockPlan struct {
 	projCols []int
 	// columns names the projected columns, alias.column.
 	columns []string
+	// implied lists, in FROM order, the block's aliases the plan leaves
+	// out because parent keys already guarantee their joins (see
+	// impliedAliases).
+	implied []string
 }
 
 // planBlock derives the physical plan: the start relation (prefer one
@@ -384,13 +389,17 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 		return nil, fmt.Errorf("block has no tables")
 	}
 	p := &blockPlan{
-		tables: make(map[string]*Table, len(b.Tables)),
-		slot:   make(map[string]int, len(b.Tables)),
+		tables:  make(map[string]*Table, len(b.Tables)),
+		slot:    make(map[string]int, len(b.Tables)),
+		implied: impliedAliases(b, db.Cat),
 	}
 	for _, tref := range b.Tables {
 		t := db.Table(tref.Table)
 		if t == nil {
 			return nil, fmt.Errorf("unknown table %q", tref.Table)
+		}
+		if slices.Contains(p.implied, tref.Alias) {
+			continue
 		}
 		if _, dup := p.tables[tref.Alias]; !dup {
 			p.slot[tref.Alias] = len(p.order)
@@ -408,6 +417,9 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 	preds := predBuf[:0]
 	for i := range b.Joins {
 		j := &b.Joins[i]
+		if slices.Contains(p.implied, j.Left.Alias) || slices.Contains(p.implied, j.Right.Alias) {
+			continue
+		}
 		f := sqlast.Filter{Col: j.Left, Op: sqlast.OpEq, RightCol: &j.Right}
 		if j.Left.Alias == j.Right.Alias {
 			constFilters[f.Col.Alias] = append(constFilters[f.Col.Alias], f)
@@ -539,7 +551,8 @@ func (p *blockPlan) bindsInFromOrder() bool {
 // or "scan") and alias, then each step's algorithm and alias — "inl",
 // "hash", "hash|inl" for a hash step that probes a secondary index
 // instead while the intermediate is the smaller side, "cartesian" — and
-// a hash step's fused key columns, as in "hash t5 [+title]".
+// a hash step's fused key columns, as in "hash t5 [+title]"; then the
+// aliases left out, as in "(t1 t2 implied by parent keys)".
 func (p *blockPlan) String() string {
 	var b strings.Builder
 	if p.startIndex != nil {
@@ -566,7 +579,96 @@ func (p *blockPlan) String() string {
 			b.WriteString(" [" + strings.Join(cols, " ") + "]")
 		}
 	}
+	if len(p.implied) > 0 {
+		b.WriteString(" (" + strings.Join(p.implied, " ") + " implied by parent keys)")
+	}
 	return b.String()
+}
+
+// impliedAliases returns, in FROM order, the aliases of b a plan may
+// leave out because the tree already guarantees their one join: an alias
+// X that is not projected (nor, in a block without projections, first),
+// under no filter and no cross predicate, and named by exactly one
+// predicate, a declared join X.key = Y.fk where fk is Y's foreign key to
+// X's table, Y's table has exactly one parent edge, and Y's table is not
+// the document root's. Every live row of such a Y has a non-NULL fk
+// naming exactly one live row of X (invariant 26), so the join neither
+// drops nor repeats a row of Y. Dropping X may leave Y with one
+// predicate, so the rule runs until nothing changes. It reads the block
+// and the catalog's keys, foreign keys, parent edges and root table
+// alone: a catalog that records no root table drops nothing.
+func impliedAliases(b *sqlast.Block, cat *relational.Catalog) []string {
+	if cat.RootTable == "" || len(b.Joins) == 0 {
+		return nil
+	}
+	def := func(alias string) *relational.Table {
+		for _, t := range b.Tables {
+			if t.Alias == alias {
+				return cat.Table(t.Table)
+			}
+		}
+		return nil
+	}
+	pinned := make(map[string]bool)
+	for _, pr := range b.Projects {
+		pinned[pr.Alias] = true
+	}
+	if len(b.Projects) == 0 {
+		pinned[b.Tables[0].Alias] = true
+	}
+	for _, f := range b.Filters {
+		pinned[f.Col.Alias] = true
+		if f.RightCol != nil {
+			pinned[f.RightCol.Alias] = true
+		}
+	}
+	for _, j := range b.Joins {
+		if j.Left.Alias == j.Right.Alias {
+			pinned[j.Left.Alias] = true
+		}
+	}
+	gone := make(map[string]bool)
+	for changed := true; changed; {
+		changed = false
+		for _, tref := range b.Tables {
+			x := tref.Alias
+			if pinned[x] || gone[x] {
+				continue
+			}
+			var only *sqlast.Join
+			n := 0
+			for i := range b.Joins {
+				j := &b.Joins[i]
+				if (j.Left.Alias == x || j.Right.Alias == x) && !gone[j.Left.Alias] && !gone[j.Right.Alias] {
+					only = j
+					n++
+				}
+			}
+			if n != 1 {
+				continue
+			}
+			key, fk := only.Left, only.Right
+			if fk.Alias == x {
+				key, fk = fk, key
+			}
+			xt, yt := def(x), def(fk.Alias)
+			if xt == nil || yt == nil || key.Column != xt.Key() || len(yt.Parents) != 1 || yt.Name == cat.RootTable {
+				continue
+			}
+			if c := yt.Column(fk.Column); c == nil || c.FKRef != xt.Name {
+				continue
+			}
+			gone[x] = true
+			changed = true
+		}
+	}
+	var implied []string
+	for _, tref := range b.Tables {
+		if gone[tref.Alias] {
+			implied = append(implied, tref.Alias)
+		}
+	}
+	return implied
 }
 
 // pred is a predicate between two aliases of a block — a declared join,

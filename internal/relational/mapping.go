@@ -165,6 +165,7 @@ func (mp *Mapper) Map(s *xschema.Schema, digests map[string]xschema.Fingerprint)
 		}
 		cat.Add(t)
 	}
+	cat.RootTable = cat.TableOf[s.Root]
 	return cat, nil
 }
 

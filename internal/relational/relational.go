@@ -268,6 +268,11 @@ type Catalog struct {
 	// TableOf maps p-schema type names to table names; alias types map to
 	// "".
 	TableOf map[string]string
+	// RootTable is the table of the document root type, whose rows are
+	// the only ones shredded without a parent; "" when the root type is an
+	// alias (any of its tables may then hold parentless rows) or the
+	// catalog was not mapped from a schema. No digest reads it.
+	RootTable string
 }
 
 // NewCatalog returns an empty catalog.
@@ -370,9 +375,10 @@ func (c *Catalog) SetIndexes(refs []IndexRef) {
 // slices and parent edges, which nothing mutates, are shared.
 func (c *Catalog) Clone() *Catalog {
 	out := &Catalog{
-		Tables:  make(map[string]*Table, len(c.Tables)),
-		Order:   append([]string(nil), c.Order...),
-		TableOf: make(map[string]string, len(c.TableOf)),
+		Tables:    make(map[string]*Table, len(c.Tables)),
+		Order:     append([]string(nil), c.Order...),
+		TableOf:   make(map[string]string, len(c.TableOf)),
+		RootTable: c.RootTable,
 	}
 	for k, v := range c.TableOf {
 		out.TableOf[k] = v

@@ -221,8 +221,10 @@ func (p *PreparedQuery) runLocked(ctx context.Context, params Params, sink engin
 // start relation's access path ("index(Show.title)" or "scan") and the
 // join algorithm of every step — and beneath it, marked "executes:", the
 // plan the engine runs: the prepared plan itself, with its own join
-// order, access paths and fused hash keys ("hash t5 [+title]"). Both
-// read the store's current index set.
+// order, access paths and fused hash keys ("hash t5 [+title]"), and the
+// aliases it leaves out because parent keys imply their joins
+// ("scan t3 (t1 t2 implied by parent keys)"). Both read the store's
+// current index set.
 func (s *Store) ExplainQuery(text string) (string, error) {
 	p, err := s.Prepare(text)
 	if err != nil {
