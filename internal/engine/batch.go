@@ -15,8 +15,8 @@ import (
 // rows through gathered column Vectors; joins emit (source-tuple, new-
 // position) pairs and rebind the position columns with tight gather
 // loops; hash joins build chained tables over composite join keys.
-// Counter accrual points are identical to the row-at-a-time path in
-// exec_rows.go — see the differential tests.
+// TestExecutorMatchesDefinition holds its answers to refRun, the nested-
+// loop definition of a block, and TestCountersPinned pins its Counters.
 
 type batchExec struct {
 	db     *Database
@@ -151,9 +151,8 @@ func (e *batchExec) selection(n int) []int32 {
 
 // scanChunks scans a table chunk by chunk, applying constant filters
 // through gathered vectors, and hands each chunk's passing live row
-// positions to emit (the slice is reused by the next chunk). Counter
-// accrual matches scanFiltered: one scan, every heap row (tombstoned
-// included) read.
+// positions to emit (the slice is reused by the next chunk). It accrues
+// one scan, every heap row (tombstoned included) read.
 func (e *batchExec) scanChunks(t *Table, filters []sqlast.Filter, emit func(sel []int32)) error {
 	n := t.NumRows()
 	e.stats.Scans++
@@ -196,7 +195,7 @@ func (e *batchExec) scanPositions(t *Table, filters []sqlast.Filter) ([]int32, e
 // filterChunk narrows one chunk's selection through the compiled
 // filters. Filters evaluate in order over the surviving selection, so a
 // filter's deferred resolution error surfaces exactly when some row
-// reaches it — the same short-circuit the per-row passes loop has.
+// reaches it, as it would evaluating the filters row by row.
 func (e *batchExec) filterChunk(t *Table, cf []compiledFilter, sel []int32) ([]int32, error) {
 	for i := range cf {
 		if len(sel) == 0 {

@@ -10,11 +10,8 @@ import (
 
 // The engine's microbenchmarks: the physical shapes the executor runs
 // (filtered scan, index nested-loop through a key, hash join on data
-// columns between two large relations, and the same join probed by a
-// single tuple), each under both implementations, so the
-// vectorization speedup is measured rather than asserted.
-// BenchmarkExecuteIMDBJoin makes the same comparison on the IMDB
-// workload's Q12/Q13 joins.
+// columns between two large relations, the same join probed by a single
+// tuple, and an index start lookup).
 
 // benchDB builds R (nR rows) with children A (nA rows) and B (nB rows);
 // A.x and B.y cycle through `values` distinct integers, A.parent_R
@@ -101,24 +98,16 @@ func hashJoinBlock() *sqlast.Block {
 }
 
 func benchBlock(b *testing.B, db *Database, block *sqlast.Block) {
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{{"batch", Options{}}, {"rows", Options{RowAtATime: true}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db.Exec = mode.opts
-			rows := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rs, err := db.ExecuteBlock(block, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = len(rs.Rows)
-			}
-			b.ReportMetric(float64(rows), "rows/op")
-		})
+	rows := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := db.ExecuteBlock(block, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = len(rs.Rows)
 	}
+	b.ReportMetric(float64(rows), "rows/op")
 }
 
 func BenchmarkExecuteBlockScan(b *testing.B) {

@@ -18,9 +18,7 @@ import (
 //
 // The base also carries its encoded size, so the IO counters charge what
 // a scan of the persistent image actually reads — encoded chunk bytes —
-// rather than the catalog's estimated row width. Both executors use the
-// same accessors, so their Counters stay bit-identical (invariant: the
-// executor mode is invisible).
+// rather than the catalog's estimated row width.
 
 // ColumnChunk is one decoded column chunk of up to BatchSize rows:
 // typed storage (int64 or string) plus a null bitmap, with a boxed
@@ -166,8 +164,8 @@ func NewColumnBase(cols [][]ColumnChunk, encodedBytes float64) (*ColumnBase, err
 	}
 	if rows > 0 {
 		// Whole bytes per row: integer-valued charges keep counter
-		// accumulation exact, so the batch and row executors stay
-		// bit-identical no matter what order they add in.
+		// accumulation exact, so a counter delta does not depend on the
+		// order its charges are added in.
 		b.rowBytes = math.Round(encodedBytes / float64(rows))
 	}
 	return b, nil

@@ -8,6 +8,8 @@ import (
 	"legodb/internal/engine"
 	"legodb/internal/imdb"
 	"legodb/internal/relational"
+	"legodb/internal/shred"
+	"legodb/internal/sqlast"
 	"legodb/internal/xquery"
 )
 
@@ -52,123 +54,54 @@ func freezeDatabase(t *testing.T, db *engine.Database, cat *relational.Catalog) 
 	return frozen
 }
 
-// TestColumnBaseDifferentialIMDB extends the batch-vs-rows differential
-// to columnar storage: the same workload corpus runs against the heap
-// image and its colfile-frozen twin. Within each storage the two
-// executors must agree bit-identically on results and counters; across
-// storages the result multisets must match (the physical layout is
-// invisible to answers — only IO accounting may shift, since frozen
-// tables charge encoded bytes instead of catalog row-width estimates).
+// TestColumnBaseDifferentialIMDB is invariant 16 on the executor: the
+// workload corpus runs against the heap image and its colfile-frozen
+// twin, live and after cascading deletes, and the two must agree on
+// errors and result multisets (the physical layout is invisible to
+// answers — only IO accounting may shift, since frozen tables charge
+// encoded bytes instead of catalog row-width estimates).
+// TestExecutorMatchesDefinition holds each storage, a heap tail over a
+// frozen base included, to refRun.
 func TestColumnBaseDifferentialIMDB(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
 			heap, ps, cat, matching, years := buildDiffDB(t, cfg, 11)
 			frozen := freezeDatabase(t, heap, cat)
-			// A hybrid tail: re-shredding is overkill — splice a few heap
-			// rows behind the base by replaying rows of one table.
-			hybrid := freezeDatabase(t, heap, cat)
-			for _, name := range cat.Order {
-				src, dst := heap.Table(name), hybrid.Table(name)
-				n := src.NumRows()
-				for pos := 0; pos < n && pos < 5; pos++ {
-					row := append(engine.Row(nil), src.Row(pos)...)
-					// Re-key the copy so index entries stay unique.
-					row[0] = engine.IntVal(dst.NextID())
-					if err := dst.Insert(row); err != nil {
-						t.Fatalf("tail insert into %s: %v", name, err)
-					}
-				}
-			}
 
-			paramSets := []struct {
-				name string
-				p    engine.Params
-			}{{"matching", matching}, {"years", years}}
-			storages := []struct {
-				name string
-				db   *engine.Database
-			}{{"heap", heap}, {"frozen", frozen}, {"hybrid", hybrid}}
-
-			translated := 0
-			for _, qn := range imdb.QueryNames() {
-				sq, err := xquery.Translate(imdb.Query(qn), ps, cat)
+			// answer is an execution's row multiset, or its error.
+			answer := func(db *engine.Database, sq *sqlast.Query, p engine.Params) string {
+				rs, err := db.Execute(sq, p)
 				if err != nil {
-					continue
+					return "error: " + err.Error()
 				}
-				translated++
-				for _, pset := range paramSets {
-					label := qn + "/" + pset.name
-					var heapKeys, frozenKeys []string
-					for _, st := range storages {
-						st.db.Exec = engine.Options{}
-						before := st.db.Stats
-						rsB, errB := st.db.Execute(sq, pset.p)
-						deltaB := statsDelta(st.db.Stats, before)
-
-						st.db.Exec = engine.Options{RowAtATime: true}
-						before = st.db.Stats
-						rsR, errR := st.db.Execute(sq, pset.p)
-						deltaR := statsDelta(st.db.Stats, before)
-
-						if (errB != nil) != (errR != nil) {
-							t.Fatalf("%s/%s: error mismatch: batch=%v rows=%v", label, st.name, errB, errR)
-						}
-						if errB != nil {
-							continue
-						}
-						if deltaB != deltaR {
-							t.Errorf("%s/%s: executor counters diverge:\n batch=%+v\n rows =%+v",
-								label, st.name, deltaB, deltaR)
-						}
-						keys := rowMultiset(rsB)
-						if kr := rowMultiset(rsR); strings.Join(keys, "\n") != strings.Join(kr, "\n") {
-							t.Fatalf("%s/%s: executor results diverge", label, st.name)
-						}
-						switch st.name {
-						case "heap":
-							heapKeys = keys
-						case "frozen":
-							frozenKeys = keys
+				return strings.Join(rowMultiset(rs), "\n")
+			}
+			check := func(t *testing.T) {
+				translated := 0
+				for _, qn := range imdb.QueryNames() {
+					sq, err := xquery.Translate(imdb.Query(qn), ps, cat)
+					if err != nil {
+						continue
+					}
+					translated++
+					for _, p := range []engine.Params{matching, years} {
+						if answer(heap, sq, p) != answer(frozen, sq, p) {
+							t.Fatalf("%s %v: heap and frozen storages answer differently", qn, p)
 						}
 					}
-					if heapKeys != nil && frozenKeys != nil &&
-						strings.Join(heapKeys, "\n") != strings.Join(frozenKeys, "\n") {
-						t.Fatalf("%s: heap and frozen storages answer differently", label)
-					}
+				}
+				if translated < 10 {
+					t.Fatalf("only %d queries translated — corpus too thin to be meaningful", translated)
 				}
 			}
-			if translated < 10 {
-				t.Fatalf("only %d queries translated — corpus too thin to be meaningful", translated)
-			}
+			t.Run("live", check)
 
-			// Deletions against the frozen base: tombstone a spread of
-			// base rows and require the storages to stay in agreement.
-			for _, name := range cat.Order {
-				ht, ft := heap.Table(name), frozen.Table(name)
-				for pos := 0; pos < ft.NumRows(); pos += 3 {
-					ht.MarkDeleted(pos)
-					ft.MarkDeleted(pos)
-				}
-			}
-			for _, qn := range imdb.QueryNames() {
-				sq, err := xquery.Translate(imdb.Query(qn), ps, cat)
-				if err != nil {
-					continue
-				}
-				heap.Exec = engine.Options{}
-				frozen.Exec = engine.Options{}
-				rsH, errH := heap.Execute(sq, matching)
-				rsF, errF := frozen.Execute(sq, matching)
-				if (errH != nil) != (errF != nil) {
-					t.Fatalf("%s tombstoned: error mismatch: %v vs %v", qn, errH, errF)
-				}
-				if errH != nil {
-					continue
-				}
-				if strings.Join(rowMultiset(rsH), "\n") != strings.Join(rowMultiset(rsF), "\n") {
-					t.Fatalf("%s: tombstoned heap and frozen answer differently", qn)
-				}
-			}
+			// Deletions against the frozen base: cascade the same rows out
+			// of both images (their positions agree, the base was frozen
+			// live) and require the storages to stay in agreement.
+			cascadeDelete(t, shred.New(ps, cat, heap), 0, 3)
+			cascadeDelete(t, shred.New(ps, cat, frozen), 0, 3)
+			t.Run("deleted", check)
 		})
 	}
 }

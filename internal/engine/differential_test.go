@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,15 +17,13 @@ import (
 	"legodb/internal/xstats"
 )
 
-// This file is the batch-vs-rows differential harness the batch executor
-// ships with: for every storage configuration × workload query × binding
-// it runs both executors on the same shredded IMDB data and requires
-// identical results (as sorted multisets) and bit-identical Counters
-// deltas. The query set is imdb.QueryNames(), the union of the fig10
-// lookup/publish workloads (Q1..Q20) and the Section 2 / fig11 mixed
-// workload queries (F1..F4). The corpus runs twice — once live, once
-// after tombstoning rows in every table — so the dead-row paths of
-// scans, probes and hash builds are differentially covered too.
+// The IMDB corpora the engine's differential tests share: every storage
+// configuration below, shredded from a generated document, with two
+// parameter binding sets for the workload queries imdb.QueryNames()
+// (Q1..Q20 and F1..F4). Deletes go through the shredder's cascade
+// (cascadeDelete), never a bare tombstone, so every corpus keeps tree
+// integrity (invariant 26), which the plan rule that drops implied
+// ancestor joins relies on.
 
 // diffConfig names a storage configuration of the annotated schema.
 type diffConfig struct {
@@ -32,7 +31,7 @@ type diffConfig struct {
 	// shows sizes the generated document: the fully outlined
 	// configuration multiplies intermediate results on the deep-join
 	// queries (every element is its own relation), so it runs on a
-	// smaller document to keep the reference executor's wall clock sane.
+	// smaller document to keep the nested loops of refRun quick.
 	shows int
 	build func(*xschema.Schema) (*xschema.Schema, error)
 }
@@ -100,9 +99,10 @@ func buildDiffDB(t testing.TB, cfg diffConfig, seed int64) (*engine.Database, *x
 	return db, ps, cat, matching, years
 }
 
-func rowMultiset(rs *engine.ResultSet) []string {
-	keys := make([]string, len(rs.Rows))
-	for i, r := range rs.Rows {
+// rowKeys renders rows as kind-tagged keys, in their order.
+func rowKeys(rows []engine.Row) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
 		var b strings.Builder
 		for _, v := range r {
 			switch v.Kind {
@@ -117,6 +117,12 @@ func rowMultiset(rs *engine.ResultSet) []string {
 		}
 		keys[i] = b.String()
 	}
+	return keys
+}
+
+// rowMultiset canonicalizes a result set's rows as a sorted multiset.
+func rowMultiset(rs *engine.ResultSet) []string {
+	keys := rowKeys(rs.Rows)
 	sort.Strings(keys)
 	return keys
 }
@@ -131,10 +137,41 @@ func statsDelta(after, before engine.Counters) engine.Counters {
 	}
 }
 
-// TestBatchRowDifferentialIMDB fails on any divergence between the two
-// executors: error presence/message, column list, row multiset, or any
-// counter delta (compared bit-identically — both paths accumulate floats
-// in the same order).
+// cascadeDelete deletes, through the shredder's cascade, the row at every
+// step-th position from first on of every table below the document
+// root, with its subtree; rows a cascade already took are skipped. It
+// returns the number of rows deleted.
+func cascadeDelete(t testing.TB, sh *shred.Shredder, first, step int) int {
+	t.Helper()
+	deleted := 0
+	for _, name := range sh.Cat.Order {
+		if name == sh.Cat.RootTable {
+			continue
+		}
+		tb := sh.DB.Table(name)
+		for pos := first; pos < tb.NumRows(); pos += step {
+			n, err := sh.DeleteInstance(tb.Def.TypeName, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deleted += n
+		}
+	}
+	if deleted == 0 {
+		t.Fatal("nothing was deleted")
+	}
+	return deleted
+}
+
+// TestBatchRowDifferentialIMDB holds the executor to refRun, the
+// nested-loop definition of a query, on every workload query that
+// translates, under both binding sets, on each IMDB configuration of
+// diffConfigs: live, then after cascading deletes of every third row
+// below the root (tombstoned), so the dead-row paths of scans, index
+// probes and hash builds are covered too. Both error or neither does;
+// the columns and the row multisets are equal. Each query runs twice on
+// the executor, and the two runs must answer the same rows and accrue
+// bit-identical counter deltas.
 func TestBatchRowDifferentialIMDB(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -155,38 +192,37 @@ func TestBatchRowDifferentialIMDB(t *testing.T) {
 					}
 					translated++
 					for _, pset := range paramSets {
-						db.Exec = engine.Options{}
-						before := db.Stats
-						rsB, errB := db.Execute(sq, pset.p)
-						deltaB := statsDelta(db.Stats, before)
-
-						db.Exec = engine.Options{RowAtATime: true}
-						before = db.Stats
-						rsR, errR := db.Execute(sq, pset.p)
-						deltaR := statsDelta(db.Stats, before)
-
 						label := qn + "/" + pset.name
-						if (errB != nil) != (errR != nil) ||
-							(errB != nil && errB.Error() != errR.Error()) {
-							t.Fatalf("%s: error mismatch: batch=%v rows=%v", label, errB, errR)
+						before := db.Measured()
+						got, gotErr := db.Execute(sq, pset.p)
+						delta := statsDelta(db.Measured(), before)
+						before = db.Measured()
+						again, againErr := db.Execute(sq, pset.p)
+						deltaAgain := statsDelta(db.Measured(), before)
+						want, wantErr := engine.RefRun(db, sq, pset.p)
+
+						if (gotErr != nil) != (wantErr != nil) {
+							t.Fatalf("%s: executor error %v, definition error %v", label, gotErr, wantErr)
 						}
-						if errB != nil {
+						if (gotErr != nil) != (againErr != nil) ||
+							(gotErr != nil && gotErr.Error() != againErr.Error()) {
+							t.Fatalf("%s: error differs between runs: %v, then %v", label, gotErr, againErr)
+						}
+						if delta != deltaAgain {
+							t.Errorf("%s: counters differ between runs:\n first=%+v\n again=%+v", label, delta, deltaAgain)
+						}
+						if gotErr != nil {
 							continue
 						}
-						if deltaB != deltaR {
-							t.Errorf("%s: counters diverge:\n batch=%+v\n rows =%+v", label, deltaB, deltaR)
+						if !slices.Equal(got.Columns, want.Columns) {
+							t.Fatalf("%s: columns %v, definition's %v", label, got.Columns, want.Columns)
 						}
-						if strings.Join(rsB.Columns, ",") != strings.Join(rsR.Columns, ",") {
-							t.Fatalf("%s: columns diverge: %v vs %v", label, rsB.Columns, rsR.Columns)
+						g, w := rowMultiset(got), rowMultiset(want)
+						if !slices.Equal(g, w) {
+							t.Fatalf("%s: %d rows, definition's %d", label, len(g), len(w))
 						}
-						kb, kr := rowMultiset(rsB), rowMultiset(rsR)
-						if len(kb) != len(kr) {
-							t.Fatalf("%s: row counts diverge: batch=%d rows=%d", label, len(kb), len(kr))
-						}
-						for i := range kb {
-							if kb[i] != kr[i] {
-								t.Fatalf("%s: row multiset diverges at %d:\n batch %q\n rows  %q", label, i, kb[i], kr[i])
-							}
+						if a := rowMultiset(again); !slices.Equal(g, a) {
+							t.Fatalf("%s: %d rows, then %d on the same data", label, len(g), len(a))
 						}
 					}
 				}
@@ -197,50 +233,8 @@ func TestBatchRowDifferentialIMDB(t *testing.T) {
 
 			t.Run("live", checkQueries)
 
-			// Tombstone a spread of rows in every table and re-run: the
-			// executors must also agree on dead-row skipping in scans,
-			// index probes and hash builds.
-			for _, name := range cat.Order {
-				tb := db.Table(name)
-				for pos := 0; pos < tb.NumRows(); pos += 3 {
-					tb.MarkDeleted(pos)
-				}
-			}
+			cascadeDelete(t, shred.New(ps, cat, db), 0, 3)
 			t.Run("tombstoned", checkQueries)
 		})
-	}
-}
-
-// BenchmarkExecuteIMDBJoin runs each block of the value joins Q12 and
-// Q13 on both storage extremes under both executors: the shapes whose
-// name and title equalities the planner fuses into hash keys.
-func BenchmarkExecuteIMDBJoin(b *testing.B) {
-	for _, cfg := range diffConfigs()[:2] {
-		db, ps, cat, _, _ := buildDiffDB(b, cfg, 7)
-		for _, qn := range []string{"Q12", "Q13"} {
-			sq, err := xquery.Translate(imdb.Query(qn), ps, cat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, block := range sq.Blocks {
-				for _, mode := range []struct {
-					name string
-					opts engine.Options
-				}{{"batch", engine.Options{}}, {"rows", engine.Options{RowAtATime: true}}} {
-					b.Run(fmt.Sprintf("%s/%s/block%d/%s", cfg.name, qn, i+1, mode.name), func(b *testing.B) {
-						db.Exec = mode.opts
-						rows := 0
-						for n := 0; n < b.N; n++ {
-							rs, err := db.ExecuteBlock(block, nil)
-							if err != nil {
-								b.Fatal(err)
-							}
-							rows = len(rs.Rows)
-						}
-						b.ReportMetric(float64(rows), "rows/op")
-					})
-				}
-			}
-		}
 	}
 }

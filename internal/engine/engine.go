@@ -399,18 +399,6 @@ func (c *Counters) Add(other Counters) {
 	c.TuplesOut += other.TuplesOut
 }
 
-// Options selects the executor implementation. The zero value runs the
-// vectorized batch executor (columnar position vectors flowing through
-// scan/filter/join/project operators in chunks of BatchSize rows).
-type Options struct {
-	// RowAtATime runs the original per-tuple iterator over binding maps
-	// instead — kept as the reference implementation for differential
-	// tests and as the baseline the batch executor's speedup is measured
-	// against. Both executors run the same physical plan and maintain
-	// identical Counters.
-	RowAtATime bool
-}
-
 // Database is a set of tables instantiating one relational catalog.
 type Database struct {
 	Cat    *relational.Catalog
@@ -419,8 +407,6 @@ type Database struct {
 	// local Counters and fold in once under statsMu; concurrent readers
 	// should use Measured instead of the field.
 	Stats Counters
-	// Exec selects the executor implementation for Execute/ExecuteBlock.
-	Exec Options
 
 	// design is the physical-design epoch: SetIndexes advances it, and a
 	// Plan runs only under the epoch it was made in.

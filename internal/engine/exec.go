@@ -131,7 +131,7 @@ func (db *Database) Plan(q *sqlast.Query) (*Plan, error) {
 // db has now: no SetIndexes since.
 func (p *Plan) Current(db *Database) bool { return p.db == db && p.design == db.design }
 
-// ExplainBlock returns the plan the executors run for block i (see
+// ExplainBlock returns the plan the executor runs for block i (see
 // blockPlan.String).
 func (p *Plan) ExplainBlock(i int) string { return p.blocks[i].String() }
 
@@ -180,9 +180,7 @@ func (db *Database) ExecuteBlock(b *sqlast.Block, params Params) (*ResultSet, er
 // ExecuteBlockContext runs one SPJ block: filtered scan of a start
 // relation, then index-nested-loop or hash joins along the join graph,
 // then projection. The physical plan (join order, join algorithm per
-// edge, cross-filter schedule) is derived by planBlock and shared by
-// both executor implementations, so the batch and row-at-a-time paths do
-// the same logical work and report identical Counters.
+// edge, cross-filter schedule) is derived by planBlock.
 func (db *Database) ExecuteBlockContext(ctx context.Context, b *sqlast.Block, params Params) (*ResultSet, error) {
 	p, err := db.planBlock(b)
 	if err != nil {
@@ -211,9 +209,6 @@ func (db *Database) executeBlock(ctx context.Context, p *blockPlan, params Param
 	}
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if db.Exec.RowAtATime {
-		return db.executeBlockRows(ctx, p, params, stats, out)
 	}
 	return db.executeBlockBatch(ctx, p, params, stats, out)
 }
@@ -249,8 +244,8 @@ func (out *emitter) release() {
 // project hands the projected cells of n tuples to the sink, in chunks
 // of up to BatchSize rows gathered into the emitter's buffer. cols[slot]
 // holds the row positions of the alias at that slot, tuple by tuple.
-// Column resolution is skipped when there are no tuples, matching the
-// reference executor's per-row resolution.
+// Like a filter's, a projected column that does not resolve is an error
+// only once a tuple reaches it.
 func (out *emitter) project(ctx context.Context, p *blockPlan, cols [][]int32, n int) error {
 	if n == 0 {
 		return nil
@@ -292,7 +287,7 @@ func (out *emitter) project(ctx context.Context, p *blockPlan, cols [][]int32, n
 	return nil
 }
 
-// ctxCheckMask bounds how often the executors' inner loops poll for
+// ctxCheckMask bounds how often the executor's inner loops poll for
 // cancellation: every (mask+1)th tuple, cheap enough to leave on
 // unconditionally while still stopping runaway scans, probes and
 // cartesian products within a fraction of a millisecond.
@@ -782,8 +777,8 @@ func (p *blockPlan) indexStart(params Params, stats *Counters) (positions []int,
 	return positions, cf, true
 }
 
-// resolveJoinCols resolves a join step's column indices, with the new
-// side checked first (matching the reference executor's error order).
+// resolveJoinCols resolves a join step's column indices, the new side
+// first.
 func (p *blockPlan) resolveJoinCols(st *planStep) (newCi, oldCi int, err error) {
 	newTable := p.tables[st.alias]
 	newCi = newTable.ColumnIndex(st.newCol)
@@ -854,9 +849,9 @@ func satisfies(left Value, op sqlast.CmpOp, right Value) bool {
 
 // compiledFilter is one constant (or same-alias column-column) filter
 // with its column indices and literal resolved once per block instead of
-// once per row. Resolution errors are deferred: like the per-row
-// reference path, a missing column or unbound parameter only surfaces
-// when at least one row is actually evaluated.
+// once per row. Resolution errors are deferred: a missing column or
+// unbound parameter only surfaces when at least one row is actually
+// evaluated.
 type compiledFilter struct {
 	op       sqlast.CmpOp
 	colIdx   int

@@ -50,34 +50,27 @@ func TestExecuteContextAlreadyCancelled(t *testing.T) {
 	db := bigShowDB(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, rows := range []bool{false, true} {
-		db.Exec = Options{RowAtATime: rows}
-		_, err := db.ExecuteBlockContext(ctx, cartesianBlock(), nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("RowAtATime=%v: err = %v, want context.Canceled", rows, err)
-		}
+	if _, err := db.ExecuteBlockContext(ctx, cartesianBlock(), nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestExecuteContextDeadlineStopsMidPlan gives a huge cartesian a tiny
-// deadline: both executors must notice at a loop boundary and abort with
+// deadline: the executor must notice at a loop boundary and abort with
 // the context error long before producing the n² result.
 func TestExecuteContextDeadlineStopsMidPlan(t *testing.T) {
 	db := bigShowDB(t, 3000) // 9M pairs: far more work than 5ms allows
-	for _, rows := range []bool{false, true} {
-		db.Exec = Options{RowAtATime: rows}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		start := time.Now()
-		_, err := db.ExecuteBlockContext(ctx, cartesianBlock(), nil)
-		elapsed := time.Since(start)
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("RowAtATime=%v: err = %v, want DeadlineExceeded", rows, err)
-		}
-		// Generous bound: the point is that the executor polled the
-		// context at chunk granularity instead of finishing the plan.
-		if elapsed > 2*time.Second {
-			t.Fatalf("RowAtATime=%v: aborted after %v, cancellation not honored mid-plan", rows, elapsed)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := db.ExecuteBlockContext(ctx, cartesianBlock(), nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	// Generous bound: the point is that the executor polled the context
+	// at chunk granularity instead of finishing the plan.
+	if elapsed > 2*time.Second {
+		t.Fatalf("aborted after %v, cancellation not honored mid-plan", elapsed)
 	}
 }

@@ -18,3 +18,8 @@ const RaceEnabled = raceEnabled
 // ImpliedAliases is impliedAliases against db's catalog: the aliases of b
 // a plan leaves out.
 func ImpliedAliases(db *Database, b *sqlast.Block) []string { return impliedAliases(b, db.Cat) }
+
+// RefRun is refRun: the definition of q's answer on db.
+func RefRun(db *Database, q *sqlast.Query, params Params) (*ResultSet, error) {
+	return refRun(db, q, params)
+}

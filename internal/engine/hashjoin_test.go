@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -53,11 +54,20 @@ func xEqYBlock(k, bFrom int) *sqlast.Block {
 	return b
 }
 
-// runMode executes a block under one executor and returns the rows in
-// emission order with the execution's counter delta.
-func runMode(t *testing.T, db *Database, opts Options, b *sqlast.Block) ([]Row, Counters) {
+// xJoinYBlock is xEqYBlock with a.x = b.y declared as a join instead of
+// filtered: the equality the hash step binds b by, which it matches by
+// exact kind, as refRun matches a declared join.
+func xJoinYBlock(k, bFrom int) *sqlast.Block {
+	b := xEqYBlock(k, bFrom)
+	b.Joins = []sqlast.Join{{Left: b.Filters[1].Col, Right: *b.Filters[1].RightCol}}
+	b.Filters = slices.Delete(b.Filters, 1, 2)
+	return b
+}
+
+// runBlock executes a block and returns the rows in emission order with
+// the execution's counter delta.
+func runBlock(t *testing.T, db *Database, b *sqlast.Block) ([]Row, Counters) {
 	t.Helper()
-	db.Exec = opts
 	before := db.Stats
 	rs, err := db.ExecuteBlock(b, nil)
 	if err != nil {
@@ -84,9 +94,9 @@ func sameRowsInOrder(a, b []Row) error {
 // build sides and the hand-over between them: intermediates of 0, 1, a
 // few and more than a chunk of tuples against scans of 0 to three chunks,
 // unfiltered and filtered, with duplicate keys on both sides, with NULL
-// and mixed-kind keys, live and tombstoned. The batch executor must emit
-// the reference executor's rows in the reference order and accrue the
-// same Counters whichever side it hashed.
+// and mixed-kind keys, live and tombstoned. Whichever side it hashed, the
+// executor must emit refRun's rows in refRun's order, and accrue one scan
+// of each table, every physical row of it counted.
 func TestHashJoinSideSelectionDifferential(t *testing.T) {
 	const nA = 1600
 	rng := rand.New(rand.NewSource(15))
@@ -137,14 +147,17 @@ func TestHashJoinSideSelectionDifferential(t *testing.T) {
 				for _, k := range []int{0, 1, 4, 1200, nA} {
 					for _, bFrom := range []int{0, nB / 3} {
 						name := fmt.Sprintf("B%d/%s/dead=%v/A%d/from%d", nB, kind.name, tombstoned, k, bFrom)
-						block := xEqYBlock(k, bFrom)
-						got, gotStats := runMode(t, db, Options{}, block)
-						want, wantStats := runMode(t, db, Options{RowAtATime: true}, block)
-						if err := sameRowsInOrder(got, want); err != nil {
-							t.Fatalf("%s: batch vs rows: %v", name, err)
+						block := xJoinYBlock(k, bFrom)
+						got, stats := runBlock(t, db, block)
+						want, err := refRun(db, single(block), nil)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if gotStats != wantStats {
-							t.Fatalf("%s: counters diverge:\n batch=%+v\n rows =%+v", name, gotStats, wantStats)
+						if err := sameRowsInOrder(got, want.Rows); err != nil {
+							t.Fatalf("%s: executor vs definition: %v", name, err)
+						}
+						if stats.Scans != 2 || stats.TuplesRead != int64(nA+nB) || stats.Probes != 0 {
+							t.Fatalf("%s: counters %+v, want one scan of each table", name, stats)
 						}
 					}
 				}
@@ -159,7 +172,7 @@ func TestHashJoinSideSelectionDifferential(t *testing.T) {
 // NULL-bearing columns that holds only if join edges, like satisfies,
 // never match NULL with NULL.
 func TestNullKeysEdgeVsCrossFilter(t *testing.T) {
-	bothModes(t, func(t *testing.T, opts Options) {
+	bothModes(t, func(t *testing.T, run runner) {
 		db := NewDatabase(twoTableCatalog(t))
 		loadKeys(t, db, "A", "x", []Value{IntVal(1), Null, IntVal(2), Null, IntVal(3)})
 		loadKeys(t, db, "B", "y", []Value{Null, IntVal(2), IntVal(3), IntVal(3), Null})
@@ -171,8 +184,15 @@ func TestNullKeysEdgeVsCrossFilter(t *testing.T) {
 			Left:  sqlast.ColumnRef{Alias: "a", Column: "parent_R"},
 			Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"},
 		}}
-		edge, _ := runMode(t, db, opts, asEdge)
-		filter, _ := runMode(t, db, opts, asFilter)
+		rows := func(b *sqlast.Block) []Row {
+			t.Helper()
+			rs, err := run(db, single(b), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs.Rows
+		}
+		edge, filter := rows(asEdge), rows(asFilter)
 		if err := sameRowsInOrder(edge, filter); err != nil {
 			t.Fatalf("edge vs cross filter: %v", err)
 		}
@@ -196,7 +216,7 @@ func TestNullKeysEdgeVsCrossFilter(t *testing.T) {
 		if err := a.Insert(orphan); err != nil {
 			t.Fatal(err)
 		}
-		inl, _ := runMode(t, db, opts, inlBlock())
+		inl := rows(inlBlock())
 		if len(inl) != 5 {
 			t.Fatalf("INL rows = %v, want the 5 A rows under R 1", inl)
 		}
@@ -234,10 +254,8 @@ func fuzzParent(c byte) Value {
 }
 
 // FuzzJoinKeyCoercion: a.parent_R = b.parent_R joined with a.x = b.y
-// fused into the hash key must return exactly the pairs the row
-// executor keeps by applying a.x = b.y as a cross filter after an
-// edge-only join, in the same order — and both must be the pairs a
-// nested loop finds: edge cells equal by exact kind and non-NULL, x and
+// fused into the hash key must return exactly the pairs a nested loop
+// finds, in its order: edge cells equal by exact kind and non-NULL, x and
 // y equal as satisfies decides it. Sizes and the filter on A move the
 // hash step between its two build sides.
 func FuzzJoinKeyCoercion(f *testing.F) {
@@ -273,14 +291,7 @@ func FuzzJoinKeyCoercion(f *testing.F) {
 			Left:  sqlast.ColumnRef{Alias: "a", Column: "parent_R"},
 			Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"},
 		}}
-		got, gotStats := runMode(t, db, Options{}, block)
-		want, wantStats := runMode(t, db, Options{RowAtATime: true}, block)
-		if err := sameRowsInOrder(got, want); err != nil {
-			t.Fatalf("fused key vs cross filter: %v", err)
-		}
-		if gotStats != wantStats {
-			t.Fatalf("counters diverge:\n batch=%+v\n rows =%+v", gotStats, wantStats)
-		}
+		got, _ := runBlock(t, db, block)
 		ta, tb := db.Table("A"), db.Table("B")
 		cell := func(t *Table, pos int, col string) Value { return t.Cell(pos, t.ColumnIndex(col)) }
 		var oracle []Row
@@ -368,9 +379,8 @@ func TestAllocsIndexStartLookup(t *testing.T) {
 // run as index probes while the intermediate is the smaller side. The
 // probe step checks the fused a.x = b.y at each match, under satisfies
 // as the hash key does. It must return the rows, in order, and the
-// errors of the same block joined by hash without the index, of the row
-// executor under the index — whose Counters it matches exactly — and of
-// a nested loop. The cells mix integers with their decimal strings
+// errors of the same block joined by hash without the index, and the
+// rows of a nested loop. The cells mix integers with their decimal strings
 // ("7" meets 7, "007" does not), NULLs on both the edge and the fused
 // column, and tombstoned rows.
 func TestFusedIndexJoinDifferential(t *testing.T) {
@@ -411,8 +421,7 @@ func TestFusedIndexJoinDifferential(t *testing.T) {
 		broken.Filters[1].RightCol = &sqlast.ColumnRef{Alias: "b", Column: "nope"}
 
 		for _, b := range []*sqlast.Block{block, broken} {
-			run := func(opts Options) ([]Row, Counters, error) {
-				db.Exec = opts
+			run := func() ([]Row, Counters, error) {
 				before := db.Stats
 				rs, err := db.ExecuteBlock(b, nil)
 				if err != nil {
@@ -423,21 +432,17 @@ func TestFusedIndexJoinDifferential(t *testing.T) {
 			if err := db.SetIndexes(nil); err != nil {
 				t.Fatal(err)
 			}
-			hash, _, hashErr := run(Options{})
+			hash, _, hashErr := run()
 			if err := db.SetIndexes([]relational.IndexRef{{Table: "B", Column: "parent_R"}}); err != nil {
 				t.Fatal(err)
 			}
-			inl, inlStats, inlErr := run(Options{})
-			rows, rowsStats, rowsErr := run(Options{RowAtATime: true})
+			inl, inlStats, inlErr := run()
 			name := fmt.Sprintf("trial %d, k=%d, broken=%v", trial, k, b == broken)
-			if fmt.Sprint(inlErr) != fmt.Sprint(hashErr) || fmt.Sprint(inlErr) != fmt.Sprint(rowsErr) {
-				t.Fatalf("%s: errors: inl %v, hash %v, rows %v", name, inlErr, hashErr, rowsErr)
+			if fmt.Sprint(inlErr) != fmt.Sprint(hashErr) {
+				t.Fatalf("%s: errors: inl %v, hash %v", name, inlErr, hashErr)
 			}
 			if b == broken && inlErr == nil && k > 0 {
 				t.Fatalf("%s: the unresolved cross filter did not fail", name)
-			}
-			if inlStats != rowsStats {
-				t.Fatalf("%s: counters diverge:\n batch=%+v\n rows =%+v", name, inlStats, rowsStats)
 			}
 			if k > 0 && inlStats.Scans != 1 {
 				t.Fatalf("%s: %d scans, want the start's only: the step did not probe the index", name, inlStats.Scans)
@@ -447,9 +452,6 @@ func TestFusedIndexJoinDifferential(t *testing.T) {
 			}
 			if err := sameRowsInOrder(inl, hash); err != nil {
 				t.Fatalf("%s: inl vs hash: %v", name, err)
-			}
-			if err := sameRowsInOrder(inl, rows); err != nil {
-				t.Fatalf("%s: batch vs rows: %v", name, err)
 			}
 			ta, tb := db.Table("A"), db.Table("B")
 			cell := func(t *Table, pos int, col string) Value { return t.Cell(pos, t.ColumnIndex(col)) }

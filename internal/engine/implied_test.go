@@ -102,23 +102,7 @@ func TestElidedBlocksMatchFullJoins(t *testing.T) {
 
 			// Cascading deletes: every fifth row of every table below the
 			// root, with its subtree.
-			deleted := 0
-			for _, name := range cat.Order {
-				tb := db.Table(name)
-				if name == cat.RootTable {
-					continue
-				}
-				for pos := 1; pos < tb.NumRows(); pos += 5 {
-					n, err := sh.DeleteInstance(tb.Def.TypeName, pos)
-					if err != nil {
-						t.Fatal(err)
-					}
-					deleted += n
-				}
-			}
-			if deleted == 0 {
-				t.Fatal("nothing was deleted")
-			}
+			cascadeDelete(t, sh, 1, 5)
 			t.Run("deleted", check)
 		})
 	}

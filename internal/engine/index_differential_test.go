@@ -9,6 +9,7 @@ import (
 	"legodb/internal/engine"
 	"legodb/internal/imdb"
 	"legodb/internal/relational"
+	"legodb/internal/shred"
 	"legodb/internal/sqlast"
 	"legodb/internal/xquery"
 )
@@ -66,8 +67,7 @@ type execOutcome struct {
 	used engine.Counters
 }
 
-func execute(db *engine.Database, q *sqlast.Query, p engine.Params, opts engine.Options) execOutcome {
-	db.Exec = opts
+func execute(db *engine.Database, q *sqlast.Query, p engine.Params) execOutcome {
 	before := db.Stats
 	rs, err := db.Execute(q, p)
 	out := execOutcome{used: statsDelta(db.Stats, before)}
@@ -103,10 +103,9 @@ func sameAnswer(a, b execOutcome) error {
 // invisible except for cost and Counters. Every IMDB workload query runs
 // on each storage configuration against the key-only design and against
 // random sets of flagged columns — maintained by Insert or built
-// afterwards, on heap rows or on a frozen columnar base, live and
-// tombstoned — and must return the same error, the same columns and the
-// same rows in the same order from both executors; within an indexed
-// database the two executors must also accrue identical Counters.
+// afterwards, on heap rows or on a frozen columnar base, live and after
+// cascading deletes — and must return the same error, the same columns
+// and the same rows in the same order.
 func TestIndexSetInvisibleDifferentialIMDB(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -132,24 +131,17 @@ func TestIndexSetInvisibleDifferentialIMDB(t *testing.T) {
 						continue
 					}
 					for pname, params := range map[string]engine.Params{"matching": matching, "years": years} {
-						want := execute(plain, sq, params, engine.Options{})
+						want := execute(plain, sq, params)
 						for _, v := range variants {
 							label := qn + "/" + pname + "/" + v.name
-							batch := execute(v.db, sq, params, engine.Options{})
-							rows := execute(v.db, sq, params, engine.Options{RowAtATime: true})
-							if err := sameAnswer(want, batch); err != nil {
-								t.Fatalf("%s: batch executor vs key-only design: %v", label, err)
+							got := execute(v.db, sq, params)
+							if err := sameAnswer(want, got); err != nil {
+								t.Fatalf("%s: vs key-only design: %v", label, err)
 							}
-							if err := sameAnswer(want, rows); err != nil {
-								t.Fatalf("%s: row executor vs key-only design: %v", label, err)
-							}
-							if batch.used != rows.used {
-								t.Errorf("%s: executor counters diverge:\n batch=%+v\n rows =%+v", label, batch.used, rows.used)
-							}
-							if batch.used.Scans < want.used.Scans {
+							if got.used.Scans < want.used.Scans {
 								lookups++
 							}
-							if batch.used.Probes > want.used.Probes {
+							if got.used.Probes > want.used.Probes {
 								probes++
 							}
 						}
@@ -161,20 +153,12 @@ func TestIndexSetInvisibleDifferentialIMDB(t *testing.T) {
 			}
 			t.Run("live", check)
 
-			// The same positions die everywhere (the frozen twins were
+			// The same rows cascade out everywhere (the frozen twins were
 			// frozen live, so positions agree), and one more variant builds
 			// its indexes over tables that already hold tombstones.
-			dbs := []*engine.Database{plain}
+			cascadeDelete(t, shred.New(ps, cat, plain), 0, 3)
 			for _, v := range variants {
-				dbs = append(dbs, v.db)
-			}
-			for _, db := range dbs {
-				for _, name := range cat.Order {
-					tb := db.Table(name)
-					for pos := 0; pos < tb.NumRows(); pos += 3 {
-						tb.MarkDeleted(pos)
-					}
-				}
+				cascadeDelete(t, shred.New(ps, v.db.Cat, v.db), 0, 3)
 			}
 			late, _ := indexedCopy(t, plain, cat, randomIndexSet(cat, rng, 0.5), true)
 			variants = append(variants, variant{"heap/built over tombstones", late})

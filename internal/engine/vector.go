@@ -285,8 +285,8 @@ type keyCol struct {
 }
 
 // joinKey is what a hash step matches on. Part 0 is the join edge's
-// column, matched by exact kind as the reference executor's map[Value]
-// does (a string never meets an integer). The rest are the equality
+// column, matched by exact kind as a declared join is (a string never
+// meets an integer). The rest are the equality
 // cross filters the step makes applicable, fused into the key and
 // matched as satisfies compares: an integer meets the string of its
 // decimal form. NULL matches nothing in any part.

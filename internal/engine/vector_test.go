@@ -214,8 +214,8 @@ func (ht *hashTable) chain(build joinKey, v Value) []int32 {
 }
 
 // TestHashTableMatchesValueMap: the flat chained build must reach exactly
-// the positions, in build order, that the reference executor's
-// map[Value][]int build (NULL keys left out) holds for every probe —
+// the positions, in build order, that a map[Value][]int build (NULL keys
+// left out) holds for every probe —
 // NULL probes and cross-kind probes reaching nothing. A fused key part
 // must hash every pair satisfies calls equal alike, or the hash step
 // would lose a pair its cross filter keeps.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"legodb/internal/colfile"
 	"legodb/internal/core"
@@ -234,36 +233,23 @@ func newCostModelFixture() (*costModelFixture, error) {
 	return fx, nil
 }
 
-// costModelTimingIters is how many executions the wall-clock timing of
-// measure averages over: the lookup queries finish in microseconds, so
-// a single sample is dominated by scheduler noise.
-const costModelTimingIters = 20
-
 // measure executes one fixture query and converts the engine's counter
-// deltas into cost units with the model's own constants; elapsed is the
-// wall clock per execution, averaged over costModelTimingIters runs.
-func (fx *costModelFixture) measure(q costModelQuery) (measured float64, elapsed time.Duration, err error) {
+// deltas into cost units with the model's own constants.
+func (fx *costModelFixture) measure(q costModelQuery) (float64, error) {
 	m := fx.opt.Model
 	before := fx.db.Stats
-	start := time.Now()
-	for i := 0; i < costModelTimingIters; i++ {
-		if _, err := fx.db.Execute(q.sql, fx.params); err != nil {
-			return 0, 0, err
-		}
+	if _, err := fx.db.Execute(q.sql, fx.params); err != nil {
+		return 0, err
 	}
-	elapsed = time.Since(start) / costModelTimingIters
 	d := fx.db.Stats
 	d.BytesRead -= before.BytesRead
 	d.TuplesRead -= before.TuplesRead
 	d.Probes -= before.Probes
 	d.Scans -= before.Scans
-	measured = m.SeekCost*float64(d.Scans) +
+	return m.SeekCost*float64(d.Scans) +
 		d.BytesRead/m.PageSize*m.PageIOCost +
 		float64(d.TuplesRead)*m.CPUTupleCost +
-		float64(d.Probes)*m.ProbeCost
-	// The delta covers all timing iterations of identical work; report
-	// the per-execution cost the estimates are compared against.
-	return measured / costModelTimingIters, elapsed, nil
+		float64(d.Probes)*m.ProbeCost, nil
 }
 
 // AblationCostModel validates the cost model against the execution
@@ -272,8 +258,13 @@ func (fx *costModelFixture) measure(q costModelQuery) (measured float64, elapsed
 // queries are executed, and the measured work (converted with the same
 // cost constants) is compared with the optimizer's estimates. The claim
 // to check is agreement in *ranking* and rough magnitude, not identical
-// numbers. The queries run twice: under the paper's key-only design, then
-// ("+idx" rows) under the index set the cost model chooses for them.
+// numbers. The queries run under the paper's key-only design, then
+// ("+idx" rows) under the index set the cost model chooses for them; and
+// both again ("colfile" rows) on the same image frozen through the
+// colfile binary format, as a reopened snapshot serves it. Persistent
+// scans charge encoded chunk bytes instead of the catalog's estimated
+// row widths, so the est/meas ratio shifts between the storages;
+// EXPERIMENTS.md records the shift.
 func AblationCostModel(ctx context.Context) (*Table, error) {
 	fx, err := newCostModelFixture()
 	if err != nil {
@@ -288,14 +279,25 @@ func AblationCostModel(ctx context.Context) (*Table, error) {
 		Title:  fmt.Sprintf("Estimated vs engine-measured cost (all-inlined, %d shows)", fx.shows),
 		Header: []string{"query", "estimated", "measured", "est/meas"},
 		Notes: "measured = seeks+pages+tuples+probes of the engine, weighted with the model's constants; +idx = under the chosen indexes " +
-			fmt.Sprint(ix.cat.Indexes()),
+			fmt.Sprint(ix.cat.Indexes()) + "; colfile = the same image frozen through the colfile format, whose scans charge encoded bytes",
 	}
-	for _, v := range []struct {
+	type storage struct {
 		fx     *costModelFixture
 		suffix string
-	}{{fx, ""}, {ix, " +idx"}} {
+	}
+	storages := []storage{{fx, ""}, {ix, " +idx"}}
+	for _, v := range storages[:2] {
+		frozen, err := v.fx.freeze()
+		if err != nil {
+			return nil, err
+		}
+		onFrozen := *v.fx
+		onFrozen.db = frozen
+		storages = append(storages, storage{&onFrozen, " colfile" + v.suffix})
+	}
+	for _, v := range storages {
 		for _, q := range v.fx.queries {
-			measured, _, err := v.fx.measure(q)
+			measured, err := v.fx.measure(q)
 			if err != nil {
 				return nil, err
 			}
@@ -304,81 +306,6 @@ func AblationCostModel(ctx context.Context) (*Table, error) {
 				ratio = q.est / measured
 			}
 			t.AddRow(q.name+v.suffix, f1(q.est), f1(measured), f2(ratio))
-		}
-	}
-	return t, nil
-}
-
-// AblationExecModes re-validates the cost model against both executor
-// implementations and both storage engines. The vectorized batch
-// executor maintains the same Counters as the reference row-at-a-time
-// path, so the measured cost — counter deltas weighted with the model's
-// constants — must come out identical in both modes on either storage;
-// what vectorization shifts is the wall clock per unit of measured
-// work. Storage is the second axis: the heap rows the fixture shreds
-// into, and the persistent engine (the same image frozen through the
-// colfile binary format, as a reopened snapshot serves it). Persistent
-// scans charge encoded chunk bytes instead of the catalog's estimated
-// row widths, so the est/meas ratio — the cost-model calibration —
-// shifts between the storage rows; EXPERIMENTS.md records the shift.
-func AblationExecModes(ctx context.Context) (*Table, error) {
-	fx, err := newCostModelFixture()
-	if err != nil {
-		return nil, err
-	}
-	ix, err := fx.indexed()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Name:   "ablation-execmodes",
-		Title:  fmt.Sprintf("Cost model vs executors x storages (all-inlined, %d shows)", fx.shows),
-		Header: []string{"query", "storage", "estimated", "meas batch", "meas rows", "est/meas", "speedup"},
-		Notes:  "meas batch and meas rows are counter deltas in cost units and must agree exactly per storage; est/meas shifts between heap and colfile because persistent scans charge encoded bytes; +idx storages carry the chosen secondary indexes; speedup is row-at-a-time wall clock over batch",
-	}
-	type storage struct {
-		name string
-		fx   *costModelFixture
-	}
-	var storages []storage
-	for _, v := range []struct {
-		fx     *costModelFixture
-		suffix string
-	}{{fx, ""}, {ix, "+idx"}} {
-		frozen, err := v.fx.freeze()
-		if err != nil {
-			return nil, err
-		}
-		onFrozen := *v.fx
-		onFrozen.db = frozen
-		storages = append(storages, storage{"heap" + v.suffix, v.fx}, storage{"colfile" + v.suffix, &onFrozen})
-	}
-	for qi := range fx.queries {
-		for _, st := range storages {
-			q := st.fx.queries[qi]
-			st.fx.db.Exec = engine.Options{}
-			mb, eb, err := st.fx.measure(q)
-			if err != nil {
-				return nil, err
-			}
-			st.fx.db.Exec = engine.Options{RowAtATime: true}
-			mr, er, err := st.fx.measure(q)
-			if err != nil {
-				return nil, err
-			}
-			st.fx.db.Exec = engine.Options{}
-			if mb != mr {
-				return nil, fmt.Errorf("ablation-execmodes: %s/%s: measured cost diverges between executors: batch=%v rows=%v",
-					q.name, st.name, mb, mr)
-			}
-			ratio, speedup := 0.0, 0.0
-			if mb > 0 {
-				ratio = q.est / mb
-			}
-			if eb > 0 {
-				speedup = float64(er) / float64(eb)
-			}
-			t.AddRow(q.name, st.name, f1(q.est), f1(mb), f1(mr), f2(ratio), f2(speedup))
 		}
 	}
 	return t, nil

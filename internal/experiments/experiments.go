@@ -126,7 +126,6 @@ var registry = map[string]Runner{
 	"ablation-threshold": AblationThreshold,
 	"ablation-si-vs-so":  AblationSIvsSO,
 	"ablation-costmodel": AblationCostModel,
-	"ablation-execmodes": AblationExecModes,
 	"ablation-beam":      AblationBeam,
 	"ablation-updates":   AblationUpdates,
 }

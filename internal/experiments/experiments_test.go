@@ -179,9 +179,24 @@ func TestAblationSIvsSO(t *testing.T) {
 
 func TestAblationCostModel(t *testing.T) {
 	tbl := run(t, "ablation-costmodel")
-	// Estimates and measurements agree within an order of magnitude, and
-	// the most expensive query by estimate is also the most expensive by
-	// measurement.
+	// 4 queries x 2 storages (heap rows, colfile-frozen persistent image)
+	// x 2 designs (key-only, chosen secondary indexes).
+	if len(tbl.Rows) != 16 {
+		t.Fatalf("rows = %d", len(tbl.Rows))
+	}
+	storages := map[string]int{}
+	for _, r := range tbl.Rows {
+		name, _, _ := strings.Cut(r[0], " ")
+		storages[strings.TrimPrefix(r[0], name)]++
+	}
+	for _, s := range []string{"", " +idx", " colfile", " colfile +idx"} {
+		if storages[s] != 4 {
+			t.Errorf("storage rows = %v, want 4 of %q", storages, s)
+		}
+	}
+	// Estimates and measurements agree within an order of magnitude on
+	// every storage, and the most expensive query by estimate is also the
+	// most expensive by measurement.
 	maxEstRow, maxMeasRow := 0, 0
 	for i := range tbl.Rows {
 		ratio := cell(t, tbl, i, 3)
@@ -201,34 +216,6 @@ func TestAblationCostModel(t *testing.T) {
 	}
 }
 
-func TestAblationExecModes(t *testing.T) {
-	tbl := run(t, "ablation-execmodes")
-	// 4 queries x 2 storages (heap rows, colfile-frozen persistent
-	// image) x 2 designs (key-only, chosen secondary indexes).
-	if len(tbl.Rows) != 16 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	storages := map[string]int{}
-	for i := range tbl.Rows {
-		label := tbl.Rows[i][0] + "/" + tbl.Rows[i][1]
-		storages[tbl.Rows[i][1]]++
-		// The batch executor maintains the reference path's counters, so
-		// the measured costs must match and the model's calibration (the
-		// est/meas ratio) is unchanged by vectorization.
-		if batch, rows := tbl.Rows[i][3], tbl.Rows[i][4]; batch != rows {
-			t.Errorf("%s: measured cost diverges: batch=%s rows=%s", label, batch, rows)
-		}
-		if ratio := cell(t, tbl, i, 5); ratio < 0.05 || ratio > 20 {
-			t.Errorf("cost model off by more than 20x on %s: ratio %.2f", label, ratio)
-		}
-	}
-	for _, name := range []string{"heap", "colfile", "heap+idx", "colfile+idx"} {
-		if storages[name] != 4 {
-			t.Errorf("storage rows = %v, want 4 of %s", storages, name)
-		}
-	}
-}
-
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("nope"); err == nil {
 		t.Fatal("unknown experiment accepted")
@@ -237,7 +224,7 @@ func TestRunUnknown(t *testing.T) {
 
 func TestNamesComplete(t *testing.T) {
 	names := Names()
-	if len(names) != 12 {
+	if len(names) != 11 {
 		t.Fatalf("names = %v", names)
 	}
 }

@@ -235,13 +235,12 @@ func shredGroup(ps *xschema.Schema, cat *relational.Catalog, docs []*xmltree.Nod
 }
 
 // swapLocked installs the new configuration; the caller holds the write
-// lock. The executor mode and accumulated counters carry over, and the
+// lock. The accumulated counters carry over, and the
 // workload observer and the prepared texts are untouched — observation
 // is a property of the traffic, not the storage layout — but the
 // prepared texts' translations and plans go with the old image.
 func (s *Store) swapLocked(ps *xschema.Schema, cat *relational.Catalog, db *engine.Database) {
 	s.prepared.dropSnapshots()
-	db.Exec = s.db.Exec
 	db.Stats = s.db.Measured()
 	s.schema = ps
 	s.catalog = cat

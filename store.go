@@ -182,18 +182,6 @@ func paramColumnTypes(cat *relational.Catalog, blocks []*sqlast.Block) map[strin
 	return sites
 }
 
-// SetRowAtATimeExec switches this store's executor between the default
-// vectorized batch implementation (false) and the reference
-// row-at-a-time iterator (true). The two return identical results and
-// maintain identical Counters — the row path is kept as the baseline
-// the batch executor's differential tests and speedup benchmarks run
-// against.
-func (s *Store) SetRowAtATimeExec(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.db.Exec = engine.Options{RowAtATime: on}
-}
-
 // Result is a query result: column headers and stringified rows.
 type Result struct {
 	Columns []string

@@ -11,7 +11,7 @@ import (
 // TestStoreConcurrentQueriesAndMutations hammers one store from reader
 // goroutines (ad-hoc queries, prepared runs, publishing, stats) racing
 // writer goroutines (child inserts, cascading deletes, extra document
-// loads, executor-mode flips). Run under -race in CI: the store's
+// loads). Run under -race in CI: the store's
 // readers-writer lock must make every interleaving safe, and every
 // operation must succeed — mutations wait for queries, never corrupt
 // them.
@@ -121,20 +121,12 @@ func TestStoreConcurrentQueriesAndMutations(t *testing.T) {
 			}
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			store.SetRowAtATimeExec(i%2 == 1)
-		}
-	}()
 
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	store.SetRowAtATimeExec(false)
 	res, err := store.Query(`FOR $v IN imdb/show RETURN $v/title`, nil)
 	if err != nil {
 		t.Fatalf("query after hammering: %v", err)
