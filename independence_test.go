@@ -110,11 +110,7 @@ func TestLogicalPhysicalIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: Translate: %v", name, q.name, err)
 			}
-			params := engine.Params{}
-			for k, v := range q.params {
-				params[k] = coerceParam(v)
-			}
-			rs, err := db.Execute(sq, params)
+			rs, err := db.Execute(sq, q.params)
 			if err != nil {
 				t.Fatalf("%s/%s: Execute: %v", name, q.name, err)
 			}
@@ -133,10 +129,6 @@ func TestLogicalPhysicalIndependence(t *testing.T) {
 		}
 	}
 }
-
-// coerceParam lets a digit-string parameter match integer columns: the
-// engine coerces mixed comparisons, so the string form works everywhere.
-func coerceParam(v engine.Value) engine.Value { return v }
 
 // canonicalRows renders a result set as a sorted multiset of cell
 // multisets, so block order and column order do not matter.

@@ -9,8 +9,8 @@
 //	tail    footerLen uint64 + footerCRC uint32 + fileCRC uint32
 //
 // Each chunk payload is one column of ≤ BatchSize rows in a typed
-// encoding — int64 words, length-prefixed strings, a tagged mixed
-// fallback, or all-NULL — preceded by a null bitmap. The footer indexes
+// encoding — int64 words, length-prefixed strings, or all-NULL —
+// preceded by a null bitmap. The footer indexes
 // every chunk (column, row count, offset, size, CRC32C), so a reader
 // verifies and decodes chunks straight into engine.ColumnChunk storage
 // that engine.Table scans gather into Vectors without ever building
@@ -47,19 +47,13 @@ const (
 	maxRows = 1 << 40
 )
 
-// Chunk payload encodings (first payload byte).
+// Chunk payload encodings (first payload byte). Byte 3 was a tagged
+// encoding for columns that mixed kinds; no column can since cells take
+// their column's kind, and the decoder refuses it as an unknown encoding.
 const (
 	encAllNull = 0
 	encInt     = 1
 	encStr     = 2
-	encMixed   = 3
-)
-
-// Mixed-encoding value tags.
-const (
-	tagNull = 0
-	tagInt  = 1
-	tagStr  = 2
 )
 
 // ErrCorrupt marks a file Decode rejected: bad magic or version,
@@ -177,37 +171,6 @@ func encodeChunk(ch *engine.ColumnChunk) []byte {
 		}
 		for _, s := range ch.Strs {
 			b.WriteString(s)
-		}
-	case ch.Vals != nil:
-		b.WriteByte(encMixed)
-		// The bitmap must cover every NULL, including boxed NULL values
-		// a caller stored without setting the bitmap bit, so the tag
-		// stream and the bitmap agree on decode.
-		bitmap := make([]uint64, (ch.N+63)/64)
-		copy(bitmap, ch.Nulls)
-		for i := 0; i < ch.N; i++ {
-			if ch.Vals[i].Kind == engine.NullValue {
-				bitmap[i>>6] |= 1 << (i & 63)
-			}
-		}
-		for _, w := range bitmap {
-			le64(&b, w)
-		}
-		for i := 0; i < ch.N; i++ {
-			if bitmap[i>>6]&(1<<(i&63)) != 0 {
-				b.WriteByte(tagNull)
-				continue
-			}
-			v := ch.Vals[i]
-			switch v.Kind {
-			case engine.IntValue:
-				b.WriteByte(tagInt)
-				le64(&b, uint64(v.Int))
-			default:
-				b.WriteByte(tagStr)
-				le32(&b, uint32(len(v.Str)))
-				b.WriteString(v.Str)
-			}
 		}
 	default:
 		b.WriteByte(encAllNull)
@@ -394,46 +357,6 @@ func decodeChunk(payload []byte, n int) (engine.ColumnChunk, error) {
 		}
 		if int(prev) != len(text) {
 			return ch, fmt.Errorf("%w: string chunk has %d unclaimed bytes", ErrCorrupt, len(text)-int(prev))
-		}
-	case encMixed:
-		ch.Vals = make([]engine.Value, n)
-		for i := 0; i < n; i++ {
-			if len(body) < 1 {
-				return ch, fmt.Errorf("%w: mixed chunk truncated at row %d", ErrCorrupt, i)
-			}
-			tag := body[0]
-			body = body[1:]
-			isNull := ch.Nulls != nil && ch.Nulls[i>>6]&(1<<(i&63)) != 0
-			switch {
-			case tag == tagNull:
-				if !isNull {
-					return ch, fmt.Errorf("%w: mixed chunk row %d tagged null outside bitmap", ErrCorrupt, i)
-				}
-			case isNull:
-				return ch, fmt.Errorf("%w: mixed chunk row %d carries a value but is null", ErrCorrupt, i)
-			case tag == tagInt:
-				if len(body) < 8 {
-					return ch, fmt.Errorf("%w: mixed chunk truncated in row %d", ErrCorrupt, i)
-				}
-				ch.Vals[i] = engine.IntVal(int64(binary.LittleEndian.Uint64(body)))
-				body = body[8:]
-			case tag == tagStr:
-				if len(body) < 4 {
-					return ch, fmt.Errorf("%w: mixed chunk truncated in row %d", ErrCorrupt, i)
-				}
-				l := binary.LittleEndian.Uint32(body)
-				body = body[4:]
-				if uint64(l) > uint64(len(body)) {
-					return ch, fmt.Errorf("%w: mixed chunk string overruns payload", ErrCorrupt)
-				}
-				ch.Vals[i] = engine.StrVal(string(body[:l]))
-				body = body[l:]
-			default:
-				return ch, fmt.Errorf("%w: mixed chunk row %d has tag %d", ErrCorrupt, i, tag)
-			}
-		}
-		if len(body) != 0 {
-			return ch, fmt.Errorf("%w: mixed chunk has %d trailing bytes", ErrCorrupt, len(body))
 		}
 	default:
 		return ch, fmt.Errorf("%w: unknown chunk encoding %d", ErrCorrupt, enc)

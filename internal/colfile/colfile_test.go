@@ -1,6 +1,7 @@
 package colfile
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,43 +10,101 @@ import (
 	"testing"
 
 	"legodb/internal/engine"
+	"legodb/internal/fsio"
 )
 
 // fixtureTable builds a table exercising every chunk encoding: a pure
-// int column, a pure string column, an all-null column and a mixed
-// column, spanning more than one chunk so the short-last-chunk rule is
-// exercised too.
+// int column, a pure string column, an all-null column and a string
+// column with NULLs and empty strings, spanning more than one chunk so
+// the short-last-chunk rule is exercised too.
 func fixtureTable(rows int) *Table {
 	ints := make([]engine.Value, rows)
 	strs := make([]engine.Value, rows)
 	nulls := make([]engine.Value, rows)
-	mixed := make([]engine.Value, rows)
+	sparse := make([]engine.Value, rows)
 	for i := 0; i < rows; i++ {
 		ints[i] = engine.IntVal(int64(i * 3))
 		strs[i] = engine.StrVal(fmt.Sprintf("row-%d", i))
 		nulls[i] = engine.Value{}
-		switch i % 4 {
+		switch i % 3 {
 		case 0:
-			mixed[i] = engine.IntVal(int64(-i))
+			sparse[i] = engine.StrVal(strings.Repeat("x", i%7))
 		case 1:
-			mixed[i] = engine.StrVal(strings.Repeat("x", i%7))
-		case 2:
-			mixed[i] = engine.Value{}
+			sparse[i] = engine.Value{}
 		default:
-			mixed[i] = engine.StrVal("")
+			sparse[i] = engine.StrVal("")
 		}
 	}
 	return &Table{
 		Name:    "fixture",
-		Columns: []string{"id", "name", "gap", "mixed"},
+		Columns: []string{"id", "name", "gap", "sparse"},
 		Rows:    rows,
 		NextID:  int64(rows + 1),
 		Cols: [][]engine.ColumnChunk{
 			engine.BuildColumnChunks(ints),
 			engine.BuildColumnChunks(strs),
 			engine.BuildColumnChunks(nulls),
-			engine.BuildColumnChunks(mixed),
+			engine.BuildColumnChunks(sparse),
 		},
+	}
+}
+
+// oneChunkImage frames a one-column, three-row image around a raw chunk
+// payload, as Encode lays an image out.
+func oneChunkImage(payload []byte) []byte {
+	var buf, footer bytes.Buffer
+	buf.Write(magic[:])
+	le16(&buf, Version)
+	buf.Write(payload)
+	writeString16(&footer, "t")
+	le64(&footer, 3) // rows
+	le64(&footer, 4) // next id
+	le16(&footer, 1)
+	writeString16(&footer, "v")
+	le32(&footer, 1)
+	le16(&footer, 0)
+	le32(&footer, 3)
+	le64(&footer, headerLen)
+	le64(&footer, uint64(len(payload)))
+	le32(&footer, fsio.Checksum(payload))
+	buf.Write(footer.Bytes())
+	le64(&buf, uint64(footer.Len()))
+	le32(&buf, fsio.Checksum(footer.Bytes()))
+	le32(&buf, fsio.Checksum(buf.Bytes()))
+	return buf.Bytes()
+}
+
+// retiredMixedImage is a one-chunk image in the retired mixed encoding,
+// byte 3, that tagged each row: the integer 7, the string "7" and a NULL,
+// as the writer laid out a column that mixed kinds.
+func retiredMixedImage() []byte {
+	var p bytes.Buffer
+	p.WriteByte(3)
+	le64(&p, 0b100) // row 2 is NULL
+	p.WriteByte(1)  // integer
+	le64(&p, 7)
+	p.WriteByte(2) // string
+	le32(&p, 1)
+	p.WriteString("7")
+	p.WriteByte(0) // NULL
+	return oneChunkImage(p.Bytes())
+}
+
+// TestDecodeRefusesRetiredMixedChunk: a chunk in the retired mixed
+// encoding is refused as ErrCorrupt, while the same frame around an int
+// chunk of the same rows decodes.
+func TestDecodeRefusesRetiredMixedChunk(t *testing.T) {
+	var ints bytes.Buffer
+	ints.WriteByte(encInt)
+	le64(&ints, 0b100)
+	for _, v := range []uint64{7, 8, 0} {
+		le64(&ints, v)
+	}
+	if got, err := Decode(oneChunkImage(ints.Bytes())); err != nil || got.Cols[0][0].Value(1) != engine.IntVal(8) {
+		t.Fatalf("int chunk: %v, %v", got, err)
+	}
+	if _, err := Decode(retiredMixedImage()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "encoding 3") {
+		t.Fatalf("retired mixed chunk: %v, want ErrCorrupt for encoding 3", err)
 	}
 }
 

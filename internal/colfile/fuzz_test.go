@@ -24,8 +24,9 @@ import (
 // table is itself valid).
 func FuzzColfileDecode(f *testing.F) {
 	// Seeds: valid files of several shapes, plus targeted near-misses —
-	// a bit-flipped body, a truncated tail, and a forged footer whose
-	// chunk entries point outside the data region.
+	// a bit-flipped body, a truncated tail, a forged footer whose chunk
+	// entries point outside the data region, and a chunk in the retired
+	// mixed encoding.
 	for _, rows := range []int{1, 100, 1024, 1500} {
 		f.Add(encodeFixture(f, rows))
 	}
@@ -41,6 +42,7 @@ func FuzzColfileDecode(f *testing.F) {
 	binary.LittleEndian.PutUint64(forged[len(forged)-16:], 1<<50)
 	binary.LittleEndian.PutUint32(forged[len(forged)-4:], fsio.Checksum(forged[:len(forged)-4]))
 	f.Add(forged)
+	f.Add(retiredMixedImage())
 	f.Add([]byte("LGDBCOLF"))
 	f.Add([]byte{})
 

@@ -219,9 +219,9 @@ func (e *batchExec) filterChunk(t *Table, cf []compiledFilter, sel []int32) ([]i
 // stepINL probes the new relation's index on the join column once per
 // intermediate tuple, collecting (source tuple, matched position) pairs.
 // Each match that passes the relation's filters must also meet the
-// tuple on every equality the step fuses, under satisfies as the hash
-// step's key meets it, so pairs the cross filters would reject are never
-// formed (applyCross still re-checks them).
+// tuple on every equality the step fuses, as the hash step's key meets
+// it, so pairs the cross filters would reject are never formed
+// (applyCross still re-checks them).
 func (e *batchExec) stepINL(st *planStep) error {
 	newCi, oldCi, err := e.p.resolveJoinCols(st)
 	if err != nil {
@@ -268,18 +268,13 @@ func (e *batchExec) stepINL(st *planStep) error {
 }
 
 // fusedMeet reports whether the new relation's row at pos and
-// intermediate tuple i satisfy every fused part of a step's key (parts
-// 1 on; part 0 is the join edge the probe matched).
+// intermediate tuple i meet on every fused part of a step's key (parts 1
+// on; part 0 is the join edge the probe matched): equal, and not NULL.
 func fusedMeet(newKey, oldKey joinKey, pos, i int) bool {
 	for k := 1; k < len(newKey); k++ {
 		n, o := &newKey[k], &oldKey[k]
-		a, b := n.t.Cell(pos, n.ci), o.t.Cell(int(o.at[i]), o.ci)
-		if a.Kind == b.Kind && a.Kind != NullValue {
-			// Equal kinds: satisfies' = is plain equality.
-			if a != b {
-				return false
-			}
-		} else if !satisfies(a, sqlast.OpEq, b) {
+		a := n.t.Cell(pos, n.ci)
+		if a.IsNull() || a != o.t.Cell(int(o.at[i]), o.ci) {
 			return false
 		}
 	}
@@ -313,10 +308,10 @@ func (e *batchExec) stepHash(st *planStep) error {
 	probe := func(sel []int32) {
 		newKey.on(sel)
 		for base := 0; base < len(sel); base += BatchSize {
-			hs, ints := newKey.hashes(base, min(base+BatchSize, len(sel)), e.hashBuf)
+			hs := newKey.hashes(base, min(base+BatchSize, len(sel)), e.hashBuf)
 			for j, h := range hs {
 				at := int32(base + j)
-				exact := ht.exact(h, ints)
+				exact := ht.exact(h)
 				for i := ht.first(h); i != 0; i = ht.after(i, h) {
 					if !exact && oldKey.primary(i-1) != newKey.primary(at) {
 						continue
@@ -353,10 +348,10 @@ func (e *batchExec) stepHash(st *planStep) error {
 			if err := e.ctx.Err(); err != nil {
 				return err
 			}
-			hs, ints := oldKey.hashes(base, min(base+BatchSize, e.n), e.hashBuf)
+			hs := oldKey.hashes(base, min(base+BatchSize, e.n), e.hashBuf)
 			for j, h := range hs {
 				i := int32(base + j)
-				exact := ht.exact(h, ints)
+				exact := ht.exact(h)
 				for k := ht.first(h); k != 0; k = ht.after(k, h) {
 					if !exact && newKey.primary(k-1) != oldKey.primary(i) {
 						continue
@@ -489,7 +484,7 @@ func (e *batchExec) keep(src []int32) {
 }
 
 // applyCross filters the intermediate tuples by the scheduled cross
-// filters, comparing gathered chunk vectors pairwise.
+// filters, comparing gathered chunk vectors pairwise (see compactPair).
 func (e *batchExec) applyCross(filters []sqlast.Filter) error {
 	for _, f := range filters {
 		lt, rt := e.p.tables[f.Col.Alias], e.p.tables[f.RightCol.Alias]
@@ -507,11 +502,11 @@ func (e *batchExec) applyCross(filters []sqlast.Filter) error {
 			end := min(base+BatchSize, e.n)
 			e.vec.gather(lt, li, lcol[base:end])
 			e.vec2.gather(rt, ri, rcol[base:end])
-			for j := 0; j < end-base; j++ {
-				if pairSatisfies(&e.vec, &e.vec2, j, f.Op) {
-					kept = append(kept, int32(base+j))
-				}
+			sel := kept[len(kept) : len(kept)+end-base]
+			for j := range sel {
+				sel[j] = int32(base + j)
 			}
+			kept = kept[:len(kept)+len(compactPair(&e.vec, &e.vec2, f.Op, sel))]
 		}
 		if len(kept) < e.n {
 			e.keep(kept)

@@ -21,9 +21,8 @@ import (
 // rather than the catalog's estimated row width.
 
 // ColumnChunk is one decoded column chunk of up to BatchSize rows:
-// typed storage (int64 or string) plus a null bitmap, with a boxed
-// fallback for columns that mix kinds. At most one of Ints, Strs, Vals
-// is non-nil; all nil means every row in the chunk is NULL.
+// typed storage (int64 or string) plus a null bitmap. At most one of Ints
+// and Strs is non-nil; both nil means every row in the chunk is NULL.
 type ColumnChunk struct {
 	// N is the number of rows in the chunk (full chunks have BatchSize;
 	// only a column's last chunk may be shorter).
@@ -32,7 +31,6 @@ type ColumnChunk struct {
 	Nulls []uint64
 	Ints  []int64
 	Strs  []string
-	Vals  []Value
 }
 
 // IsNull reports whether row i of the chunk is NULL.
@@ -42,23 +40,21 @@ func (c *ColumnChunk) IsNull(i int) bool {
 
 // Value reboxes row i of the chunk.
 func (c *ColumnChunk) Value(i int) Value {
-	if c.IsNull(i) {
-		return Null
-	}
 	switch {
+	case c.IsNull(i):
+		return Null
 	case c.Ints != nil:
 		return Value{Kind: IntValue, Int: c.Ints[i]}
 	case c.Strs != nil:
 		return Value{Kind: StrValue, Str: c.Strs[i]}
-	case c.Vals != nil:
-		return c.Vals[i]
 	default:
 		return Null
 	}
 }
 
 // BuildColumnChunks packs a column's values into chunks of BatchSize
-// rows, detecting the typed encoding per chunk.
+// rows, each stored as the kind of its non-NULL values, which must be one
+// kind, as a table column's are (see Table.Insert).
 func BuildColumnChunks(vals []Value) []ColumnChunk {
 	var chunks []ColumnChunk
 	for base := 0; base < len(vals); base += BatchSize {
@@ -71,36 +67,23 @@ func BuildColumnChunks(vals []Value) []ColumnChunk {
 func buildChunk(vals []Value) ColumnChunk {
 	c := ColumnChunk{N: len(vals)}
 	kind := NullValue
-	mixed := false
-	nulls := 0
-	for _, v := range vals {
-		switch {
-		case v.Kind == NullValue:
-			nulls++
-		case kind == NullValue:
-			kind = v.Kind
-		case v.Kind != kind:
-			mixed = true
-		}
-	}
-	if nulls > 0 {
-		c.Nulls = make([]uint64, (len(vals)+63)/64)
-		for i, v := range vals {
-			if v.Kind == NullValue {
-				c.Nulls[i>>6] |= 1 << (i & 63)
+	for i, v := range vals {
+		if v.Kind == NullValue {
+			if c.Nulls == nil {
+				c.Nulls = make([]uint64, (len(vals)+63)/64)
 			}
+			c.Nulls[i>>6] |= 1 << (i & 63)
+		} else {
+			kind = v.Kind
 		}
 	}
-	switch {
-	case mixed:
-		c.Vals = make([]Value, len(vals))
-		copy(c.Vals, vals)
-	case kind == IntValue:
+	switch kind {
+	case IntValue:
 		c.Ints = make([]int64, len(vals))
 		for i, v := range vals {
 			c.Ints[i] = v.Int
 		}
-	case kind == StrValue:
+	case StrValue:
 		c.Strs = make([]string, len(vals))
 		for i, v := range vals {
 			c.Strs[i] = v.Str
@@ -193,17 +176,13 @@ func checkChunkStorage(c *ColumnChunk) error {
 	if c.Nulls != nil && len(c.Nulls) != (c.N+63)/64 {
 		return fmt.Errorf("null bitmap has %d words for %d rows", len(c.Nulls), c.N)
 	}
-	stores := 0
-	for _, n := range []int{len(c.Ints), len(c.Strs), len(c.Vals)} {
-		if n > 0 {
-			stores++
-			if n != c.N {
-				return fmt.Errorf("storage has %d values for %d rows", n, c.N)
-			}
-		}
-	}
-	if stores > 1 {
+	if c.Ints != nil && c.Strs != nil {
 		return fmt.Errorf("chunk has more than one storage encoding")
+	}
+	for _, n := range []int{len(c.Ints), len(c.Strs)} {
+		if n > 0 && n != c.N {
+			return fmt.Errorf("storage has %d values for %d rows", n, c.N)
+		}
 	}
 	return nil
 }
@@ -225,14 +204,26 @@ func (b *ColumnBase) value(pos, ci int) Value {
 
 // SetColumnBase installs a frozen columnar base under an empty table
 // (no heap rows, no tombstones) and rebuilds the table's hash indexes
-// over the base rows. A nil base clears back to pure heap storage.
+// over the base rows. A chunk stored as the other kind than its column's
+// (see columnKind) is refused, as Insert refuses such a cell. A nil base
+// clears back to pure heap storage.
 func (t *Table) SetColumnBase(b *ColumnBase) error {
 	if t.heapN != 0 || len(t.dead) != 0 {
 		return fmt.Errorf("engine: %s: column base requires an empty table", t.Def.Name)
 	}
-	if b != nil && len(b.cols) != len(t.Def.Columns) {
-		return fmt.Errorf("engine: %s: base has %d columns, table has %d",
-			t.Def.Name, len(b.cols), len(t.Def.Columns))
+	if b != nil {
+		if len(b.cols) != len(t.Def.Columns) {
+			return fmt.Errorf("engine: %s: base has %d columns, table has %d",
+				t.Def.Name, len(b.cols), len(t.Def.Columns))
+		}
+		for ci, chunks := range b.cols {
+			for k, c := range chunks {
+				if c.Ints != nil && t.kind(ci) != IntValue || c.Strs != nil && t.kind(ci) != StrValue {
+					col := t.Def.Columns[ci]
+					return fmt.Errorf("engine: %s.%s: chunk %d is not stored as %s", t.Def.Name, col.Name, k, col.Type)
+				}
+			}
+		}
 	}
 	t.base, t.baseN = b, 0
 	if b != nil {

@@ -107,8 +107,9 @@ func TestColumnBaseDifferentialIMDB(t *testing.T) {
 }
 
 // TestSetColumnBaseRules covers the installation contract: only an
-// empty table accepts a base, column counts must match, and installing
-// rebuilds indexes over the base rows.
+// empty table accepts a base, column counts must match, every chunk must
+// be stored as its column's kind, and installing rebuilds indexes over
+// the base rows.
 func TestSetColumnBaseRules(t *testing.T) {
 	heap, _, cat, _, _ := buildDiffDB(t, diffConfigs()[0], 3)
 	name := cat.Order[0]
@@ -123,6 +124,24 @@ func TestSetColumnBaseRules(t *testing.T) {
 	}
 	fresh := engine.NewDatabase(cat)
 	dst := fresh.Table(name)
+	// A chunk of integers under a string column, or of strings under an
+	// INT column, is refused, and the table stays empty.
+	for ci, c := range dst.Def.Columns {
+		cols := src.SnapshotColumns()
+		ch := &cols[ci][0]
+		if c.Type == relational.IntCol {
+			ch.Ints, ch.Strs = nil, make([]string, ch.N)
+		} else {
+			ch.Ints, ch.Strs = make([]int64, ch.N), nil
+		}
+		wrong, err := engine.NewColumnBase(cols, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.SetColumnBase(wrong); err == nil || dst.NumRows() != 0 {
+			t.Fatalf("a %s chunk of the other kind: %v, %d rows", c.Type, err, dst.NumRows())
+		}
+	}
 	if err := dst.SetColumnBase(base); err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,9 @@ func buildDiffDB(t testing.TB, cfg diffConfig, seed int64) (*engine.Database, *x
 		gd = g[0].Text
 	}
 	// Two binding sets: one aimed at matching document values (titles,
-	// names), one binding everything to the year digits — which hits
-	// year filters and exercises non-matching and mixed-kind paths on
-	// the string-valued ones.
+	// names), one binding everything to the year digits — which convert
+	// to an integer against the INT year and compare verbatim against
+	// the string-valued columns.
 	matching := engine.Params{
 		"c1": engine.StrVal(title),
 		"c2": engine.StrVal(title),

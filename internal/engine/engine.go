@@ -127,15 +127,21 @@ type hashIndex struct {
 	col string
 	ci  int
 	m   map[Value][]int
-	// kinds counts the entries by ValueKind, so an equality probe knows
-	// whether a value of the literal's other kind can be there at all.
-	kinds [3]int
 }
 
-func (ix *hashIndex) add(v Value, pos int) {
-	ix.m[v] = append(ix.m[v], pos)
-	ix.kinds[v.Kind]++
+func (ix *hashIndex) add(v Value, pos int) { ix.m[v] = append(ix.m[v], pos) }
+
+// columnKind is the one kind a column's non-NULL cells have: an integer
+// for an INT column, a string for a CHAR or VARCHAR one.
+func columnKind(c *relational.Column) ValueKind {
+	if c.Type == relational.IntCol {
+		return IntValue
+	}
+	return StrValue
 }
+
+// kind is the kind of column ci's cells (see columnKind).
+func (t *Table) kind(ci int) ValueKind { return columnKind(t.Def.Columns[ci]) }
 
 // NewTable builds an empty heap table for a catalog relation.
 func NewTable(def *relational.Table) *Table {
@@ -183,11 +189,22 @@ func (t *Table) SetNextID(id int64) {
 
 // Insert appends a row (len must equal the column count) to each column
 // of the heap tail, with the key hash of each string cell beside it, and
-// maintains indexes. The table keeps no reference to r.
+// maintains indexes. A non-NULL cell must have its column's kind (see
+// columnKind): a row with one that does not is refused whole. The table
+// keeps no reference to r.
 func (t *Table) Insert(r Row) error {
 	if len(r) != len(t.Def.Columns) {
 		return fmt.Errorf("engine: %s: row has %d values, table has %d columns",
 			t.Def.Name, len(r), len(t.Def.Columns))
+	}
+	for ci, v := range r {
+		if v.Kind != NullValue && v.Kind != t.kind(ci) {
+			c, what := t.Def.Columns[ci], "integer"
+			if v.Kind == StrValue {
+				what = "string"
+			}
+			return fmt.Errorf("engine: %s.%s: %s column refuses the %s %q", t.Def.Name, c.Name, c.Type, what, v)
+		}
 	}
 	pos := t.NumRows()
 	for ci, v := range r {
@@ -260,7 +277,7 @@ func (t *Table) buildIndex(col string) error {
 
 // rebuild empties the index and refills it from every row of t.
 func (ix *hashIndex) rebuild(t *Table) {
-	ix.m, ix.kinds = make(map[Value][]int), [3]int{}
+	ix.m = make(map[Value][]int)
 	for pos, n := 0, t.NumRows(); pos < n; pos++ {
 		ix.add(t.Cell(pos, ix.ci), pos)
 	}
@@ -292,51 +309,6 @@ func (t *Table) Lookup(col string, v Value) ([]int, bool) {
 		return nil, false
 	}
 	return t.lookup(ix, v), true
-}
-
-// lookupEq returns the live positions whose indexed cell satisfies
-// (= lit) exactly as satisfies decides it: NULL matches nothing, and the
-// literal matches its own kind and the one other value it coerces to —
-// an integer the string of its decimal form, a string in canonical
-// decimal form that integer ("7" but not "007"). The two position lists
-// are disjoint and merge ascending; the second key is probed only when
-// the column holds a value of that kind at all.
-func (t *Table) lookupEq(ix *hashIndex, lit Value) []int {
-	var other Value
-	switch lit.Kind {
-	case IntValue:
-		if ix.kinds[StrValue] == 0 {
-			return t.lookup(ix, lit)
-		}
-		other = StrVal(strconv.FormatInt(lit.Int, 10))
-	case StrValue:
-		if ix.kinds[IntValue] == 0 {
-			return t.lookup(ix, lit)
-		}
-		n, err := strconv.ParseInt(lit.Str, 10, 64)
-		if err != nil || strconv.FormatInt(n, 10) != lit.Str {
-			return t.lookup(ix, lit)
-		}
-		other = IntVal(n)
-	default:
-		return nil
-	}
-	a, b := t.lookup(ix, lit), t.lookup(ix, other)
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
 }
 
 // lookup is Lookup through an index already resolved.

@@ -54,6 +54,40 @@ func TestInsertAndIndexes(t *testing.T) {
 	}
 }
 
+// TestInsertRefusesWrongKind: a non-NULL cell of the other kind than its
+// column's catalog type — a string in the INT year, an integer in the
+// CHAR title — is refused with an error, and the table is left as it
+// was: no row, no index entry, no key hash. NULL is every column's.
+func TestInsertRefusesWrongKind(t *testing.T) {
+	show := NewDatabase(testCatalog(t)).Table("Show")
+	row := func(title, year Value) Row {
+		r := make(Row, len(show.Def.Columns))
+		r[show.ColumnIndex("Show_id")] = IntVal(7)
+		r[show.ColumnIndex("title")] = title
+		r[show.ColumnIndex("year")] = year
+		return r
+	}
+	for _, r := range []Row{row(StrVal("t"), StrVal("1999")), row(IntVal(7), IntVal(1999))} {
+		if err := show.Insert(r); err == nil {
+			t.Fatalf("Insert(%v) accepted a cell of the wrong kind", r)
+		}
+		if n := show.NumRows(); n != 0 {
+			t.Fatalf("refused Insert(%v) left %d rows", r, n)
+		}
+		if pos, _ := show.Lookup("Show_id", IntVal(7)); len(pos) != 0 {
+			t.Fatalf("refused Insert(%v) left key index entries %v", r, pos)
+		}
+		for ci := range show.heap {
+			if len(show.heap[ci]) != 0 || len(show.heapHash[ci]) != 0 {
+				t.Fatalf("refused Insert(%v) left cells in column %d", r, ci)
+			}
+		}
+	}
+	if err := show.Insert(row(Null, Null)); err != nil || show.NumRows() != 1 {
+		t.Fatalf("NULL cells: %v, %d rows", err, show.NumRows())
+	}
+}
+
 // TestRowIsACopy: the heap tail is column-major, so Row hands out a
 // fresh tuple, and Insert copies its argument into the columns. Writing
 // to either afterwards leaves the table as it was, for heap positions

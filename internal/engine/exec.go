@@ -329,12 +329,12 @@ type planStep struct {
 	// cross lists the predicates between two aliases — cross filters and
 	// declared joins alike — that first become applicable (both aliases
 	// bound) after this step, except the join edge the step binds by. They
-	// are applied here exactly once, under satisfies.
+	// are applied here exactly once.
 	cross []sqlast.Filter
-	// fused lists the equalities among cross as column pairs, alias's
-	// column first: a hash step adds them to its hash key and an index
-	// step checks them at each match, so pairs they reject are never
-	// formed (cross still re-checks them).
+	// fused lists the equalities among cross between columns of one kind
+	// as column pairs, alias's column first: a hash step adds them to its
+	// hash key and an index step checks them at each match, so pairs they
+	// reject are never formed (cross still re-checks them).
 	fused [][2]sqlast.ColumnRef
 }
 
@@ -437,6 +437,7 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 			return nil, fmt.Errorf("predicate %s names an alias not in FROM", *f)
 		}
 		preds[i].ends = [2]int{l, r}
+		preds[i].edge = f.Op == sqlast.OpEq && p.oneKind(f)
 	}
 
 	p.start = p.order[0]
@@ -504,7 +505,7 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 			}
 			pr.taken = true
 			st.cross = append(st.cross, pr.f)
-			if pr.f.Op == sqlast.OpEq {
+			if pr.edge {
 				st.fused = append(st.fused, sides(&pr.f, st.alias))
 			}
 		}
@@ -668,18 +669,30 @@ func impliedAliases(b *sqlast.Block, cat *relational.Catalog) []string {
 
 // pred is a predicate between two aliases of a block — a declared join,
 // read as an equality, or a cross filter — with the slots of its two
-// aliases; taken is set once a step binds by it or applies it.
+// aliases; edge is set when it is an equality between columns of one
+// kind, which alone may bind a join or fuse into one, and taken once a
+// step binds by it or applies it.
 type pred struct {
 	f     sqlast.Filter
 	ends  [2]int
+	edge  bool
 	taken bool
 }
 
-// across returns the slot at the other end of an equality from s, -1
-// when the predicate is no equality or s is neither of its ends.
+// oneKind reports whether the two columns a predicate compares have one
+// kind (see columnKind). A column that does not resolve counts as one:
+// the step that reads it reports the error.
+func (p *blockPlan) oneKind(f *sqlast.Filter) bool {
+	l := p.tables[f.Col.Alias].Def.Column(f.Col.Column)
+	r := p.tables[f.RightCol.Alias].Def.Column(f.RightCol.Column)
+	return l == nil || r == nil || columnKind(l) == columnKind(r)
+}
+
+// across returns the slot at the other end of an edge from s, -1 when
+// the predicate is no edge or s is neither of its ends.
 func (pr *pred) across(s int) int {
 	switch {
-	case pr.f.Op != sqlast.OpEq:
+	case !pr.edge:
 		return -1
 	case s == pr.ends[0]:
 		return pr.ends[1]
@@ -690,11 +703,11 @@ func (pr *pred) across(s int) int {
 }
 
 // nextAlias picks the slot the next step binds, by a greedy rule that
-// reads nothing but the block: the unbound alias with the most
-// equalities (declared joins and equality cross filters) into the bound
-// set, ties going to the one with the most recently bound neighbour,
-// then to FROM order. It returns -1 when no unbound alias has an
-// equality into the bound set.
+// reads nothing but the block and its columns' kinds: the unbound alias
+// with the most edges (declared joins and equality cross filters between
+// columns of one kind) into the bound set, ties going to the one with the
+// most recently bound neighbour, then to FROM order. It returns -1 when
+// no unbound alias has an edge into the bound set.
 func nextAlias(preds []pred, boundAt []int) int {
 	best, bestN, bestRecent := -1, 0, -1
 	for s, at := range boundAt {
@@ -715,10 +728,11 @@ func nextAlias(preds []pred, boundAt []int) int {
 	return best
 }
 
-// joinEdge picks the equality slot s is bound by: the first between s
-// and a bound alias, declared joins coming before cross filters in
-// preds. The step matches it by exact kind; every other equality into
-// the bound set becomes a cross filter of the step.
+// joinEdge picks the edge slot s is bound by: the first between s and a
+// bound alias, declared joins coming before cross filters in preds. An
+// equality between columns of two kinds is never one: it stays a cross
+// filter, compared through the integer's decimal string. Every other
+// predicate into the bound set becomes a cross filter of the step.
 func joinEdge(preds []pred, boundAt []int, s int) int {
 	for i := range preds {
 		if o := preds[i].across(s); o >= 0 && boundAt[o] >= 0 {
@@ -755,7 +769,9 @@ func (st *planStep) probesIndex(n int, t *Table, params Params) bool {
 // indexStart answers the start relation's equality filter from its
 // secondary index: the live positions whose cell equals the literal,
 // ascending as a scan would meet them, with Counters accrued like an
-// index join's (one probe, every matched tuple read). The caller still
+// index join's (one probe, every matched tuple read); a literal that
+// matches nothing — NULL, or a value that does not convert to the
+// column's kind — answers no position without a probe. The caller still
 // applies all of cf to them. ok is false when the block starts with a
 // scan — no index, or a filter that does not resolve (see probesIndex).
 func (p *blockPlan) indexStart(params Params, stats *Counters) (positions []int, cf []compiledFilter, ok bool) {
@@ -767,7 +783,11 @@ func (p *blockPlan) indexStart(params Params, stats *Counters) (positions []int,
 	if filtersFail(cf) {
 		return nil, nil, false
 	}
-	positions = t.lookupEq(p.startIndex, cf[p.startLookup].lit)
+	lit := cf[p.startLookup].lit
+	if lit.IsNull() {
+		return nil, cf, true // matches nothing: no probe
+	}
+	positions = t.lookup(p.startIndex, lit)
 	stats.Probes++
 	heapBytes := t.Def.RowBytes()
 	for _, pos := range positions {
@@ -827,36 +847,18 @@ func opHolds(op sqlast.CmpOp, c int) bool {
 	}
 }
 
-// satisfies evaluates a comparison; NULL never satisfies anything, and
-// integer/string values compare only with their own kind (an integer
-// literal against a CHAR column coerces by formatting, matching the
-// shredder's storage rules).
-func satisfies(left Value, op sqlast.CmpOp, right Value) bool {
-	if left.IsNull() || right.IsNull() {
-		return false
-	}
-	if left.Kind != right.Kind {
-		// Coerce integers to strings for mixed comparisons.
-		if left.Kind == IntValue {
-			left = StrVal(left.String())
-		}
-		if right.Kind == IntValue {
-			right = StrVal(right.String())
-		}
-	}
-	return opHolds(op, Compare(left, right))
-}
-
 // compiledFilter is one constant (or same-alias column-column) filter
 // with its column indices and literal resolved once per block instead of
-// once per row. Resolution errors are deferred: a missing column or
-// unbound parameter only surfaces when at least one row is actually
-// evaluated.
+// once per row, the literal converted to its column's kind (see convert)
+// and a column-column comparison's cast decided from the two columns'
+// kinds. Resolution errors are deferred: a missing column or unbound
+// parameter only surfaces when at least one row is actually evaluated.
 type compiledFilter struct {
 	op       sqlast.CmpOp
 	colIdx   int
 	rightIdx int // -1: compare against lit
 	lit      Value
+	cast     bool // the two columns differ in kind (see compareAs)
 	err      error
 }
 
@@ -874,9 +876,12 @@ func compileFilters(t *Table, filters []sqlast.Filter, params Params) []compiled
 			cf.rightIdx = t.ColumnIndex(f.RightCol.Column)
 			if cf.rightIdx < 0 {
 				cf.err = fmt.Errorf("no column %s", f.RightCol.Column)
+			} else {
+				cf.cast = t.kind(cf.colIdx) != t.kind(cf.rightIdx)
 			}
 		} else {
 			cf.lit, cf.err = literalValue(f.Value, params)
+			cf.lit = convert(cf.lit, t.kind(cf.colIdx))
 		}
 		out[i] = cf
 	}
@@ -904,11 +909,11 @@ func passesCompiledAt(t *Table, pos int, cf []compiledFilter) (bool, error) {
 		if f.err != nil {
 			return false, f.err
 		}
-		right := f.lit
+		left, right := t.Cell(pos, f.colIdx), f.lit
 		if f.rightIdx >= 0 {
 			right = t.Cell(pos, f.rightIdx)
 		}
-		if !satisfies(t.Cell(pos, f.colIdx), f.op, right) {
+		if left.IsNull() || right.IsNull() || !opHolds(f.op, compareAs(left, right, f.cast)) {
 			return false, nil
 		}
 	}

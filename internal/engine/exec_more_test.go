@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"legodb/internal/relational"
@@ -9,13 +10,16 @@ import (
 )
 
 // twoTableCatalog maps two unrelated child tables under one root, for
-// cartesian and cross-filter scenarios.
-func twoTableCatalog(t *testing.T) *relational.Catalog {
+// cartesian and cross-filter scenarios: A.x and B.y are INT columns.
+func twoTableCatalog(t testing.TB) *relational.Catalog { return pairCatalog(t, "Integer", "Integer") }
+
+// pairCatalog is twoTableCatalog with A.x of type x and B.y of type y.
+func pairCatalog(t testing.TB, x, y string) *relational.Catalog {
 	t.Helper()
-	s := xschema.MustParseSchema(`
+	s := xschema.MustParseSchema(fmt.Sprintf(`
 type R = r[ A*<#3>, B*<#3> ]
-type A = a[ x[ Integer ] ]
-type B = b[ y[ Integer ] ]`)
+type A = a[ x[ %s ] ]
+type B = b[ y[ %s ] ]`, x, y))
 	cat, err := relational.Map(s)
 	if err != nil {
 		t.Fatal(err)
@@ -178,13 +182,154 @@ func TestValueStringAndNull(t *testing.T) {
 	}
 }
 
+// TestMixedKindComparisonCoerces pins a.x = b.y over the INT column A.x
+// {7, 8} and the CHAR column B.y {"7", "08", "3"} to the one rule in each
+// form a block can take it: a declared join, a cross filter applied
+// after another join binds both aliases, and an equality filter that
+// would be the step's join edge were its columns of one kind. Each form
+// compares the integer's decimal string and answers exactly [7 "7"], in
+// the executor and in refRun alike; none binds a join by it, and no hash
+// key fuses it. The same-alias declared join b.y = b.B_id compares a
+// CHAR column with the INT key the same way.
 func TestMixedKindComparisonCoerces(t *testing.T) {
-	// A DTD-imported column stores digits as strings; integer literals
-	// coerce for comparison.
-	if !satisfies(StrVal("42"), sqlast.OpEq, IntVal(42)) {
-		t.Fatal("string/int equality failed")
+	db := NewDatabase(pairCatalog(t, "Integer", "String<#8>"))
+	loadKeys(t, db, "A", "x", []Value{IntVal(7), IntVal(8)})
+	loadKeys(t, db, "B", "y", []Value{StrVal("7"), StrVal("08"), StrVal("3")})
+	x, y := sqlast.ColumnRef{Alias: "a", Column: "x"}, sqlast.ColumnRef{Alias: "b", Column: "y"}
+	block := func() *sqlast.Block {
+		b := &sqlast.Block{}
+		b.AddTable("A", "a")
+		b.AddTable("B", "b")
+		b.Projects = []sqlast.ColumnRef{x, y}
+		return b
 	}
-	if satisfies(StrVal("42"), sqlast.OpEq, IntVal(7)) {
-		t.Fatal("wrong match")
+	join, cross, filter := block(), block(), block()
+	join.Joins = []sqlast.Join{{Left: x, Right: y}}
+	cross.Joins = []sqlast.Join{{
+		Left:  sqlast.ColumnRef{Alias: "a", Column: "parent_R"},
+		Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"},
+	}}
+	cross.Filters = []sqlast.Filter{{Col: x, Op: sqlast.OpEq, RightCol: &y}}
+	filter.Filters = cross.Filters
+	for _, tc := range []struct {
+		name string
+		b    *sqlast.Block
+		plan string
+	}{
+		{"declared join", join, "scan a -> cartesian b"},
+		{"cross filter", cross, "scan a -> hash b"},
+		{"equality filter", filter, "scan a -> cartesian b"},
+	} {
+		p, err := db.planBlock(tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.String(); got != tc.plan {
+			t.Errorf("%s: plan %q, want %q", tc.name, got, tc.plan)
+		}
+		for _, run := range []struct {
+			name string
+			run  runner
+		}{{"executor", (*Database).Execute}, {"refRun", refRun}} {
+			rs, err := run.run(db, single(tc.b), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(rs.Rows); got != "[[7 7]]" || rs.Rows[0][1] != StrVal("7") {
+				t.Errorf("%s, %s: rows %v, want [7 \"7\"]", tc.name, run.name, got)
+			}
+		}
+	}
+	self := &sqlast.Block{}
+	self.AddTable("B", "b")
+	self.Joins = []sqlast.Join{{Left: y, Right: sqlast.ColumnRef{Alias: "b", Column: "B_id"}}}
+	self.Projects = []sqlast.ColumnRef{{Alias: "b", Column: "B_id"}, y}
+	if err := sameAsDefinition(db, self, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rs, _ := db.ExecuteBlock(self, nil); fmt.Sprint(rs.Rows) != "[[3 3]]" {
+		t.Errorf("b.y = b.B_id: rows %v, want [3 \"3\"]", rs.Rows)
+	}
+}
+
+// TestConversionRule pins how a literal or parameter converts to the kind
+// of the column it is compared with, on Show rows (title CHAR, year
+// INT) ("42", 1999), ("042", 7) and ("x", 300): a string against the INT
+// year is the integer it spells, space allowed — "300" is 300, so
+// year < "300" holds for 7 and not for 1999, and "007" meets 7 as a
+// parameter always has — and one that spells none matches no row under
+// any operator, != included; an integer against the CHAR title is its
+// decimal string, which "42" is and "042" is not. The executor and
+// refRun agree on each, and an index start on year answers a value that
+// does not convert without a probe.
+func TestConversionRule(t *testing.T) {
+	db := NewDatabase(testCatalog(t))
+	show := db.Table("Show")
+	for _, r := range []struct {
+		title string
+		year  int64
+	}{{"42", 1999}, {"042", 7}, {"x", 300}} {
+		row := make(Row, len(show.Def.Columns))
+		row[show.ColumnIndex("Show_id")] = IntVal(show.NextID())
+		row[show.ColumnIndex("title")] = StrVal(r.title)
+		row[show.ColumnIndex("year")] = IntVal(r.year)
+		if err := show.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	str := func(s string) sqlast.Literal { return sqlast.Literal{Str: s} }
+	param := sqlast.Literal{IsParam: true, Param: "c1"}
+	type tc struct {
+		col    string
+		op     sqlast.CmpOp
+		lit    sqlast.Literal
+		params Params
+		want   string // the matching rows' titles
+	}
+	cases := []tc{
+		{"year", sqlast.OpLt, str("300"), nil, "[042]"},
+		{"year", sqlast.OpEq, str("007"), nil, "[042]"},
+		{"year", sqlast.OpEq, param, Params{"c1": StrVal(" 007 ")}, "[042]"},
+		{"title", sqlast.OpEq, intLit(42), nil, "[42]"},
+		{"title", sqlast.OpNe, intLit(42), nil, "[042 x]"},
+		{"title", sqlast.OpEq, param, Params{"c1": IntVal(42)}, "[42]"},
+	}
+	for _, op := range allOps {
+		cases = append(cases, tc{"year", op, str("x"), nil, "[]"}, tc{"year", op, param, Params{"c1": StrVal("x")}, "[]"})
+	}
+	for _, indexes := range [][]relational.IndexRef{nil, {{Table: "Show", Column: "year"}}} {
+		if err := db.SetIndexes(indexes); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			b := &sqlast.Block{}
+			b.AddTable("Show", "s")
+			b.Filters = []sqlast.Filter{{Col: sqlast.ColumnRef{Alias: "s", Column: c.col}, Op: c.op, Value: c.lit}}
+			b.Projects = []sqlast.ColumnRef{{Alias: "s", Column: "title"}}
+			name := fmt.Sprintf("%s with %v, indexes %v", b.Filters[0], c.params, indexes)
+			before := db.Stats
+			rs, err := db.ExecuteBlock(b, c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := counterDelta(db.Stats, before)
+			var titles []string
+			for _, r := range rs.Rows {
+				titles = append(titles, r[0].Str)
+			}
+			if got := fmt.Sprint(titles); got != c.want {
+				t.Errorf("%s: rows %s, want %s", name, got, c.want)
+			}
+			if err := sameAsDefinition(db, b, c.params); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			// The index start answers = on year: one probe for a value
+			// that converts, none for one that does not.
+			if indexes != nil && c.col == "year" && c.op == sqlast.OpEq {
+				if want := int64(len(titles)); d.Probes != want || d.Scans != 0 {
+					t.Errorf("%s: %d probes and %d scans, want %d and 0", name, d.Probes, d.Scans, want)
+				}
+			}
+		}
 	}
 }

@@ -11,9 +11,8 @@ import (
 	"legodb/internal/sqlast"
 )
 
-// loadKeys appends one row per key to a child table of twoTableCatalog,
-// all under parent 1. Table.Insert does not check column types, so keys
-// may be NULL or mix kinds.
+// loadKeys appends one row per key to a child table of pairCatalog, all
+// under parent 1. Keys may be NULL.
 func loadKeys(t testing.TB, db *Database, table, col string, keys []Value) {
 	t.Helper()
 	tbl := db.Table(table)
@@ -55,8 +54,7 @@ func xEqYBlock(k, bFrom int) *sqlast.Block {
 }
 
 // xJoinYBlock is xEqYBlock with a.x = b.y declared as a join instead of
-// filtered: the equality the hash step binds b by, which it matches by
-// exact kind, as refRun matches a declared join.
+// filtered: the equality the hash step binds b by.
 func xJoinYBlock(k, bFrom int) *sqlast.Block {
 	b := xEqYBlock(k, bFrom)
 	b.Joins = []sqlast.Join{{Left: b.Filters[1].Col, Right: *b.Filters[1].RightCol}}
@@ -94,31 +92,31 @@ func sameRowsInOrder(a, b []Row) error {
 // build sides and the hand-over between them: intermediates of 0, 1, a
 // few and more than a chunk of tuples against scans of 0 to three chunks,
 // unfiltered and filtered, with duplicate keys on both sides, with NULL
-// and mixed-kind keys, live and tombstoned. Whichever side it hashed, the
-// executor must emit refRun's rows in refRun's order, and accrue one scan
-// of each table, every physical row of it counted.
+// keys and string keys ("7" beside "07"), live and tombstoned. Whichever
+// side it hashed, the executor must emit refRun's rows in refRun's order,
+// and accrue one scan of each table, every physical row of it counted.
 func TestHashJoinSideSelectionDifferential(t *testing.T) {
 	const nA = 1600
 	rng := rand.New(rand.NewSource(15))
 	keyKinds := []struct {
-		name string
-		draw func(dom int) Value
+		name, typ string
+		draw      func(dom int) Value
 	}{
-		{"ints", func(dom int) Value { return IntVal(int64(rng.Intn(dom))) }},
-		{"nulls", func(dom int) Value {
+		{"ints", "Integer", func(dom int) Value { return IntVal(int64(rng.Intn(dom))) }},
+		{"nulls", "Integer", func(dom int) Value {
 			if rng.Intn(4) == 0 {
 				return Null
 			}
 			return IntVal(int64(rng.Intn(dom)))
 		}},
-		{"mixed", func(dom int) Value {
+		{"strings", "String<#8>", func(dom int) Value {
 			switch n := rng.Intn(dom); rng.Intn(5) {
 			case 0:
 				return Null
-			case 1, 2:
-				return StrVal(strconv.Itoa(n))
+			case 1:
+				return StrVal("0" + strconv.Itoa(n))
 			default:
-				return IntVal(int64(n))
+				return StrVal(strconv.Itoa(n))
 			}
 		}},
 	}
@@ -128,7 +126,7 @@ func TestHashJoinSideSelectionDifferential(t *testing.T) {
 				// Few enough distinct keys for duplicates on both sides,
 				// enough to keep the largest join at a few thousand rows.
 				dom := max(8, nA*nB/4000)
-				db := NewDatabase(twoTableCatalog(t))
+				db := NewDatabase(pairCatalog(t, kind.typ, kind.typ))
 				for _, spec := range []struct {
 					table, col string
 					n          int
@@ -169,8 +167,8 @@ func TestHashJoinSideSelectionDifferential(t *testing.T) {
 // TestNullKeysEdgeVsCrossFilter: a.x = b.y must select the same rows
 // whether planBlock consumes it as a join edge or, both aliases being
 // bound by another edge already, schedules it as a cross filter. Over
-// NULL-bearing columns that holds only if join edges, like satisfies,
-// never match NULL with NULL.
+// NULL-bearing columns that holds only if join edges, like cross
+// filters, never match NULL with NULL.
 func TestNullKeysEdgeVsCrossFilter(t *testing.T) {
 	bothModes(t, func(t *testing.T, run runner) {
 		db := NewDatabase(twoTableCatalog(t))
@@ -223,92 +221,86 @@ func TestNullKeysEdgeVsCrossFilter(t *testing.T) {
 	})
 }
 
-// fuzzCell maps a fuzz byte to a cell from a pool that mixes kinds,
-// NULLs and colliding renderings (7, "7", "007").
-func fuzzCell(c byte) Value {
-	switch c % 8 {
-	case 0:
-		return Null
-	case 1:
-		return IntVal(7)
-	case 2:
-		return StrVal("7")
-	case 3:
-		return StrVal("007")
-	case 4:
-		return IntVal(-1)
-	case 5:
-		return StrVal("-1")
-	case 6:
-		return StrVal("a")
-	default:
-		return IntVal(int64(c >> 3 % 4))
+// keyTypes are the column types A.x and B.y take in the fused-key tests:
+// both INT, both CHAR, and one of each, whose equality is no edge and
+// fuses into no key.
+var keyTypes = [][2]string{{"Integer", "Integer"}, {"String<#8>", "String<#8>"}, {"Integer", "String<#8>"}}
+
+// fuzzCell maps a fuzz byte to a cell of a column of type typ: from a
+// pool with NULLs and, for strings, colliding renderings ("7", "007").
+func fuzzCell(c byte, typ string) Value {
+	if typ == "Integer" {
+		return [...]Value{Null, IntVal(7), IntVal(-1), IntVal(0), IntVal(1), IntVal(7), IntVal(2), IntVal(3)}[c%8]
+	}
+	return [...]Value{Null, StrVal("7"), StrVal("007"), StrVal("-1"), StrVal("a"), StrVal("1"), StrVal("0"), StrVal("2")}[c%8]
+}
+
+// fuzzParent maps a fuzz byte to a parent_R cell: 1, 2 or NULL.
+func fuzzParent(c byte) Value {
+	return [...]Value{IntVal(1), IntVal(2), IntVal(1), Null}[c>>6]
+}
+
+// loadFused fills A and B of a pairCatalog database with one row per
+// byte, x or y and parent_R drawn from it, and tombstones every dead-th
+// row (none for 0).
+func loadFused(t testing.TB, db *Database, types [2]string, as, bs []byte, dead int) {
+	t.Helper()
+	for i, spec := range []struct {
+		table, col string
+		cells      []byte
+	}{{"A", "x", as}, {"B", "y", bs}} {
+		tbl := db.Table(spec.table)
+		for _, c := range spec.cells {
+			row := make(Row, len(tbl.Def.Columns))
+			row[tbl.ColumnIndex(spec.table+"_id")] = IntVal(tbl.NextID())
+			row[tbl.ColumnIndex(spec.col)] = fuzzCell(c, types[i])
+			row[tbl.ColumnIndex("parent_R")] = fuzzParent(c)
+			if err := tbl.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pos := 0; dead > 0 && pos < len(spec.cells); pos += dead {
+			tbl.MarkDeleted(pos)
+		}
 	}
 }
 
-// fuzzParent maps a fuzz byte to a parent_R cell: mostly 1 or 2, but
-// also the string "1" (which a join edge, matching by exact kind, must
-// not take for 1) and NULL.
-func fuzzParent(c byte) Value {
-	return [...]Value{IntVal(1), IntVal(2), StrVal("1"), Null}[c>>6]
+// fusedBlock is xEqYBlock joined on a.parent_R = b.parent_R, so that the
+// step binding b by that edge fuses a.x = b.y into its key when the two
+// columns have one kind.
+func fusedBlock(k int) *sqlast.Block {
+	block := xEqYBlock(k, 0)
+	block.Joins = []sqlast.Join{{
+		Left:  sqlast.ColumnRef{Alias: "a", Column: "parent_R"},
+		Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"},
+	}}
+	return block
 }
 
-// FuzzJoinKeyCoercion: a.parent_R = b.parent_R joined with a.x = b.y
-// fused into the hash key must return exactly the pairs a nested loop
-// finds, in its order: edge cells equal by exact kind and non-NULL, x and
-// y equal as satisfies decides it. Sizes and the filter on A move the
-// hash step between its two build sides.
+// FuzzJoinKeyCoercion: a.parent_R = b.parent_R joined with a.x = b.y beside
+// it must return exactly refRun's rows, in its order, whichever of its
+// two build sides the hash step takes (sizes and the filter on A move it)
+// and when a secondary index on B.parent_R makes the step probe instead:
+// with x and y of one kind the equality is fused into the hash key and
+// checked at each index match, with INT x and CHAR y it stays a cross
+// filter comparing decimal strings.
 func FuzzJoinKeyCoercion(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 9, 66, 130, 200}, []byte{2, 1, 3, 0, 65, 129}, uint8(7), uint8(3))
-	f.Add([]byte{0, 0, 1}, []byte{1, 1, 1, 1, 2, 2, 2, 2, 7, 15}, uint8(2), uint8(2))
-	f.Add([]byte{5, 4, 6, 7, 23, 31}, []byte{4}, uint8(6), uint8(0))
-	f.Add([]byte{}, []byte{1, 2}, uint8(0), uint8(5))
-	f.Fuzz(func(t *testing.T, as, bs []byte, k, dead uint8) {
+	f.Add([]byte{1, 2, 3, 9, 66, 130, 200}, []byte{2, 1, 3, 0, 65, 129}, uint8(7), uint8(3), uint8(0))
+	f.Add([]byte{0, 0, 1}, []byte{1, 1, 1, 1, 2, 2, 2, 2, 7, 15}, uint8(2), uint8(2), uint8(1))
+	f.Add([]byte{5, 4, 6, 7, 23, 31}, []byte{4}, uint8(6), uint8(0), uint8(2))
+	f.Add([]byte{}, []byte{1, 2}, uint8(0), uint8(5), uint8(1))
+	f.Fuzz(func(t *testing.T, as, bs []byte, k, dead, types uint8) {
 		as, bs = as[:min(len(as), 64)], bs[:min(len(bs), 64)]
-		db := NewDatabase(twoTableCatalog(t))
-		for _, spec := range []struct {
-			table, col string
-			cells      []byte
-		}{{"A", "x", as}, {"B", "y", bs}} {
-			tbl := db.Table(spec.table)
-			for _, c := range spec.cells {
-				row := make(Row, len(tbl.Def.Columns))
-				row[tbl.ColumnIndex(spec.table+"_id")] = IntVal(tbl.NextID())
-				row[tbl.ColumnIndex(spec.col)] = fuzzCell(c)
-				row[tbl.ColumnIndex("parent_R")] = fuzzParent(c)
-				if err := tbl.Insert(row); err != nil {
-					t.Fatal(err)
-				}
+		typ := keyTypes[int(types)%len(keyTypes)]
+		db := NewDatabase(pairCatalog(t, typ[0], typ[1]))
+		loadFused(t, db, typ, as, bs, int(dead))
+		for _, indexes := range [][]relational.IndexRef{nil, {{Table: "B", Column: "parent_R"}}} {
+			if err := db.SetIndexes(indexes); err != nil {
+				t.Fatal(err)
 			}
-			if dead > 0 {
-				for pos := 0; pos < len(spec.cells); pos += int(dead) {
-					tbl.MarkDeleted(pos)
-				}
+			if err := sameAsDefinition(db, fusedBlock(int(k)), nil); err != nil {
+				t.Fatalf("%v, indexes %v: %v", typ, indexes, err)
 			}
-		}
-		block := xEqYBlock(int(k), 0)
-		block.Joins = []sqlast.Join{{
-			Left:  sqlast.ColumnRef{Alias: "a", Column: "parent_R"},
-			Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"},
-		}}
-		got, _ := runBlock(t, db, block)
-		ta, tb := db.Table("A"), db.Table("B")
-		cell := func(t *Table, pos int, col string) Value { return t.Cell(pos, t.ColumnIndex(col)) }
-		var oracle []Row
-		for pa := 0; pa < ta.NumRows(); pa++ {
-			if !ta.Alive(pa) || !satisfies(cell(ta, pa, "A_id"), sqlast.OpLe, IntVal(int64(k))) {
-				continue
-			}
-			parent, x := cell(ta, pa, "parent_R"), cell(ta, pa, "x")
-			for pb := 0; pb < tb.NumRows(); pb++ {
-				y := cell(tb, pb, "y")
-				if tb.Alive(pb) && !parent.IsNull() && parent == cell(tb, pb, "parent_R") && satisfies(x, sqlast.OpEq, y) {
-					oracle = append(oracle, Row{cell(ta, pa, "A_id"), cell(tb, pb, "B_id"), x, y})
-				}
-			}
-		}
-		if err := sameRowsInOrder(got, oracle); err != nil {
-			t.Fatalf("fused key vs nested loop: %v", err)
 		}
 	})
 }
@@ -352,11 +344,11 @@ func TestAllocsIndexStartLookup(t *testing.T) {
 	a.MarkDeleted(0) // dead elsewhere: x = 0, not the probed 7
 	ix, lit := a.accessIndex("x"), IntVal(7)
 	if got := testing.AllocsPerRun(200, func() {
-		if len(a.lookupEq(ix, lit)) != 2 {
+		if len(a.lookup(ix, lit)) != 2 {
 			t.Fatal("unexpected lookup result")
 		}
 	}); got > 0 {
-		t.Errorf("lookupEq: %.1f allocs/op, budget 0", got)
+		t.Errorf("lookup: %.1f allocs/op, budget 0", got)
 	}
 	allocs := func(nA int) float64 {
 		db := benchDB(t, 1, nA, 0, nA/2, x) // two matches at either size
@@ -376,48 +368,28 @@ func TestAllocsIndexStartLookup(t *testing.T) {
 
 // TestFusedIndexJoinDifferential: a.parent_R = b.parent_R with a.x = b.y
 // beside it, where a secondary index on B.parent_R makes the hash step
-// run as index probes while the intermediate is the smaller side. The
-// probe step checks the fused a.x = b.y at each match, under satisfies
-// as the hash key does. It must return the rows, in order, and the
-// errors of the same block joined by hash without the index, and the
-// rows of a nested loop. The cells mix integers with their decimal strings
-// ("7" meets 7, "007" does not), NULLs on both the edge and the fused
-// column, and tombstoned rows.
+// run as index probes while the intermediate is the smaller side. With
+// x and y of one kind the probe step checks the fused a.x = b.y at each
+// match, as the hash key does; with INT x and CHAR y it leaves it to the
+// cross filter. It must return the rows, in order, and the errors of the
+// same block joined by hash without the index, and refRun's rows. The
+// cells hold colliding renderings ("7", "007"), NULLs on both the edge
+// and the compared column, and tombstoned rows.
 func TestFusedIndexJoinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 60; trial++ {
-		db := NewDatabase(twoTableCatalog(t))
+		typ := keyTypes[trial%len(keyTypes)]
+		db := NewDatabase(pairCatalog(t, typ[0], typ[1]))
 		nA, nB := 1+rng.Intn(40), 60+rng.Intn(200)
-		for _, spec := range []struct {
-			table, col string
-			n          int
-		}{{"A", "x", nA}, {"B", "y", nB}} {
-			tbl := db.Table(spec.table)
-			for i := 0; i < spec.n; i++ {
-				row := make(Row, len(tbl.Def.Columns))
-				row[tbl.ColumnIndex(spec.table+"_id")] = IntVal(tbl.NextID())
-				row[tbl.ColumnIndex(spec.col)] = fuzzCell(byte(rng.Intn(256)))
-				row[tbl.ColumnIndex("parent_R")] = fuzzParent(byte(rng.Intn(256)))
-				if err := tbl.Insert(row); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if trial%2 == 1 {
-				for pos := rng.Intn(3); pos < spec.n; pos += 1 + rng.Intn(4) {
-					tbl.MarkDeleted(pos)
-				}
-			}
-		}
+		as, bs := make([]byte, nA), make([]byte, nB)
+		rng.Read(as)
+		rng.Read(bs)
+		loadFused(t, db, typ, as, bs, trial%2*(2+rng.Intn(3)))
 		k := rng.Intn(nA + 1)
-		block := xEqYBlock(k, 0)
-		block.Joins = []sqlast.Join{{
-			Left:  sqlast.ColumnRef{Alias: "a", Column: "parent_R"},
-			Right: sqlast.ColumnRef{Alias: "b", Column: "parent_R"},
-		}}
+		block := fusedBlock(k)
 		// A fused part whose column does not resolve is left to its cross
 		// filter, which fails after the join on every path alike.
-		broken := xEqYBlock(k, 0)
-		broken.Joins = block.Joins
+		broken := fusedBlock(k)
 		broken.Filters[1].RightCol = &sqlast.ColumnRef{Alias: "b", Column: "nope"}
 
 		for _, b := range []*sqlast.Block{block, broken} {
@@ -437,7 +409,7 @@ func TestFusedIndexJoinDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			inl, inlStats, inlErr := run()
-			name := fmt.Sprintf("trial %d, k=%d, broken=%v", trial, k, b == broken)
+			name := fmt.Sprintf("trial %d, %v, k=%d, broken=%v", trial, typ, k, b == broken)
 			if fmt.Sprint(inlErr) != fmt.Sprint(hashErr) {
 				t.Fatalf("%s: errors: inl %v, hash %v", name, inlErr, hashErr)
 			}
@@ -453,23 +425,12 @@ func TestFusedIndexJoinDifferential(t *testing.T) {
 			if err := sameRowsInOrder(inl, hash); err != nil {
 				t.Fatalf("%s: inl vs hash: %v", name, err)
 			}
-			ta, tb := db.Table("A"), db.Table("B")
-			cell := func(t *Table, pos int, col string) Value { return t.Cell(pos, t.ColumnIndex(col)) }
-			var oracle []Row
-			for pa := 0; pa < ta.NumRows(); pa++ {
-				if !ta.Alive(pa) || !satisfies(cell(ta, pa, "A_id"), sqlast.OpLe, IntVal(int64(k))) {
-					continue
-				}
-				parent, x := cell(ta, pa, "parent_R"), cell(ta, pa, "x")
-				for pb := 0; pb < tb.NumRows(); pb++ {
-					y := cell(tb, pb, "y")
-					if tb.Alive(pb) && !parent.IsNull() && parent == cell(tb, pb, "parent_R") && satisfies(x, sqlast.OpEq, y) {
-						oracle = append(oracle, Row{cell(ta, pa, "A_id"), cell(tb, pb, "B_id"), x, y})
-					}
-				}
+			want, err := refRun(db, single(b), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := sameRowsInOrder(inl, oracle); err != nil {
-				t.Fatalf("%s: inl vs nested loop: %v", name, err)
+			if err := sameRowsInOrder(inl, want.Rows); err != nil {
+				t.Fatalf("%s: inl vs definition: %v", name, err)
 			}
 		}
 	}

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
+	"legodb/internal/relational"
 	"legodb/internal/sqlast"
 )
 
@@ -17,11 +20,12 @@ import (
 // 18's order). The blocks' rows are concatenated in block order, a
 // narrower block's padded with NULL to the widest block's columns.
 //
-// The = rules are today's, written out here rather than borrowed: a
-// declared join matches by exact kind and never on NULL, and a filter or
-// a predicate between two aliases decides by satisfies (NULL satisfies
-// nothing; an integer meets its decimal string). They stay so until
-// comparisons take one kind from the catalog when a plan is built.
+// Every comparison — a declared join, a filter, a predicate between two
+// aliases — follows one rule, written out here rather than borrowed (see
+// refLiteral and refCompare): a literal or a parameter takes the kind of
+// the column it is compared with, two columns of one kind compare their
+// values, two of different kinds their decimal strings, and NULL matches
+// nothing.
 //
 // A column, an alias or a parameter that does not resolve is an error
 // whatever the data, where the executor raises it only once a row
@@ -81,11 +85,12 @@ func refBlock(db *Database, b *sqlast.Block, params Params) ([]string, []Row, er
 	checks := make([][]func() bool, len(tables))
 	// buckets[d], when set, holds the live rows of slot d by the column of
 	// its first declared join into an earlier slot, so the loop at d
-	// visits only the rows that join can match: the map compares keys
-	// exactly, as the join does, and keeps each bucket in position order.
+	// visits only the rows that join can match: two non-NULL cells are
+	// equal under the rule exactly when their strings are, so the map
+	// keys by them, and keeps each bucket in position order.
 	type bucket struct {
 		s, ci int // the earlier slot's column
-		rows  map[Value][]int
+		rows  map[string][]int
 	}
 	buckets := make([]*bucket, len(tables))
 	for _, j := range b.Joins {
@@ -98,8 +103,8 @@ func refBlock(db *Database, b *sqlast.Block, params Params) ([]string, []Row, er
 			return nil, nil, err
 		}
 		checks[max(ls, rs)] = append(checks[max(ls, rs)], func() bool {
-			l := cell(ls, lc)
-			return !l.IsNull() && l == cell(rs, rc)
+			c, ok := refCompare(cell(ls, lc), cell(rs, rc))
+			return ok && c == 0
 		})
 		early, late := [2]int{ls, lc}, [2]int{rs, rc}
 		if ls > rs {
@@ -108,10 +113,10 @@ func refBlock(db *Database, b *sqlast.Block, params Params) ([]string, []Row, er
 		if ls == rs || buckets[late[0]] != nil {
 			continue
 		}
-		bk := &bucket{s: early[0], ci: early[1], rows: make(map[Value][]int)}
+		bk := &bucket{s: early[0], ci: early[1], rows: make(map[string][]int)}
 		for p, t := 0, tables[late[0]]; p < t.NumRows(); p++ {
 			if v := t.Cell(p, late[1]); t.Alive(p) && !v.IsNull() {
-				bk.rows[v] = append(bk.rows[v], p)
+				bk.rows[v.String()] = append(bk.rows[v.String()], p)
 			}
 		}
 		buckets[late[0]] = bk
@@ -126,7 +131,11 @@ func refBlock(db *Database, b *sqlast.Block, params Params) ([]string, []Row, er
 			if err != nil {
 				return nil, nil, err
 			}
-			checks[ls] = append(checks[ls], func() bool { return satisfies(cell(ls, lc), f.Op, v) })
+			v = refLiteral(v, tables[ls].Def.Columns[lc])
+			checks[ls] = append(checks[ls], func() bool {
+				c, ok := refCompare(cell(ls, lc), v)
+				return ok && opHolds(f.Op, c)
+			})
 			continue
 		}
 		rs, rc, err := resolve(*f.RightCol)
@@ -134,7 +143,8 @@ func refBlock(db *Database, b *sqlast.Block, params Params) ([]string, []Row, er
 			return nil, nil, err
 		}
 		checks[max(ls, rs)] = append(checks[max(ls, rs)], func() bool {
-			return satisfies(cell(ls, lc), f.Op, cell(rs, rc))
+			c, ok := refCompare(cell(ls, lc), cell(rs, rc))
+			return ok && opHolds(f.Op, c)
 		})
 	}
 
@@ -177,7 +187,7 @@ func refBlock(db *Database, b *sqlast.Block, params Params) ([]string, []Row, er
 			return
 		}
 		if bk := buckets[d]; bk != nil {
-			for _, p := range bk.rows[cell(bk.s, bk.ci)] {
+			for _, p := range bk.rows[cell(bk.s, bk.ci).String()] {
 				visit(d, p)
 			}
 			return
@@ -188,4 +198,38 @@ func refBlock(db *Database, b *sqlast.Block, params Params) ([]string, []Row, er
 	}
 	bind(0)
 	return columns, rows, nil
+}
+
+// refLiteral is the value a literal or parameter v takes against column
+// c: v itself in c's kind, an integer's decimal string against a string
+// column, and against an INT column the integer that strconv.ParseInt
+// reads in the string once its surrounding space is trimmed — or NULL,
+// matching nothing, when it reads none.
+func refLiteral(v Value, c *relational.Column) Value {
+	switch {
+	case v.IsNull():
+		return v
+	case c.Type != relational.IntCol:
+		return StrVal(v.String())
+	case v.Kind == IntValue:
+		return v
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(v.Str), 10, 64)
+	if err != nil {
+		return Null
+	}
+	return IntVal(n)
+}
+
+// refCompare orders two cells, each of its column's kind: by value when
+// the kinds are one, as decimal strings when they differ. ok is false
+// when either is NULL.
+func refCompare(a, b Value) (c int, ok bool) {
+	switch {
+	case a.IsNull() || b.IsNull():
+		return 0, false
+	case a.Kind == b.Kind:
+		return Compare(a, b), true
+	}
+	return strings.Compare(a.String(), b.String()), true
 }

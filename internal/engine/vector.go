@@ -15,114 +15,49 @@ import (
 // bookkeeping.
 const BatchSize = 1024
 
-// mixedKind marks a Vector whose non-null values span more than one
-// ValueKind; such vectors fall back to boxed Values.
-const mixedKind ValueKind = -1
-
-// Vector is one gathered column chunk: typed storage (int64 or string)
-// with a null bitmap, promoted to boxed Values only if a column turns
-// out to mix kinds (the shredder stores homogeneous columns, so the
-// typed paths are the ones that run in practice). Element j of a Vector
-// corresponds to element j of the selection it was gathered through.
+// Vector is one gathered column chunk: typed storage (int64 or string,
+// the kind of the column it was gathered from, see columnKind) with a
+// null bitmap. Element j of a Vector corresponds to element j of the
+// selection it was gathered through.
 type Vector struct {
-	kind  ValueKind // NullValue until a non-null value is seen
-	n     int
+	kind  ValueKind
 	ints  []int64
 	strs  []string
-	vals  []Value  // mixedKind fallback, sparse (nulls stay zero)
 	nulls []uint64 // bitmap, bit set = NULL
 }
 
-func (v *Vector) reset(n int) {
-	v.kind = NullValue
-	v.n = n
-	nw := (n + 63) / 64
-	if cap(v.nulls) < nw {
-		v.nulls = make([]uint64, nw)
+// reset empties the vector for n elements of one kind.
+func (v *Vector) reset(n int, kind ValueKind) {
+	v.kind = kind
+	v.nulls = resize(v.nulls, (n+63)/64)
+	if kind == IntValue {
+		v.ints = resize(v.ints, n)
 	} else {
-		v.nulls = v.nulls[:nw]
-		clear(v.nulls)
+		v.strs = resize(v.strs, n)
 	}
+}
+
+// resize returns s cleared to length n, reusing its storage when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (v *Vector) isNull(j int) bool { return v.nulls[j>>6]&(1<<(j&63)) != 0 }
 
 func (v *Vector) set(j int, val Value) {
-	if val.Kind == NullValue {
+	switch val.Kind {
+	case NullValue:
 		v.nulls[j>>6] |= 1 << (j & 63)
-		return
-	}
-	if v.kind == NullValue {
-		v.kind = val.Kind
-		switch val.Kind {
-		case IntValue:
-			if cap(v.ints) < v.n {
-				v.ints = make([]int64, v.n)
-			} else {
-				v.ints = v.ints[:v.n]
-				clear(v.ints)
-			}
-		case StrValue:
-			if cap(v.strs) < v.n {
-				v.strs = make([]string, v.n)
-			} else {
-				v.strs = v.strs[:v.n]
-				clear(v.strs)
-			}
-		}
-	}
-	switch v.kind {
-	case mixedKind:
-		v.vals[j] = val
-	case val.Kind:
-		if v.kind == IntValue {
-			v.ints[j] = val.Int
-		} else {
-			v.strs[j] = val.Str
-		}
-	default:
-		v.promote()
-		v.vals[j] = val
-	}
-}
-
-// promote reboxes typed storage as Values when a mixed-kind column
-// appears (possible only through direct Table.Insert; shredded data is
-// homogeneous per column).
-func (v *Vector) promote() {
-	if cap(v.vals) < v.n {
-		v.vals = make([]Value, v.n)
-	} else {
-		v.vals = v.vals[:v.n]
-		clear(v.vals)
-	}
-	for j := 0; j < v.n; j++ {
-		if v.isNull(j) {
-			continue
-		}
-		if v.kind == IntValue {
-			v.vals[j] = IntVal(v.ints[j])
-		} else {
-			v.vals[j] = StrVal(v.strs[j])
-		}
-	}
-	v.kind = mixedKind
-}
-
-// value reboxes element j.
-func (v *Vector) value(j int) Value {
-	if v.isNull(j) {
-		return Null
-	}
-	switch v.kind {
 	case IntValue:
-		return IntVal(v.ints[j])
-	case StrValue:
-		return StrVal(v.strs[j])
-	case mixedKind:
-		return v.vals[j]
+		v.ints[j] = val.Int
 	default:
-		return Null
+		v.strs[j] = val.Str
 	}
 }
 
@@ -131,7 +66,7 @@ func (v *Vector) value(j int) Value {
 // storage to typed storage — and heap positions the tail's column slice:
 // no Row in between either way.
 func (v *Vector) gather(t *Table, ci int, positions []int32) {
-	v.reset(len(positions))
+	v.reset(len(positions), t.kind(ci))
 	heap := t.heap[ci]
 	if t.base == nil {
 		for j, pos := range positions {
@@ -153,11 +88,9 @@ func (v *Vector) gather(t *Table, ci int, positions []int32) {
 		case ch.IsNull(i):
 			v.nulls[j>>6] |= 1 << (j & 63)
 		case ch.Ints != nil:
-			v.set(j, Value{Kind: IntValue, Int: ch.Ints[i]})
+			v.ints[j] = ch.Ints[i]
 		case ch.Strs != nil:
-			v.set(j, Value{Kind: StrValue, Str: ch.Strs[i]})
-		case ch.Vals != nil:
-			v.set(j, ch.Vals[i])
+			v.strs[j] = ch.Strs[i]
 		default:
 			v.nulls[j>>6] |= 1 << (j & 63)
 		}
@@ -174,11 +107,12 @@ func cmpInt(a, b int64) int {
 	return 0
 }
 
-// cmpBytesStr compares a byte slice against a string without allocating
-// (the formatted-integer side of a mixed int/string comparison).
-func cmpBytesStr(b []byte, s string) int {
-	n := min(len(b), len(s))
-	for i := 0; i < n; i++ {
+// castCmp compares the decimal string of n with s, without allocating:
+// the cast that compares an INT column with a string column.
+func castCmp(n int64, s string) int {
+	var buf [20]byte
+	b := strconv.AppendInt(buf[:0], n, 10)
+	for i := 0; i < min(len(b), len(s)); i++ {
 		if b[i] != s[i] {
 			if b[i] < s[i] {
 				return -1
@@ -189,49 +123,54 @@ func cmpBytesStr(b []byte, s string) int {
 	return len(b) - len(s)
 }
 
+// compareAs orders two non-NULL cells of two columns: by value when the
+// columns have one kind (cast false), and as decimal strings, the integer
+// cast, when one is an INT column and the other a string column.
+func compareAs(a, b Value, cast bool) int {
+	switch {
+	case !cast:
+		return Compare(a, b)
+	case a.Kind == IntValue:
+		return castCmp(a.Int, b.Str)
+	default:
+		return -castCmp(b.Int, a.Str)
+	}
+}
+
+// convert returns a literal or parameter in the kind of the column it is
+// compared with: an integer as its decimal string, a string as the integer
+// it spells, surrounding space allowed. A string that spells none becomes
+// NULL, which matches nothing under any operator.
+func convert(v Value, kind ValueKind) Value {
+	switch {
+	case v.Kind == kind || v.Kind == NullValue:
+		return v
+	case kind == StrValue:
+		return StrVal(strconv.FormatInt(v.Int, 10))
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(v.Str), 10, 64)
+	if err != nil {
+		return Null
+	}
+	return IntVal(n)
+}
+
 // compactLiteral keeps sel[j] iff vector element j satisfies (op lit),
-// compacting sel in place. The typed cases run tight loops over the
-// unboxed storage; only genuinely mixed columns fall back to boxed
-// satisfies.
+// compacting sel in place. lit has the vector's kind (see convert), or is
+// NULL and keeps nothing.
 func compactLiteral(v *Vector, op sqlast.CmpOp, lit Value, sel []int32) []int32 {
 	w := 0
-	switch {
-	case lit.Kind == NullValue:
-		// NULL satisfies nothing.
-	case v.kind == IntValue && lit.Kind == IntValue:
+	switch lit.Kind {
+	case IntValue:
 		for j := range sel {
 			if !v.isNull(j) && opHolds(op, cmpInt(v.ints[j], lit.Int)) {
 				sel[w] = sel[j]
 				w++
 			}
 		}
-	case v.kind == IntValue && lit.Kind == StrValue:
-		var buf [20]byte
+	case StrValue:
 		for j := range sel {
-			if v.isNull(j) {
-				continue
-			}
-			b := strconv.AppendInt(buf[:0], v.ints[j], 10)
-			if opHolds(op, cmpBytesStr(b, lit.Str)) {
-				sel[w] = sel[j]
-				w++
-			}
-		}
-	case v.kind == StrValue:
-		s := lit.Str
-		if lit.Kind == IntValue {
-			s = lit.String()
-		}
-		for j := range sel {
-			if !v.isNull(j) && opHolds(op, strings.Compare(v.strs[j], s)) {
-				sel[w] = sel[j]
-				w++
-			}
-		}
-	default:
-		// All-null or mixed-kind column.
-		for j := range sel {
-			if satisfies(v.value(j), op, lit) {
+			if !v.isNull(j) && opHolds(op, strings.Compare(v.strs[j], lit.Str)) {
 				sel[w] = sel[j]
 				w++
 			}
@@ -240,37 +179,44 @@ func compactLiteral(v *Vector, op sqlast.CmpOp, lit Value, sel []int32) []int32 
 	return sel[:w]
 }
 
-// pairSatisfies evaluates element j of two aligned vectors under op with
-// satisfies semantics (NULL never matches, integers coerce to strings
-// against string values).
-func pairSatisfies(l, r *Vector, j int, op sqlast.CmpOp) bool {
-	if l.isNull(j) || r.isNull(j) {
-		return false
-	}
-	switch {
-	case l.kind == IntValue && r.kind == IntValue:
-		return opHolds(op, cmpInt(l.ints[j], r.ints[j]))
-	case l.kind == StrValue && r.kind == StrValue:
-		return opHolds(op, strings.Compare(l.strs[j], r.strs[j]))
-	case l.kind == IntValue && r.kind == StrValue:
-		var buf [20]byte
-		return opHolds(op, cmpBytesStr(strconv.AppendInt(buf[:0], l.ints[j], 10), r.strs[j]))
-	case l.kind == StrValue && r.kind == IntValue:
-		var buf [20]byte
-		return opHolds(op, -cmpBytesStr(strconv.AppendInt(buf[:0], r.ints[j], 10), l.strs[j]))
-	default:
-		return satisfies(l.value(j), op, r.value(j))
-	}
-}
-
-// compactPair keeps sel[j] iff pairSatisfies(l, r, j, op), compacting
-// sel in place.
+// compactPair keeps sel[j] iff elements j of l and r, both non-NULL,
+// satisfy (l op r), compacting sel in place. The vectors' kinds are their
+// columns', so the loop is chosen once and every chunk of a block runs the
+// same one: by value for one kind, through the integer's decimal string
+// (castCmp) for two.
 func compactPair(l, r *Vector, op sqlast.CmpOp, sel []int32) []int32 {
 	w := 0
-	for j := range sel {
-		if pairSatisfies(l, r, j, op) {
+	keep := func(j, c int) {
+		if opHolds(op, c) {
 			sel[w] = sel[j]
 			w++
+		}
+	}
+	both := func(j int) bool { return !l.isNull(j) && !r.isNull(j) }
+	switch {
+	case l.kind == IntValue && r.kind == IntValue:
+		for j := range sel {
+			if both(j) {
+				keep(j, cmpInt(l.ints[j], r.ints[j]))
+			}
+		}
+	case l.kind == r.kind:
+		for j := range sel {
+			if both(j) {
+				keep(j, strings.Compare(l.strs[j], r.strs[j]))
+			}
+		}
+	case l.kind == IntValue:
+		for j := range sel {
+			if both(j) {
+				keep(j, castCmp(l.ints[j], r.strs[j]))
+			}
+		}
+	default:
+		for j := range sel {
+			if both(j) {
+				keep(j, -castCmp(r.ints[j], l.strs[j]))
+			}
 		}
 	}
 	return sel[:w]
@@ -285,15 +231,18 @@ type keyCol struct {
 }
 
 // joinKey is what a hash step matches on. Part 0 is the join edge's
-// column, matched by exact kind as a declared join is (a string never
-// meets an integer). The rest are the equality
-// cross filters the step makes applicable, fused into the key and
-// matched as satisfies compares: an integer meets the string of its
-// decimal form. NULL matches nothing in any part.
+// column; the rest are the equality cross filters the step makes
+// applicable, fused into the key. Every part is an equality between two
+// columns of one kind (see joinEdge), so it matches by value, and NULL
+// matches nothing in any part.
 type joinKey []keyCol
 
 // primary returns tuple j's join-edge cell.
 func (k joinKey) primary(j int32) Value { return k[0].t.Cell(int(k[0].at[j]), k[0].ci) }
+
+// loneInt reports whether the key is an INT join edge alone, whose
+// cells are their own hashes (see hashes).
+func (k joinKey) loneInt() bool { return len(k) == 1 && k[0].t.kind(k[0].ci) == IntValue }
 
 // keySeed seeds the string hashes of join keys; a hash decides only
 // which entries a probe compares, never a result or its order.
@@ -301,8 +250,7 @@ var keySeed = maphash.MakeSeed()
 
 // strHash is the key hash of a string. Tables store it beside every
 // string cell when the cell is written (see Table.keyCell), so only a
-// cell's writer calls it; a fused integer part hashes its decimal text
-// under the same seed.
+// cell's writer calls it.
 func strHash(s string) uint64 { return maphash.String(keySeed, s) }
 
 // mix64 is MurmurHash3's 64-bit finalizer, a bijection that spreads
@@ -318,20 +266,14 @@ func mix64(x uint64) uint64 {
 // hashes writes the key hashes of tuples lo..hi-1 into out[:hi-lo] and
 // returns that slice. A tuple with a NULL part, which can match nothing,
 // hashes to 0; every other key to a non-zero hash, equal for equal keys:
-// the join edge's integer is its own hash (but 0 shares 1 with 1), a
-// string part hashes as the table stored it, and a fused integer hashes
-// as the string of its decimal form, so it meets that string as
-// satisfies lets it. ints reports that every key is a lone integer, so
-// equal hashes other than 1 mean equal keys.
-func (k joinKey) hashes(lo, hi int, out []uint64) (hs []uint64, ints bool) {
+// an integer part is its own hash (a lone edge's 0 shares 1 with 1), and
+// a string part hashes as the table stored it.
+func (k joinKey) hashes(lo, hi int, out []uint64) []uint64 {
 	out = out[:hi-lo]
-	t, ci, fused := k[0].t, k[0].ci, len(k) > 1
-	ints = !fused
+	t, ci := k[0].t, k[0].ci
 	for j, pos := range k[0].at[lo:hi] {
-		v, sh := t.keyCell(int(pos), ci)
-		ints = ints && v.Kind != StrValue
-		h, ok := edgeHash(v, sh)
-		if ok && fused {
+		h, ok := cellHash(t.keyCell(int(pos), ci))
+		if ok && len(k) > 1 {
 			h, ok = k.fuse(h, lo+j)
 		}
 		switch {
@@ -342,12 +284,12 @@ func (k joinKey) hashes(lo, hi int, out []uint64) (hs []uint64, ints bool) {
 		}
 		out[j] = h
 	}
-	return out, ints
+	return out
 }
 
-// edgeHash hashes a join edge's cell, given its stored hash sh when it
-// is a string; ok is false for NULL.
-func edgeHash(v Value, sh uint64) (uint64, bool) {
+// cellHash hashes a key part's cell, given its stored hash sh when it is
+// a string; ok is false for NULL.
+func cellHash(v Value, sh uint64) (uint64, bool) {
 	switch v.Kind {
 	case IntValue:
 		return uint64(v.Int), true
@@ -360,14 +302,10 @@ func edgeHash(v Value, sh uint64) (uint64, bool) {
 // fuse folds the fused parts of tuple j's key into the join edge's hash;
 // ok is false when one is NULL.
 func (k joinKey) fuse(h uint64, j int) (uint64, bool) {
-	var buf [20]byte
 	for _, c := range k[1:] {
-		v, part := c.t.keyCell(int(c.at[j]), c.ci)
-		switch v.Kind {
-		case NullValue:
+		part, ok := cellHash(c.t.keyCell(int(c.at[j]), c.ci))
+		if !ok {
 			return 0, false
-		case IntValue:
-			part = maphash.Bytes(keySeed, strconv.AppendInt(buf[:0], v.Int, 10))
 		}
 		h = mix64(h*0x9e3779b97f4a7c15 + part)
 	}
@@ -391,7 +329,7 @@ type hashTable struct {
 	next  []int32
 	hash  []uint64
 	shift uint // 64 - log2(len(dir))
-	ints  bool // every key built is a lone integer (see joinKey.hashes)
+	ints  bool // the key is an INT edge alone (see joinKey.loneInt)
 }
 
 // buildHash builds the table over the first n tuples of a key in mem,
@@ -406,14 +344,13 @@ func buildHash(k joinKey, n int, buf []uint64, mem *arena) *hashTable {
 		next:  mem.i32.take(n),
 		hash:  mem.u64.take(n),
 		shift: uint(64 - bits),
-		ints:  true,
+		ints:  k.loneInt(),
 	}
 	clear(ht.dir)
 	// Last chunk to first, each last tuple to first, so that pushing on
 	// the bucket's head leaves chains ascending.
 	for base := (n - 1) / BatchSize * BatchSize; n > 0 && base >= 0; base -= BatchSize {
-		hs, ints := k.hashes(base, min(base+BatchSize, n), buf)
-		ht.ints = ht.ints && ints
+		hs := k.hashes(base, min(base+BatchSize, n), buf)
 		for j := len(hs) - 1; j >= 0; j-- {
 			if h := hs[j]; h != 0 {
 				b := ht.bucket(h)
@@ -449,7 +386,7 @@ func (ht *hashTable) after(i int32, h uint64) int32 {
 	return i
 }
 
-// exact reports whether an entry found under hash h equals a probe key
-// of lone integers (ints, from joinKey.hashes) without comparing cells:
-// both sides hold lone integers, and h is no hash two integers share.
-func (ht *hashTable) exact(h uint64, ints bool) bool { return ht.ints && ints && h != 1 }
+// exact reports whether an entry found under hash h equals the probe key
+// without comparing cells: the key is an INT edge alone, on the probe
+// side as on the build side, and h is no hash two integers share.
+func (ht *hashTable) exact(h uint64) bool { return ht.ints && h != 1 }

@@ -1,93 +1,124 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"legodb/internal/relational"
 	"legodb/internal/sqlast"
+	"legodb/internal/xschema"
 )
 
 var allOps = []sqlast.CmpOp{
 	sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe,
 }
 
-// FuzzSatisfiesCoercion pins the mixed-kind comparison contract to the
-// shredder's storage rules: an integer coerces to its decimal string, so
-// IntVal(7) equals StrVal("7") but stays distinct from "007" (the
-// shredder stores digits verbatim in string columns and parsed in
-// integer columns). It also cross-checks opHolds against satisfies and
-// NULL's never-matching, and holds the index start lookup to the same
-// contract: for every literal/cell kind pair, lookupEq finds exactly the
-// positions whose cell satisfies (= literal), in order.
-func FuzzSatisfiesCoercion(f *testing.F) {
-	def := &relational.Table{Name: "T", Columns: []*relational.Column{
-		{Name: "T_id", Key: true}, {Name: "v", Index: true},
+// kindCatalog maps two child tables under one root with a column of each
+// kind: A.x is an INT column and B.y a CHAR(8) one.
+func kindCatalog(t testing.TB) *relational.Catalog {
+	t.Helper()
+	s := xschema.MustParseSchema(`
+type R = r[ A*<#3>, B*<#3> ]
+type A = a[ x[ Integer ] ]
+type B = b[ y[ String<#8> ] ]`)
+	cat, err := relational.Map(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// paramBlock selects the key and col of every row of table whose col
+// satisfies (op c1), c1 a parameter.
+func paramBlock(table, col string, op sqlast.CmpOp) *sqlast.Block {
+	b := &sqlast.Block{}
+	b.AddTable(table, "t")
+	b.Filters = []sqlast.Filter{{
+		Col: sqlast.ColumnRef{Alias: "t", Column: col}, Op: op,
+		Value: sqlast.Literal{IsParam: true, Param: "c1"},
 	}}
-	f.Add(int64(7), "7", uint8(0))
-	f.Add(int64(7), "007", uint8(0))
-	f.Add(int64(-3), "-3", uint8(1))
-	f.Add(int64(42), "x42", uint8(4))
-	f.Add(int64(0), "", uint8(2))
-	f.Fuzz(func(t *testing.T, n int64, s string, opRaw uint8) {
-		op := allOps[int(opRaw)%len(allOps)]
-		iv, sv := IntVal(n), StrVal(s)
-		// Mixed-kind comparison must behave exactly like comparing the
-		// integer's decimal rendering against the string, both ways.
-		want := opHolds(op, Compare(StrVal(strconv.FormatInt(n, 10)), sv))
-		if got := satisfies(iv, op, sv); got != want {
-			t.Fatalf("satisfies(%d, %v, %q) = %v, want %v", n, op, s, got, want)
+	b.Projects = []sqlast.ColumnRef{{Alias: "t", Column: table + "_id"}, {Alias: "t", Column: col}}
+	return b
+}
+
+// FuzzSatisfiesCoercion holds every comparison path to the one rule, as
+// refRun's nested loops define it: a literal or parameter takes its
+// column's kind (an integer its decimal string, a string the integer it
+// spells, surrounding space allowed, or nothing — matching no row under
+// any operator — when it spells none), two columns of one kind compare
+// values, and two of different kinds decimal strings. For each operator
+// it runs a filter on the INT column A.x and on the CHAR column B.y, by
+// scan (compactLiteral) and, for =, by index start, and the cross filter
+// a.x op b.y (compactPair's cast). The columns hold both renderings of n,
+// "0"-padded digits, NULL and whatever integer s spells; one row of each
+// is dead.
+func FuzzSatisfiesCoercion(f *testing.F) {
+	f.Add(int64(7), "7")
+	f.Add(int64(7), "007")
+	f.Add(int64(-3), " -3 ")
+	f.Add(int64(42), "x42")
+	f.Add(int64(0), "")
+	f.Add(int64(300), "1999")
+	f.Fuzz(func(t *testing.T, n int64, s string) {
+		ns := strconv.FormatInt(n, 10)
+		if got, want := sign(castCmp(n, s)), sign(strings.Compare(ns, s)); got != want {
+			t.Fatalf("castCmp(%d, %q) = %d, want %d", n, s, got, want)
 		}
-		flipped := map[sqlast.CmpOp]sqlast.CmpOp{
-			sqlast.OpEq: sqlast.OpEq, sqlast.OpNe: sqlast.OpNe,
-			sqlast.OpLt: sqlast.OpGt, sqlast.OpLe: sqlast.OpGe,
-			sqlast.OpGt: sqlast.OpLt, sqlast.OpGe: sqlast.OpLe,
-		}[op]
-		if got := satisfies(sv, flipped, iv); got != want {
-			t.Fatalf("satisfies(%q, %v, %d) = %v, want %v", s, flipped, n, got, want)
+		db := NewDatabase(kindCatalog(t))
+		xs := []Value{IntVal(n), IntVal(n + 1), Null, IntVal(n)}
+		if m, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64); err == nil {
+			xs = append(xs, IntVal(m))
 		}
-		// Equality through coercion agrees with string identity of the
-		// decimal rendering — "007" never equals 7.
-		if satisfies(iv, sqlast.OpEq, sv) != (strconv.FormatInt(n, 10) == s) {
-			t.Fatalf("eq coercion diverges for %d vs %q", n, s)
-		}
-		// NULL matches nothing under any operator.
-		if satisfies(Null, op, sv) || satisfies(iv, op, Null) || satisfies(Null, op, Null) {
-			t.Fatalf("NULL matched under %v", op)
-		}
-		// The zero-alloc byte comparator agrees with string comparison.
-		buf := strconv.AppendInt(nil, n, 10)
-		if sign(cmpBytesStr(buf, s)) != sign(Compare(StrVal(string(buf)), sv)) {
-			t.Fatalf("cmpBytesStr(%q, %q) sign mismatch", buf, s)
-		}
-		// An index probe is the equality filter it replaces. The column
-		// mixes both kinds, both renderings of n, NULL, and whatever
-		// integer s spells; one row is dead.
-		cells := []Value{iv, sv, StrVal(string(buf)), Null, IntVal(n + 1), sv, iv}
-		if m, err := strconv.ParseInt(s, 10, 64); err == nil {
-			cells = append(cells, IntVal(m))
-		}
-		tbl := NewTable(def)
-		for i, c := range cells {
-			if err := tbl.Insert(Row{IntVal(int64(i + 1)), c}); err != nil {
+		loadKeys(t, db, "A", "x", xs)
+		loadKeys(t, db, "B", "y", []Value{StrVal(s), StrVal(ns), Null, StrVal("0" + ns), StrVal(s)})
+		db.Table("A").MarkDeleted(3)
+		db.Table("B").MarkDeleted(4)
+		cross := &sqlast.Block{}
+		cross.AddTable("A", "a")
+		cross.AddTable("B", "b")
+		cross.Projects = []sqlast.ColumnRef{{Alias: "a", Column: "A_id"}, {Alias: "b", Column: "B_id"}}
+		lits := []Value{IntVal(n), StrVal(s), StrVal(ns), StrVal(" " + ns + " "), Null}
+		for _, indexes := range [][]relational.IndexRef{nil, {{Table: "A", Column: "x"}, {Table: "B", Column: "y"}}} {
+			if err := db.SetIndexes(indexes); err != nil {
 				t.Fatal(err)
 			}
-		}
-		tbl.MarkDeleted(len(cells) - 2)
-		for _, lit := range []Value{iv, sv, StrVal(string(buf)), Null} {
-			var want []int
-			for pos, c := range cells {
-				if tbl.Alive(pos) && satisfies(c, sqlast.OpEq, lit) {
-					want = append(want, pos)
+			for _, op := range allOps {
+				for _, lit := range lits {
+					for _, b := range []*sqlast.Block{paramBlock("A", "x", op), paramBlock("B", "y", op)} {
+						if err := sameAsDefinition(db, b, Params{"c1": lit}); err != nil {
+							t.Fatalf("%s with c1 = %#v, indexes %v: %v", b, lit, indexes, err)
+						}
+					}
 				}
-			}
-			if got := tbl.lookupEq(tbl.accessIndex("v"), lit); !slices.Equal(got, want) {
-				t.Fatalf("lookupEq(%#v) over %#v = %v, filter keeps %v", lit, cells, got, want)
+				y := sqlast.ColumnRef{Alias: "b", Column: "y"}
+				cross.Filters = []sqlast.Filter{{Col: sqlast.ColumnRef{Alias: "a", Column: "x"}, Op: op, RightCol: &y}}
+				if err := sameAsDefinition(db, cross, nil); err != nil {
+					t.Fatalf("%s, indexes %v: %v", cross, indexes, err)
+				}
 			}
 		}
 	})
+}
+
+// sameAsDefinition runs a block through the executor and through refRun
+// and reports how their rows differ, order included.
+func sameAsDefinition(db *Database, b *sqlast.Block, params Params) error {
+	got, err := db.ExecuteBlock(b, params)
+	if err != nil {
+		return err
+	}
+	want, err := refRun(db, single(b), params)
+	if err != nil {
+		return err
+	}
+	if err := sameRowsInOrder(got.Rows, want.Rows); err != nil {
+		return fmt.Errorf("executor vs definition: %v", err)
+	}
+	return nil
 }
 
 func sign(c int) int {
@@ -100,32 +131,31 @@ func sign(c int) int {
 	return 0
 }
 
-// randomValue draws from a pool that mixes kinds, NULLs, and colliding
-// renderings ("7" vs 7 vs "007").
-func randomValue(rng *rand.Rand) Value {
-	switch rng.Intn(6) {
-	case 0:
+// randomCell draws a cell of one kind from a pool with NULLs and, for
+// strings, colliding renderings ("7" vs "007") and non-digits.
+func randomCell(rng *rand.Rand, kind ValueKind) Value {
+	switch r := rng.Intn(10); {
+	case r == 0:
 		return Null
-	case 1:
-		return IntVal(int64(rng.Intn(10)))
-	case 2:
-		return IntVal(-int64(rng.Intn(10)))
-	case 3:
+	case kind == IntValue:
+		return IntVal(int64(rng.Intn(19) - 9))
+	case r < 5:
 		return StrVal(strconv.Itoa(rng.Intn(10)))
-	case 4:
+	case r < 8:
 		return StrVal("00" + strconv.Itoa(rng.Intn(10)))
 	default:
 		return StrVal(string(rune('a' + rng.Intn(3))))
 	}
 }
 
-// scratchTable builds a single-column heap table holding vals, the
-// simplest host for gather-based kernels.
-func scratchTable(vals []Value) *Table {
-	def := &relational.Table{Name: "S", Columns: []*relational.Column{
-		{Name: "c", Type: relational.VarCharCol, Size: 16},
-	}}
-	t := NewTable(def)
+// scratchTable builds a single-column heap table of one kind holding
+// vals, the simplest host for gather-based kernels.
+func scratchTable(kind ValueKind, vals []Value) *Table {
+	typ := relational.IntCol
+	if kind == StrValue {
+		typ = relational.VarCharCol
+	}
+	t := NewTable(&relational.Table{Name: "S", Columns: []*relational.Column{{Name: "c", Type: typ, Size: 16}}})
 	for _, v := range vals {
 		if err := t.Insert(Row{v}); err != nil {
 			panic(err)
@@ -134,67 +164,91 @@ func scratchTable(vals []Value) *Table {
 	return t
 }
 
-// TestVectorKernelsMatchSatisfies: the typed filter kernels
-// (compactLiteral, compactPair / pairSatisfies) must agree with the
-// scalar satisfies on every element, across homogeneous, null-bearing
-// and mixed-kind columns — including the promote-to-boxed fallback.
-func TestVectorKernelsMatchSatisfies(t *testing.T) {
+var kinds = []ValueKind{IntValue, StrValue}
+
+// TestVectorKernelsMatchRule: the typed filter kernels must agree with
+// the one rule, as refRun writes it out, on every element:
+// compactLiteral on a column of either kind against a literal of either
+// kind converted to it, and compactPair on every pair of column kinds —
+// by value for one kind, through the cast for two.
+func TestVectorKernelsMatchRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	col := map[ValueKind]*relational.Column{
+		IntValue: {Name: "c", Type: relational.IntCol},
+		StrValue: {Name: "c", Type: relational.VarCharCol},
+	}
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
-		left := make([]Value, n)
-		rightv := make([]Value, n)
-		for i := range left {
-			left[i] = randomValue(rng)
-			rightv[i] = randomValue(rng)
-		}
-		lt, rt := scratchTable(left), scratchTable(rightv)
 		sel := make([]int32, n)
+		reset := func() []int32 {
+			for i := range sel {
+				sel[i] = int32(i)
+			}
+			return sel
+		}
 		var lv, rv Vector
-		for _, op := range allOps {
-			lit := randomValue(rng)
-			// compactLiteral vs satisfies.
-			for i := range sel {
-				sel[i] = int32(i)
+		for _, lk := range kinds {
+			left := make([]Value, n)
+			for i := range left {
+				left[i] = randomCell(rng, lk)
 			}
-			lv.gather(lt, 0, sel[:n])
-			got := compactLiteral(&lv, op, lit, sel[:n])
-			var want []int32
-			for i := 0; i < n; i++ {
-				if satisfies(left[i], op, lit) {
-					want = append(want, int32(i))
+			lt := scratchTable(lk, left)
+			for _, op := range allOps {
+				lit := randomCell(rng, kinds[rng.Intn(2)])
+				lv.gather(lt, 0, reset())
+				got := compactLiteral(&lv, op, convert(lit, lk), sel)
+				var want []int32
+				conv := refLiteral(lit, col[lk])
+				for i := 0; i < n; i++ {
+					if c, ok := refCompare(left[i], conv); ok && opHolds(op, c) {
+						want = append(want, int32(i))
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("compactLiteral(%v, %#v) = %v, want %v (col %v)", op, lit, got, want, left)
 				}
 			}
-			if !equalI32(got, want) {
-				t.Fatalf("compactLiteral(%v, %v) = %v, want %v (col %v)", op, lit, got, want, left)
-			}
-			// compactPair vs satisfies.
-			for i := range sel {
-				sel[i] = int32(i)
-			}
-			lv.gather(lt, 0, sel[:n])
-			rv.gather(rt, 0, sel[:n])
-			got = compactPair(&lv, &rv, op, sel[:n])
-			want = want[:0]
-			for i := 0; i < n; i++ {
-				if satisfies(left[i], op, rightv[i]) {
-					want = append(want, int32(i))
+			for _, rk := range kinds {
+				right := make([]Value, n)
+				for i := range right {
+					right[i] = randomCell(rng, rk)
+				}
+				rt := scratchTable(rk, right)
+				for _, op := range allOps {
+					lv.gather(lt, 0, reset())
+					rv.gather(rt, 0, sel)
+					got := compactPair(&lv, &rv, op, sel)
+					var want []int32
+					for i := 0; i < n; i++ {
+						if c, ok := refCompare(left[i], right[i]); ok && opHolds(op, c) {
+							want = append(want, int32(i))
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("compactPair(%v) = %v, want %v (%v vs %v)", op, got, want, left, right)
+					}
 				}
 			}
-			if !equalI32(got, want) {
-				t.Fatalf("compactPair(%v) = %v, want %v (%v vs %v)", op, got, want, left, rightv)
+			// Gathered vectors must rebox to the exact original values.
+			lv.gather(lt, 0, reset())
+			for i := 0; i < n; i++ {
+				if lv.value(i) != left[i] {
+					t.Fatalf("value(%d) = %v, want %v", i, lv.value(i), left[i])
+				}
 			}
 		}
-		// Gathered vectors must rebox to the exact original values.
-		for i := range sel {
-			sel[i] = int32(i)
-		}
-		lv.gather(lt, 0, sel[:n])
-		for i := 0; i < n; i++ {
-			if lv.value(i) != left[i] {
-				t.Fatalf("value(%d) = %v, want %v", i, lv.value(i), left[i])
-			}
-		}
+	}
+}
+
+// value reboxes element j.
+func (v *Vector) value(j int) Value {
+	switch {
+	case v.isNull(j):
+		return Null
+	case v.kind == IntValue:
+		return IntVal(v.ints[j])
+	default:
+		return StrVal(v.strs[j])
 	}
 }
 
@@ -202,86 +256,76 @@ func TestVectorKernelsMatchSatisfies(t *testing.T) {
 // step finds them: the chain of the value's hash, narrowed by the exact
 // compare of join-edge cells.
 func (ht *hashTable) chain(build joinKey, v Value) []int32 {
-	probe := joinKey{{t: scratchTable([]Value{v}), at: []int32{0}}}
-	hs, ints := probe.hashes(0, 1, make([]uint64, 1))
+	probe := joinKey{{t: scratchTable(build[0].t.kind(0), []Value{v}), at: []int32{0}}}
+	hs := probe.hashes(0, 1, make([]uint64, 1))
 	var out []int32
 	for j := ht.first(hs[0]); j != 0; j = ht.after(j, hs[0]) {
-		if ht.exact(hs[0], ints) || build.primary(j-1) == probe.primary(0) {
+		if ht.exact(hs[0]) || build.primary(j-1) == probe.primary(0) {
 			out = append(out, build[0].at[j-1])
 		}
 	}
 	return out
 }
 
-// TestHashTableMatchesValueMap: the flat chained build must reach exactly
-// the positions, in build order, that a map[Value][]int build (NULL keys
-// left out) holds for every probe —
-// NULL probes and cross-kind probes reaching nothing. A fused key part
-// must hash every pair satisfies calls equal alike, or the hash step
-// would lose a pair its cross filter keeps.
+// TestHashTableMatchesValueMap: the flat chained build over a column of
+// either kind must reach exactly the positions, in build order, that a
+// map[Value][]int build (NULL keys left out) holds for every probe of
+// that kind, NULL probes reaching nothing. A fused key part must hash
+// every pair of equal cells alike, or the hash step would lose a pair its
+// cross filter keeps.
 func TestHashTableMatchesValueMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(30)
-		vals := make([]Value, n)
-		for i := range vals {
-			vals[i] = randomValue(rng)
-		}
-		tb := scratchTable(vals)
-		positions := make([]int32, n)
-		ref := make(map[Value][]int32, n)
-		for i := range positions {
-			positions[i] = int32(i)
-			if !vals[i].IsNull() {
-				ref[vals[i]] = append(ref[vals[i]], int32(i))
+		for _, kind := range kinds {
+			n := rng.Intn(30)
+			vals := make([]Value, n)
+			for i := range vals {
+				vals[i] = randomCell(rng, kind)
 			}
-		}
-		build := joinKey{{t: tb, at: positions}}
-		ht := buildHash(build, n, make([]uint64, BatchSize), new(arena))
-		probes := append([]Value{Null, IntVal(7), StrVal("7"), StrVal("007")}, vals...)
-		for i := 0; i < 10; i++ {
-			probes = append(probes, randomValue(rng))
-		}
-		for _, p := range probes {
-			if got, want := ht.chain(build, p), ref[p]; !equalI32(got, want) {
-				t.Fatalf("lookup(%v) = %v, want %v (build %v)", p, got, want, vals)
-			}
-		}
-
-		one := scratchTable([]Value{IntVal(1)})
-		fused := joinKey{{t: one, at: make([]int32, n)}, {t: tb, at: positions}}
-		hashes, _ := fused.hashes(0, n, make([]uint64, n))
-		for i := range vals {
-			for j := range vals {
-				if satisfies(vals[i], sqlast.OpEq, vals[j]) && hashes[i] != hashes[j] {
-					t.Fatalf("fused %#v and %#v hash apart", vals[i], vals[j])
+			tb := scratchTable(kind, vals)
+			positions := make([]int32, n)
+			ref := make(map[Value][]int32, n)
+			for i := range positions {
+				positions[i] = int32(i)
+				if !vals[i].IsNull() {
+					ref[vals[i]] = append(ref[vals[i]], int32(i))
 				}
 			}
-			if vals[i].IsNull() != (hashes[i] == 0) {
-				t.Fatalf("fused %#v hashes to %d", vals[i], hashes[i])
+			build := joinKey{{t: tb, at: positions}}
+			ht := buildHash(build, n, make([]uint64, BatchSize), new(arena))
+			probes := append([]Value{Null, convert(StrVal("7"), kind), convert(StrVal("007"), kind)}, vals...)
+			for i := 0; i < 10; i++ {
+				probes = append(probes, randomCell(rng, kind))
+			}
+			for _, p := range probes {
+				if got, want := ht.chain(build, p), ref[p]; !slices.Equal(got, want) {
+					t.Fatalf("lookup(%v) = %v, want %v (build %v)", p, got, want, vals)
+				}
+			}
+
+			one := scratchTable(IntValue, []Value{IntVal(1)})
+			fused := joinKey{{t: one, at: make([]int32, n)}, {t: tb, at: positions}}
+			hashes := fused.hashes(0, n, make([]uint64, n))
+			for i := range vals {
+				for j := range vals {
+					if !vals[i].IsNull() && vals[i] == vals[j] && hashes[i] != hashes[j] {
+						t.Fatalf("fused %#v and %#v hash apart", vals[i], vals[j])
+					}
+				}
+				if vals[i].IsNull() != (hashes[i] == 0) {
+					t.Fatalf("fused %#v hashes to %d", vals[i], hashes[i])
+				}
 			}
 		}
 	}
-}
-
-func equalI32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestHashTableCollisions forces many hashes into one directory bucket —
 // the bucket of 0, the hash of a key with a NULL part — and checks that
 // the chain a probe walks still holds exactly the entries of its own
-// hash, ascending; that exact skips the cell compare only when both
-// sides are lone integers and the hash is not the 1 that 0 and 1 share;
-// and that a 0 probe reaches nothing.
+// hash, ascending; that exact skips the cell compare only for an INT
+// edge alone and a hash other than the 1 that 0 and 1 share; and that a
+// 0 probe reaches nothing.
 func TestHashTableCollisions(t *testing.T) {
 	const n = 48
 	buf := make([]uint64, BatchSize)
@@ -290,7 +334,7 @@ func TestHashTableCollisions(t *testing.T) {
 		positions[i] = int32(i)
 	}
 	// A build of n NULLs has the directory every n-entry build has.
-	dir := buildHash(joinKey{{t: scratchTable(make([]Value, n)), at: positions}}, n, buf, new(arena))
+	dir := buildHash(joinKey{{t: scratchTable(IntValue, make([]Value, n)), at: positions}}, n, buf, new(arena))
 	if dir.first(0) != 0 {
 		t.Fatal("an all-NULL build reaches an entry")
 	}
@@ -303,14 +347,15 @@ func TestHashTableCollisions(t *testing.T) {
 		}
 	}
 	var strs []Value
-	for i := 0; len(strs) < 2; i++ {
+	for i := 0; len(strs) < 4; i++ {
 		s := "s" + strconv.Itoa(i)
 		if h := strHash(s); dir.bucket(h) == dir.bucket(0) {
 			strs = append(strs, StrVal(s))
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
-	for _, pool := range [][]Value{ints, append(slices.Clone(ints), strs...)} {
+	for _, pool := range [][]Value{ints, strs} {
+		kind := pool[0].Kind
 		vals := make([]Value, n)
 		for i := range vals {
 			if rng.Intn(8) == 0 {
@@ -319,9 +364,9 @@ func TestHashTableCollisions(t *testing.T) {
 				vals[i] = pool[rng.Intn(len(pool))]
 			}
 		}
-		build := joinKey{{t: scratchTable(vals), at: positions}}
+		build := joinKey{{t: scratchTable(kind, vals), at: positions}}
 		ht := buildHash(build, n, buf, new(arena))
-		hs, _ := build.hashes(0, n, make([]uint64, n))
+		hs := build.hashes(0, n, make([]uint64, n))
 		for _, h := range hs {
 			if h > 1 && ht.bucket(h) != ht.bucket(0) {
 				t.Fatalf("hash %x left the forced bucket", h)
@@ -340,7 +385,7 @@ func TestHashTableCollisions(t *testing.T) {
 			for i := ht.first(h); i != 0; i = ht.after(i, h) {
 				got = append(got, i-1)
 			}
-			if !equalI32(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("chain of %x = %v, want the entries of that hash %v", h, got, want)
 			}
 		}
@@ -351,21 +396,18 @@ func TestHashTableCollisions(t *testing.T) {
 					want = append(want, int32(j))
 				}
 			}
-			if got := ht.chain(build, p); !equalI32(got, want) {
+			if got := ht.chain(build, p); !slices.Equal(got, want) {
 				t.Fatalf("probe %v reaches %v, want %v (build %v)", p, got, want, vals)
 			}
 		}
-		lone := len(pool) == len(ints)
+		lone := kind == IntValue
 		if ht.ints != lone {
 			t.Fatalf("ints = %v for a build of %v", ht.ints, pool)
 		}
-		for _, v := range ints[1:] {
-			h, _ := edgeHash(v, 0)
-			if got, want := ht.exact(h, true), lone && h != 1; got != want {
+		for _, v := range pool[1:] {
+			h, _ := cellHash(v, strHash(v.Str))
+			if got, want := ht.exact(h), lone && h != 1; got != want {
 				t.Fatalf("exact(%v) = %v, want %v", v, got, want)
-			}
-			if ht.exact(h, false) {
-				t.Fatalf("exact(%v) holds for a probe that is not lone integers", v)
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func (s *Store) deleteWhere(q *xquery.Query, params Params) (deleted int, genera
 	}
 	s.mutEpoch++
 	for _, tgt := range targets {
-		rs, err := s.db.ExecuteBlock(tgt.Block, params.forBlocks(s.catalog, tgt.Block))
+		rs, err := s.db.ExecuteBlock(tgt.Block, params.values())
 		if err != nil {
 			return deleted, false, err
 		}
@@ -99,7 +99,7 @@ func (s *Store) insertChild(q *xquery.Query, params Params, fragment *xmltree.No
 	}
 	s.mutEpoch++
 	for _, tgt := range targets {
-		rs, err := s.db.ExecuteBlock(tgt.Block, params.forBlocks(s.catalog, tgt.Block))
+		rs, err := s.db.ExecuteBlock(tgt.Block, params.values())
 		if err != nil {
 			return inserted, false, err
 		}

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// Regression tests for typed parameter binding: parameters must bind by
-// the catalog type of the column they filter, not by whether the value
-// happens to look like an integer. Before the fix, Params{"c1": "007"}
-// against a string column bound as the integer 7, which the engine
-// compared as "7" — silently matching nothing.
+// Regression tests for typed parameters: a parameter converts to the
+// catalog type of the column it is compared with, not by whether the
+// value happens to look like an integer: Params{"c1": "007"} matches the
+// string "007" in a string column and the integer 7 in an INT column.
 
 const paramXML = `<imdb>
   <show type="Movie">

@@ -3,7 +3,6 @@ package legodb
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -25,10 +24,11 @@ import (
 // snapshot idiom): magic, version, table count, payload length and a
 // CRC32C of the payload. Version 2 stores each table as a colfile
 // segment — the column-chunked binary format of internal/colfile — which
-// reopened stores serve directly as frozen columnar bases; version 1
-// (gob-encoded rows) still opens read-only for migration, and every save
-// writes version 2. A truncated, bit-flipped or foreign file is rejected
-// with ErrCorruptStoreSnapshot before any row is replayed, and
+// reopened stores serve directly as frozen columnar bases; any other
+// version, the retired gob-encoded version 1 included, is refused. A
+// truncated, bit-flipped or foreign file, or one whose chunks hold cells
+// of the other kind than their columns', is rejected with
+// ErrCorruptStoreSnapshot before the store is served, and
 // OpenStoreFile quarantines such a file to path+".corrupt" so the
 // evidence survives and the path is free for the next save. SaveFile is
 // crash-consistent: temp file, fsync, rename, parent-directory fsync —
@@ -39,10 +39,7 @@ import (
 var storeMagic = [8]byte{'L', 'G', 'D', 'B', 'S', 'T', 'O', 'R'}
 
 const (
-	// storeSnapshotVersionGob is the legacy row-oriented gob payload,
-	// accepted by OpenStore but no longer written.
-	storeSnapshotVersionGob = 1
-	// storeSnapshotVersion is the current column-chunked payload: the
+	// storeSnapshotVersion is the column-chunked payload: the
 	// schema text plus one colfile segment per table.
 	storeSnapshotVersion = 2
 	storeHeaderLen       = 30
@@ -54,28 +51,12 @@ const (
 	maxStoreSnapshotBytes = 1 << 30
 )
 
-// ErrCorruptStoreSnapshot marks a snapshot OpenStore rejected before
-// reconstructing anything: bad magic, wrong version, truncation, an
-// implausible size, a checksum mismatch at the frame or inside a
-// colfile segment, or a payload that does not decode. Callers can
-// errors.Is on it to quarantine the file.
+// ErrCorruptStoreSnapshot marks a snapshot OpenStore rejected: bad
+// magic, wrong version, truncation, an implausible size, a checksum
+// mismatch at the frame or inside a colfile segment, a payload that does
+// not decode, or a chunk stored as the other kind than its column.
+// Callers can errors.Is on it to quarantine the file.
 var ErrCorruptStoreSnapshot = errors.New("legodb: corrupt store snapshot")
-
-// storeSnapshot is the version-1 gob-encoded payload, kept for opening
-// legacy snapshots.
-type storeSnapshot struct {
-	// SchemaText is the p-schema in algebra notation (statistics
-	// annotations included).
-	SchemaText string
-	Tables     []tableSnapshot
-}
-
-type tableSnapshot struct {
-	Name    string
-	Columns []string
-	Rows    []engine.Row
-	NextID  int64
-}
 
 // Save writes the store (schema and all tables as colfile segments) to
 // w, framed and checksummed. It takes the store's read lock, so a
@@ -146,9 +127,8 @@ func (s *Store) SaveFile(path string) error {
 // the frame is validated (magic, version, declared sizes, payload
 // checksum — failures return ErrCorruptStoreSnapshot before anything is
 // built), then the schema is re-parsed, the catalog re-derived through
-// the fixed mapping, and the tables restored — version-2 colfile
-// segments become frozen columnar bases with their indexes rebuilt,
-// version-1 gob rows are replayed through Insert.
+// the fixed mapping, and the tables restored: colfile segments become
+// frozen columnar bases with their indexes rebuilt.
 func OpenStore(r io.Reader) (*Store, error) {
 	var hdr [storeHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -158,9 +138,8 @@ func OpenStore(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptStoreSnapshot)
 	}
 	version := binary.LittleEndian.Uint16(hdr[8:10])
-	if version != storeSnapshotVersionGob && version != storeSnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, want %d or %d",
-			ErrCorruptStoreSnapshot, version, storeSnapshotVersionGob, storeSnapshotVersion)
+	if version != storeSnapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, want %d", ErrCorruptStoreSnapshot, version, storeSnapshotVersion)
 	}
 	declared := binary.LittleEndian.Uint64(hdr[10:18])
 	payloadLen := binary.LittleEndian.Uint64(hdr[18:26])
@@ -177,9 +156,6 @@ func OpenStore(r io.Reader) (*Store, error) {
 	}
 	if got := fsio.Checksum(payload); got != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorruptStoreSnapshot, got, sum)
-	}
-	if version == storeSnapshotVersionGob {
-		return openStoreV1(payload, declared)
 	}
 	return openStoreV2(payload, declared)
 }
@@ -240,7 +216,7 @@ func openStoreV2(payload []byte, declared uint64) (*Store, error) {
 				ErrCorruptStoreSnapshot, ct.Name, base.Rows(), ct.Rows)
 		}
 		if err := t.SetColumnBase(base); err != nil {
-			return nil, fmt.Errorf("legodb: snapshot table %q: %w", ct.Name, err)
+			return nil, fmt.Errorf("%w: table %q: %v", ErrCorruptStoreSnapshot, ct.Name, err)
 		}
 		t.SetNextID(ct.NextID)
 	}
@@ -257,46 +233,6 @@ func takeSegment(payload []byte, what string) (seg, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: %s segment of %d bytes overruns payload", ErrCorruptStoreSnapshot, what, n)
 	}
 	return payload[4 : 4+n], payload[4+n:], nil
-}
-
-// openStoreV1 reconstructs a store from the legacy gob payload by
-// replaying rows through Insert.
-func openStoreV1(payload []byte, declared uint64) (*Store, error) {
-	var snap storeSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptStoreSnapshot, err)
-	}
-	if uint64(len(snap.Tables)) != declared {
-		return nil, fmt.Errorf("%w: %d tables decoded, header declared %d", ErrCorruptStoreSnapshot, len(snap.Tables), declared)
-	}
-	ps, err := xschema.ParseSchema(snap.SchemaText)
-	if err != nil {
-		return nil, fmt.Errorf("legodb: snapshot schema: %w", err)
-	}
-	cat, err := relational.Map(ps)
-	if err != nil {
-		return nil, fmt.Errorf("legodb: snapshot mapping: %w", err)
-	}
-	store, err := openStore(ps, cat)
-	if err != nil {
-		return nil, err
-	}
-	for _, ts := range snap.Tables {
-		t := store.db.Table(ts.Name)
-		if t == nil {
-			return nil, fmt.Errorf("legodb: snapshot table %q not in the re-derived catalog", ts.Name)
-		}
-		if err := matchColumns(ts.Name, ts.Columns, t); err != nil {
-			return nil, err
-		}
-		for _, row := range ts.Rows {
-			if err := t.Insert(row); err != nil {
-				return nil, fmt.Errorf("legodb: snapshot table %q: %w", ts.Name, err)
-			}
-		}
-		t.SetNextID(ts.NextID)
-	}
-	return store, nil
 }
 
 // matchColumns checks a snapshot table's column list against the

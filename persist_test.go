@@ -3,15 +3,17 @@ package legodb
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"legodb/internal/colfile"
+	"legodb/internal/engine"
 	"legodb/internal/faults"
 	"legodb/internal/fsio"
 	"legodb/internal/imdb"
@@ -357,109 +359,131 @@ func TestOpenStoreFileQuarantinesTruncated(t *testing.T) {
 	}
 }
 
-// writeV1Snapshot frames a legacy version-1 (gob rows) snapshot of the
-// store, exactly as the pre-colfile writer did.
-func writeV1Snapshot(t *testing.T, store *Store) []byte {
-	t.Helper()
-	store.mu.RLock()
-	snap := storeSnapshot{SchemaText: store.schema.String()}
-	for _, name := range store.catalog.Order {
-		tbl := store.db.Table(name)
-		cols := make([]string, len(tbl.Def.Columns))
-		for i, c := range tbl.Def.Columns {
-			cols[i] = c.Name
-		}
-		ts := tableSnapshot{Name: name, Columns: cols, NextID: tbl.PeekNextID()}
-		n := tbl.NumRows()
-		for pos := 0; pos < n; pos++ {
-			ts.Rows = append(ts.Rows, tbl.Row(pos))
-		}
-		snap.Tables = append(snap.Tables, ts)
-	}
-	store.mu.RUnlock()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
+// TestOpenStoreFileQuarantinesV1: a snapshot with the retired
+// version-1 header (gob rows) is refused as corrupt, and OpenStoreFile
+// moves it aside to path+".corrupt", byte for byte, rather than delete
+// it.
+func TestOpenStoreFileQuarantinesV1(t *testing.T) {
+	store, _ := advisedStore(t)
+	var buf bytes.Buffer
+	if err := store.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	var hdr [storeHeaderLen]byte
-	copy(hdr[:8], storeMagic[:])
-	binary.LittleEndian.PutUint16(hdr[8:10], storeSnapshotVersionGob)
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(snap.Tables)))
-	binary.LittleEndian.PutUint64(hdr[18:26], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[26:30], fsio.Checksum(payload.Bytes()))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
-	return buf.Bytes()
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint16(raw[8:10], 1)
+	path := filepath.Join(t.TempDir(), "v1.legodb")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenStoreFile(path)
+	if !errors.Is(err, ErrCorruptStoreSnapshot) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 snapshot: want ErrCorruptStoreSnapshot naming version 1, got %v", err)
+	}
+	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+		t.Error("version-1 file still occupies the snapshot path")
+	}
+	if kept, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(kept, raw) {
+		t.Errorf("version-1 file not kept intact beside the path: %v", err)
+	}
 }
 
-// TestSnapshotUpgradeV1RoundTrip proves the migration path: a legacy
-// version-1 snapshot opens read-only, publishes byte-identical documents
-// to the version-2 snapshot of the same store, and saving it again
-// produces a version-2 file that round-trips.
-func TestSnapshotUpgradeV1RoundTrip(t *testing.T) {
-	store, doc := advisedStore(t)
-	v1 := writeV1Snapshot(t, store)
+// snapshotSegments splits a store snapshot into its schema text and its
+// table segments (see Store.Save), each segment aliasing raw.
+func snapshotSegments(t *testing.T, raw []byte) (schema []byte, segs [][]byte) {
+	t.Helper()
+	schema, rest, err := takeSegment(raw[storeHeaderLen:], "schema")
+	for err == nil && len(rest) > 0 {
+		var seg []byte
+		seg, rest, err = takeSegment(rest, "table")
+		segs = append(segs, seg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return schema, segs
+}
 
-	fromV1, err := OpenStore(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("open v1 snapshot: %v", err)
+// frameSnapshot frames a schema and table segments as Store.Save does.
+func frameSnapshot(schema []byte, segs [][]byte) []byte {
+	var payload bytes.Buffer
+	for _, seg := range append([][]byte{schema}, segs...) {
+		payload.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(seg))))
+		payload.Write(seg)
 	}
-	var v2 bytes.Buffer
-	if err := store.Save(&v2); err != nil {
+	var hdr [storeHeaderLen]byte
+	copy(hdr[:8], storeMagic[:])
+	binary.LittleEndian.PutUint16(hdr[8:10], storeSnapshotVersion)
+	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(segs)))
+	binary.LittleEndian.PutUint64(hdr[18:26], uint64(payload.Len()))
+	binary.LittleEndian.PutUint32(hdr[26:30], fsio.Checksum(payload.Bytes()))
+	return append(hdr[:], payload.Bytes()...)
+}
+
+// TestOpenStoreRefusesChunksOfTheWrongKind: a well-formed snapshot whose
+// table segment stores a CHAR column's chunk as integers opens with
+// ErrCorruptStoreSnapshot, as does one whose first chunk carries the
+// retired mixed encoding (byte 3), checksums re-stamped so that only the
+// encoding check can object.
+func TestOpenStoreRefusesChunksOfTheWrongKind(t *testing.T) {
+	store, _ := advisedStore(t)
+	var buf bytes.Buffer
+	if err := store.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint16(v2.Bytes()[8:10]); got != storeSnapshotVersion {
-		t.Fatalf("Save wrote version %d, want %d", got, storeSnapshotVersion)
-	}
-	fromV2, err := OpenStore(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatalf("open v2 snapshot: %v", err)
+	schema, segs := snapshotSegments(t, buf.Bytes())
+	if _, err := OpenStore(bytes.NewReader(frameSnapshot(schema, segs))); err != nil {
+		t.Fatalf("reframed snapshot: %v", err)
 	}
 
-	docs1, err := fromV1.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs2, err := fromV2.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs1) != 1 || len(docs2) != 1 {
-		t.Fatalf("published %d and %d documents, want 1 each", len(docs1), len(docs2))
-	}
-	if got1, got2 := docs1[0].String(), docs2[0].String(); got1 != got2 {
-		t.Fatal("v1 and v2 snapshots publish different bytes")
-	}
-	if !xmltree.EqualCanonical(doc, docs1[0]) {
-		t.Fatal("v1 snapshot publishes a different document than was loaded")
+	// An int chunk under the CHAR column Show.title.
+	for i, seg := range segs {
+		ct, err := colfile.Decode(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct.Name != "Show" || ct.Rows == 0 {
+			continue
+		}
+		ch := &ct.Cols[slices.Index(ct.Columns, "title")][0]
+		ch.Ints, ch.Strs = make([]int64, ch.N), nil
+		forged := slices.Clone(segs)
+		if forged[i], err = colfile.Encode(ct); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenStore(bytes.NewReader(frameSnapshot(schema, forged)))
+		if !errors.Is(err, ErrCorruptStoreSnapshot) {
+			t.Fatalf("int chunk for a CHAR column: want ErrCorruptStoreSnapshot, got %v", err)
+		}
 	}
 
-	// Upgrading: re-saving the v1-loaded store writes v2, which reopens.
-	var upgraded bytes.Buffer
-	if err := fromV1.Save(&upgraded); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint16(upgraded.Bytes()[8:10]); got != storeSnapshotVersion {
-		t.Fatalf("upgrade wrote version %d, want %d", got, storeSnapshotVersion)
-	}
-	back, err := OpenStore(bytes.NewReader(upgraded.Bytes()))
-	if err != nil {
-		t.Fatalf("upgraded snapshot does not reopen: %v", err)
-	}
-	docs3, err := back.Publish()
+	// The retired mixed encoding on the first chunk of the first table:
+	// its key column, N integers without NULLs right after the 10-byte
+	// colfile header.
+	seg := slices.Clone(segs[0])
+	ct, err := colfile.Decode(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if docs3[0].String() != docs1[0].String() {
-		t.Fatal("upgraded snapshot publishes different bytes")
+	n := min(ct.Rows, engine.BatchSize)
+	size := 1 + (n+63)/64*8 + 8*n
+	entry := binary.LittleEndian.AppendUint16(nil, 0)
+	entry = binary.LittleEndian.AppendUint32(entry, uint32(n))
+	entry = binary.LittleEndian.AppendUint64(entry, 10)
+	entry = binary.LittleEndian.AppendUint64(entry, uint64(size))
+	entry = binary.LittleEndian.AppendUint32(entry, fsio.Checksum(seg[10:10+size]))
+	at := bytes.Index(seg, entry)
+	if at < 0 || seg[10] != 1 {
+		t.Fatal("first chunk is not where an int key chunk sits")
 	}
-	// Id sequences survive the upgrade: post-upgrade inserts don't collide.
-	if err := back.Load(imdb.Generate(imdb.GenOptions{Shows: 2, Seed: 77})); err != nil {
-		t.Fatalf("Load after upgrade: %v", err)
-	}
-	if _, err := back.Publish(); err != nil {
-		t.Fatalf("Publish after post-upgrade load: %v", err)
+	seg[10] = 3
+	binary.LittleEndian.PutUint32(seg[at+len(entry)-4:], fsio.Checksum(seg[10:10+size]))
+	footerLen := int(binary.LittleEndian.Uint64(seg[len(seg)-16:]))
+	binary.LittleEndian.PutUint32(seg[len(seg)-8:], fsio.Checksum(seg[len(seg)-16-footerLen:len(seg)-16]))
+	binary.LittleEndian.PutUint32(seg[len(seg)-4:], fsio.Checksum(seg[:len(seg)-4]))
+	forged := append([][]byte{seg}, segs[1:]...)
+	_, err = OpenStore(bytes.NewReader(frameSnapshot(schema, forged)))
+	if !errors.Is(err, ErrCorruptStoreSnapshot) || !strings.Contains(err.Error(), "encoding 3") {
+		t.Fatalf("retired mixed chunk: want ErrCorruptStoreSnapshot for encoding 3, got %v", err)
 	}
 }
 

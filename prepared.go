@@ -16,8 +16,7 @@ import (
 
 // Prepared plans: a served workload is a fixed set of parameterized query
 // texts, so a store keeps what a text costs to get ready — its parse, its
-// observation key, its translation, its parameters' comparison sites and
-// its engine plan — and a request pays only for its own execution.
+// observation key, its translation and its engine plan — and a request pays only for its own execution.
 //
 // A translation depends on the configuration alone (the catalog a
 // migration swaps); an engine plan also depends on the index set, which
@@ -53,13 +52,12 @@ type PreparedQuery struct {
 }
 
 // preparedPlan is one immutable snapshot of a prepared query: the
-// translation against cat, its parameters' comparison sites, and the
-// engine plan under the physical design it was made in.
+// translation against cat and the engine plan under the physical design
+// it was made in.
 type preparedPlan struct {
-	cat   *relational.Catalog
-	sql   *sqlast.Query
-	sites map[string]relational.ColumnType
-	plan  *engine.Plan
+	cat  *relational.Catalog
+	sql  *sqlast.Query
+	plan *engine.Plan
 }
 
 // currentFor reports whether the snapshot (nil: none) is for the
@@ -117,13 +115,13 @@ func (p *PreparedQuery) currentLocked() (*preparedPlan, error) {
 	}
 	next := &preparedPlan{cat: s.catalog}
 	if pp != nil && pp.cat == s.catalog {
-		next.sql, next.sites = pp.sql, pp.sites
+		next.sql = pp.sql
 	} else {
 		sq, err := xquery.Translate(p.q, s.schema, s.catalog)
 		if err != nil {
 			return nil, err
 		}
-		next.sql, next.sites = sq, paramColumnTypes(s.catalog, sq.Blocks)
+		next.sql = sq
 	}
 	plan, err := s.db.Plan(next.sql)
 	if err != nil {
@@ -213,7 +211,7 @@ func (p *PreparedQuery) runLocked(ctx context.Context, params Params, sink engin
 	if err != nil {
 		return err
 	}
-	return s.db.ExecutePlanTo(ctx, pp.plan, params.bind(pp.sites), sink)
+	return s.db.ExecutePlanTo(ctx, pp.plan, params.values(), sink)
 }
 
 // ExplainQuery prepares an XQuery and returns its SQL together with the

@@ -29,7 +29,7 @@ func uncachedQuery(s *Store, text string, params Params) (*engine.ResultSet, err
 	if err != nil {
 		return nil, err
 	}
-	return s.db.ExecuteContext(context.Background(), sq, params.forBlocks(s.catalog, sq.Blocks...))
+	return s.db.ExecuteContext(context.Background(), sq, params.values())
 }
 
 // measuredRun runs fn and returns the store's counter delta over it.

@@ -3,8 +3,6 @@ package legodb
 import (
 	"context"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 
 	"legodb/internal/core"
@@ -12,7 +10,6 @@ import (
 	"legodb/internal/optimizer"
 	"legodb/internal/relational"
 	"legodb/internal/shred"
-	"legodb/internal/sqlast"
 	"legodb/internal/xmltree"
 	"legodb/internal/xquery"
 	"legodb/internal/xschema"
@@ -102,84 +99,22 @@ func (s *Store) LoadXML(r io.Reader) error {
 	return s.Load(doc)
 }
 
-// Params binds query parameters (c1, c2, ...) to values. Each value
-// binds according to the catalog type of the column the parameter is
-// compared against in the translated query: parameters filtering an
-// INT column bind as integers, parameters filtering a string column
-// bind verbatim (so "007" matches a CHAR column storing "007" instead
-// of being silently collapsed to the integer 7). A parameter with no
-// comparison site in the query falls back to the digit heuristic:
-// values that parse as integers bind as integers.
+// Params binds query parameters (c1, c2, ...) to values. A value
+// converts to the type of each column it is compared with: verbatim
+// against a string column (so "007" matches a CHAR column storing "007"),
+// and against an INT column as the integer it spells, surrounding space
+// allowed; a value that spells none matches no row there, under any
+// operator.
 type Params map[string]string
 
-// forBlocks binds each parameter by the comparison sites it has in the
-// given blocks (see bind). Mutations bind through it; a prepared query
-// resolves its sites once per translation instead.
-func (p Params) forBlocks(cat *relational.Catalog, blocks ...*sqlast.Block) engine.Params {
-	return p.bind(paramColumnTypes(cat, blocks))
-}
-
-// bind binds each parameter by the catalog type of the column it is
-// compared against (its comparison site, see paramColumnTypes).
-// String-column parameters always bind verbatim, preserving leading
-// zeros, surrounding spaces and overlong digit strings exactly as
-// stored. INT-column parameters, and those without a site, bind as
-// integers when they parse; an unparseable value (overflow-length
-// digits, non-numeric text) binds as a string and simply matches no
-// stored integer.
-func (p Params) bind(sites map[string]relational.ColumnType) engine.Params {
+// values hands the parameters to the engine as strings; the engine
+// converts each at every comparison site (see Params).
+func (p Params) values() engine.Params {
 	out := make(engine.Params, len(p))
 	for k, v := range p {
-		if ct, found := sites[k]; found && ct != relational.IntCol {
-			out[k] = engine.StrVal(v)
-		} else if n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil {
-			out[k] = engine.IntVal(n)
-		} else {
-			out[k] = engine.StrVal(v)
-		}
+		out[k] = engine.StrVal(v)
 	}
 	return out
-}
-
-// paramColumnTypes maps each parameter name to the catalog type of its
-// first comparison site across the blocks (alias → table via the
-// block's FROM list, then column lookup in the catalog). Sites that
-// cannot be resolved are omitted.
-func paramColumnTypes(cat *relational.Catalog, blocks []*sqlast.Block) map[string]relational.ColumnType {
-	sites := make(map[string]relational.ColumnType)
-	if cat == nil {
-		return sites
-	}
-	for _, b := range blocks {
-		if b == nil {
-			continue
-		}
-		tableOf := make(map[string]string, len(b.Tables))
-		for _, t := range b.Tables {
-			if _, ok := tableOf[t.Alias]; !ok {
-				tableOf[t.Alias] = t.Table
-			}
-		}
-		for _, f := range b.Filters {
-			if !f.Value.IsParam || f.RightCol != nil {
-				continue
-			}
-			if _, seen := sites[f.Value.Param]; seen {
-				continue
-			}
-			tbl := cat.Table(tableOf[f.Col.Alias])
-			if tbl == nil {
-				continue
-			}
-			for _, col := range tbl.Columns {
-				if col.Name == f.Col.Column {
-					sites[f.Value.Param] = col.Type
-					break
-				}
-			}
-		}
-	}
-	return sites
 }
 
 // Result is a query result: column headers and stringified rows.
